@@ -25,11 +25,12 @@ test-short:
 test-race:
 	$(GO) test -race ./...
 
-# Short fuzz passes over the signature codec and the wire strict decoder
-# (CI runs the same smoke).
+# Short fuzz passes over the signature codec, the wire strict decoder and
+# the program validator (CI runs the same smoke).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSignatureDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStrict -fuzztime 10s ./wire
+	$(GO) test -run '^$$' -fuzz FuzzProgramValidate -fuzztime 10s ./internal/mpi
 
 # One iteration of every exhibit benchmark (Table/Figure regeneration).
 bench:

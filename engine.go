@@ -1174,6 +1174,10 @@ func predict(ctx context.Context, sig *Signature, prof *Profile, app *App, detai
 		return nil, fmt.Errorf("tracex: %w: signature simulated %q but profile is for %q",
 			ErrMachineMismatch, sig.Machine, prof.Machine.Name)
 	}
+	if sig.App != app.Name() {
+		return nil, fmt.Errorf("tracex: %w: signature is for application %q but the request names %q",
+			ErrMachineMismatch, sig.App, app.Name())
+	}
 	dom := sig.DominantTrace()
 	if dom == nil {
 		return nil, fmt.Errorf("tracex: %w", ErrNoTraces)
@@ -1183,6 +1187,10 @@ func predict(ctx context.Context, sig *Signature, prof *Profile, app *App, detai
 		return nil, err
 	}
 	prog, err := app.Program(sig.CoreCount)
+	if err != nil {
+		return nil, err
+	}
+	sched, err := psins.Compile(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -1199,7 +1207,7 @@ func predict(ctx context.Context, sig *Signature, prof *Profile, app *App, detai
 	if withTimeline {
 		tl = &Timeline{}
 	}
-	res, err := psins.ReplayTraced(ctx, prog, net, psins.CostFromComputation(comp, lf), tl)
+	res, err := sched.Replay(ctx, net, psins.CostFromComputation(comp, lf), tl)
 	if err != nil {
 		return nil, err
 	}
@@ -1218,7 +1226,7 @@ func predict(ctx context.Context, sig *Signature, prof *Profile, app *App, detai
 		pred.Replay = res
 	}
 	if detail.intervals && sig.Uncertainty != nil {
-		ivs, err := runtimeIntervals(ctx, dom, sig.Uncertainty, prof, comp, prog, net, lf, detail.levels)
+		ivs, err := runtimeIntervals(ctx, dom, sig.Uncertainty, prof, comp, sched, net, lf, detail.levels)
 		if err != nil {
 			return nil, fmt.Errorf("tracex: propagating prediction intervals: %w", err)
 		}

@@ -82,3 +82,49 @@ func BenchmarkCollectSignatureCached(b *testing.B) {
 		b.Fatalf("cached benchmark ran %d collections", st.Collections)
 	}
 }
+
+// BenchmarkPredictWarm measures the warm-predict path the serving daemon
+// runs for a cached identity: a memory-tier signature hit, then convolution
+// and replay. It cycles through 16 stencil3d identities at 1008..1038 ranks
+// on bluewaters, collected (with the machine profile) before the timer
+// starts.
+func BenchmarkPredictWarm(b *testing.B) {
+	app, err := tracex.LoadApp("stencil3d")
+	if err != nil {
+		b.Fatal(err)
+	}
+	target, err := tracex.LoadMachine("bluewaters")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := tracex.CollectOptions{Sampling: tracex.FixedSampling(20_000, 20_000)}
+	eng := tracex.NewEngine()
+	defer eng.Close()
+	ctx := context.Background()
+	cores := make([]int, 16)
+	for k := range cores {
+		cores[k] = 1008 + 2*k
+		if _, err := eng.CollectSignature(ctx, app, cores[k], target, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// The machine profile is memoized on first use; build it untimed.
+	if _, err := eng.Profile(ctx, target); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sig, err := eng.CollectSignature(ctx, app, cores[i%len(cores)], target, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Predict(ctx, tracex.PredictRequest{Signature: sig, App: app, Machine: &target}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := eng.Stats(); st.Collections != uint64(len(cores)) {
+		b.Fatalf("warm benchmark ran %d collections, want %d", st.Collections, len(cores))
+	}
+}

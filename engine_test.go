@@ -712,3 +712,32 @@ func TestPredictRequestVariants(t *testing.T) {
 		t.Error("WithTimeline prediction disagrees with the plain one")
 	}
 }
+
+// TestPredictWarmAllocs gates the warm predict path deterministically: a
+// stencil3d@1024 predict from a cached signature and profile builds the
+// program, compiles it and replays it in a bounded number of allocations,
+// none per event or per message.
+func TestPredictWarmAllocs(t *testing.T) {
+	app := testApp(t, "stencil3d")
+	target, err := LoadMachine("bluewaters")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The default engine shares its memoized bluewaters profile with the
+	// other tests; AllocsPerRun's untimed first call builds it otherwise.
+	eng := DefaultEngine()
+	ctx := context.Background()
+	sig, err := eng.CollectSignature(ctx, app, 1024, target, CollectOptions{Sampling: FixedSampling(2_000, 2_000)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := PredictRequest{Signature: sig, App: app, Machine: &target}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := eng.Predict(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8800 {
+		t.Errorf("warm stencil3d@1024 predict made %.0f allocations, want ≤ 8800", allocs)
+	}
+}

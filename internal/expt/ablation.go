@@ -258,6 +258,11 @@ func AblationClustering(cfg Config) ([]ClusteringAblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Both pricing strategies replay the same compiled program.
+		sched, err := psins.Compile(prog)
+		if err != nil {
+			return nil, err
+		}
 		measured, err := tracex.Measure(app, spec.TargetCount, target, cfg.Collect)
 		if err != nil {
 			return nil, err
@@ -289,7 +294,7 @@ func AblationClustering(cfg Config) ([]ClusteringAblationRow, error) {
 			{"uniform", uniform},
 			{"clustered", clustered},
 		} {
-			res, err := psins.Replay(prog, net, s.cost)
+			res, err := sched.Replay(cfg.context(), net, s.cost, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -3,12 +3,16 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Builder incrementally constructs a Program. Methods that add
 // communication patterns keep the per-rank event sequences deadlock-free
 // under eager-send semantics (sends never block; receives are posted after
-// the matching sends exist somewhere in the program).
+// the matching sends exist somewhere in the program). Every event is
+// checked as it is appended and every pattern appends matched sends and
+// receives, waited requests and collectives on all ranks, so a program
+// built without error always passes Program.Validate.
 type Builder struct {
 	prog Program
 	err  error
@@ -32,6 +36,19 @@ func (b *Builder) fail(format string, args ...any) {
 	}
 }
 
+// add appends e to rank r's trace after checking it as Program.Validate
+// does; an invalid event becomes the sticky error.
+func (b *Builder) add(r int, e Event) {
+	if b.err != nil {
+		return
+	}
+	if err := e.Validate(r, len(b.prog.Ranks)); err != nil {
+		b.fail("mpi: rank %d event %d: %w", r, len(b.prog.Ranks[r]), err)
+		return
+	}
+	b.prog.Ranks[r] = append(b.prog.Ranks[r], e)
+}
+
 // Compute appends a compute segment executing share of block blockID on
 // rank r.
 func (b *Builder) Compute(r int, blockID uint64, share float64) *Builder {
@@ -42,7 +59,7 @@ func (b *Builder) Compute(r int, blockID uint64, share float64) *Builder {
 		b.fail("mpi: compute on rank %d of %d", r, len(b.prog.Ranks))
 		return b
 	}
-	b.prog.Ranks[r] = append(b.prog.Ranks[r], Event{Kind: Compute, BlockID: blockID, Share: share})
+	b.add(r, Event{Kind: Compute, BlockID: blockID, Share: share})
 	return b
 }
 
@@ -64,8 +81,8 @@ func (b *Builder) SendRecv(src, dst, tag int, bytes uint64) *Builder {
 		b.fail("mpi: bad message %d→%d in %d ranks", src, dst, n)
 		return b
 	}
-	b.prog.Ranks[src] = append(b.prog.Ranks[src], Event{Kind: Send, Peer: dst, Tag: tag, Bytes: bytes})
-	b.prog.Ranks[dst] = append(b.prog.Ranks[dst], Event{Kind: Recv, Peer: src, Tag: tag, Bytes: bytes})
+	b.add(src, Event{Kind: Send, Peer: dst, Tag: tag, Bytes: bytes})
+	b.add(dst, Event{Kind: Recv, Peer: src, Tag: tag, Bytes: bytes})
 	return b
 }
 
@@ -79,7 +96,7 @@ func (b *Builder) Collective(kind EventKind, root int, bytes uint64) *Builder {
 		return b
 	}
 	for r := range b.prog.Ranks {
-		b.prog.Ranks[r] = append(b.prog.Ranks[r], Event{Kind: kind, Peer: root, Bytes: bytes})
+		b.add(r, Event{Kind: kind, Peer: root, Bytes: bytes})
 	}
 	return b
 }
@@ -146,30 +163,49 @@ func (g Grid3D) SurfaceFraction(totalCells float64) float64 {
 	return math.Pow(per, 2.0/3.0) / per
 }
 
+// faceDirs are the six face-neighbor directions of a 3D grid, paired so
+// that direction di^1 is the opposite of di.
+var faceDirs = [6][3]int{{-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}}
+
+// faceNeighbors returns rank r's neighbor in each face direction, -1 where
+// r lies on the grid boundary, and the number of neighbors.
+func (g Grid3D) faceNeighbors(r int) (peers [6]int, n int) {
+	x, y, z := g.Coords(r)
+	for di, d := range faceDirs {
+		nx, ny, nz := x+d[0], y+d[1], z+d[2]
+		if nx < 0 || nx >= g.Px || ny < 0 || ny >= g.Py || nz < 0 || nz >= g.Pz {
+			peers[di] = -1
+			continue
+		}
+		peers[di] = g.Rank(nx, ny, nz)
+		n++
+	}
+	return peers, n
+}
+
+// checkGrid records a sticky error when g does not cover the program.
+func (b *Builder) checkGrid(g Grid3D) bool {
+	if g.Size() != len(b.prog.Ranks) {
+		b.fail("mpi: grid %dx%dx%d covers %d ranks, program has %d",
+			g.Px, g.Py, g.Pz, g.Size(), len(b.prog.Ranks))
+		return false
+	}
+	return true
+}
+
 // HaloExchange3D appends a face-neighbor exchange over the grid: every rank
 // sends faceBytes to each existing neighbor in ±x, ±y, ±z and receives the
 // same. Tags encode the direction so message streams stay ordered.
 func (b *Builder) HaloExchange3D(g Grid3D, faceBytes uint64, baseTag int) *Builder {
-	if b.err != nil {
+	if b.err != nil || !b.checkGrid(g) {
 		return b
 	}
-	if g.Size() != len(b.prog.Ranks) {
-		b.fail("mpi: grid %dx%dx%d covers %d ranks, program has %d",
-			g.Px, g.Py, g.Pz, g.Size(), len(b.prog.Ranks))
-		return b
-	}
-	type dir struct {
-		dx, dy, dz int
-	}
-	dirs := []dir{{-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}}
 	for r := 0; r < g.Size(); r++ {
-		x, y, z := g.Coords(r)
-		for di, d := range dirs {
-			nx, ny, nz := x+d.dx, y+d.dy, z+d.dz
-			if nx < 0 || nx >= g.Px || ny < 0 || ny >= g.Py || nz < 0 || nz >= g.Pz {
-				continue
+		peers, _ := g.faceNeighbors(r)
+		for di, peer := range peers {
+			if peer >= 0 {
+				b.SendRecv(r, peer, baseTag+di, faceBytes)
 			}
-			b.SendRecv(r, g.Rank(nx, ny, nz), baseTag+di, faceBytes)
 		}
 	}
 	return b
@@ -180,48 +216,32 @@ func (b *Builder) HaloExchange3D(g Grid3D, faceBytes uint64, baseTag int) *Build
 // first posts all its Irecvs, then all its Isends, then Waits on every
 // request — the overlap-friendly pattern production stencil codes use.
 func (b *Builder) HaloExchange3DNonblocking(g Grid3D, faceBytes uint64, baseTag int) *Builder {
-	if b.err != nil {
+	if b.err != nil || !b.checkGrid(g) {
 		return b
 	}
-	if g.Size() != len(b.prog.Ranks) {
-		b.fail("mpi: grid %dx%dx%d covers %d ranks, program has %d",
-			g.Px, g.Py, g.Pz, g.Size(), len(b.prog.Ranks))
-		return b
-	}
-	type dir struct{ dx, dy, dz int }
-	dirs := []dir{{-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}}
 	for r := 0; r < g.Size(); r++ {
-		x, y, z := g.Coords(r)
+		peers, nb := g.faceNeighbors(r)
+		// nb Irecvs, nb Isends and a Wait for each.
+		b.prog.Ranks[r] = slices.Grow(b.prog.Ranks[r], 4*nb)
 		req := 0
-		var waits []Event
 		// Post receives first (direction di of the neighbor's send is the
 		// opposite direction index: di^1 flips the low bit of each pair).
-		for di, d := range dirs {
-			nx, ny, nz := x+d.dx, y+d.dy, z+d.dz
-			if nx < 0 || nx >= g.Px || ny < 0 || ny >= g.Py || nz < 0 || nz >= g.Pz {
-				continue
+		for di, peer := range peers {
+			if peer >= 0 {
+				b.add(r, Event{Kind: Irecv, Peer: peer, Tag: baseTag + (di ^ 1), Bytes: faceBytes, Request: req})
+				req++
 			}
-			peer := g.Rank(nx, ny, nz)
-			b.prog.Ranks[r] = append(b.prog.Ranks[r], Event{
-				Kind: Irecv, Peer: peer, Tag: baseTag + (di ^ 1), Bytes: faceBytes, Request: req,
-			})
-			waits = append(waits, Event{Kind: Wait, Request: req})
-			req++
 		}
 		// Then sends.
-		for di, d := range dirs {
-			nx, ny, nz := x+d.dx, y+d.dy, z+d.dz
-			if nx < 0 || nx >= g.Px || ny < 0 || ny >= g.Py || nz < 0 || nz >= g.Pz {
-				continue
+		for di, peer := range peers {
+			if peer >= 0 {
+				b.add(r, Event{Kind: Isend, Peer: peer, Tag: baseTag + di, Bytes: faceBytes, Request: req})
+				req++
 			}
-			peer := g.Rank(nx, ny, nz)
-			b.prog.Ranks[r] = append(b.prog.Ranks[r], Event{
-				Kind: Isend, Peer: peer, Tag: baseTag + di, Bytes: faceBytes, Request: req,
-			})
-			waits = append(waits, Event{Kind: Wait, Request: req})
-			req++
 		}
-		b.prog.Ranks[r] = append(b.prog.Ranks[r], waits...)
+		for q := 0; q < req; q++ {
+			b.add(r, Event{Kind: Wait, Request: q})
+		}
 	}
 	return b
 }
@@ -241,13 +261,13 @@ func (b *Builder) Ring(bytes uint64, tag int) *Builder {
 	return b
 }
 
-// Build validates and returns the program.
+// Build returns the program, or the first error recorded while building.
+// It does not re-validate: the builder's invariants make every program it
+// returns valid, and consumers (psins.Compile, commx.Summarize) validate
+// the programs they use.
 func (b *Builder) Build() (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
-	}
-	if err := b.prog.Validate(); err != nil {
-		return nil, err
 	}
 	p := b.prog
 	return &p, nil

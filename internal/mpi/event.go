@@ -30,7 +30,7 @@ const (
 	Allgather
 )
 
-var kindNames = map[EventKind]string{
+var kindNames = [...]string{
 	Compute:   "compute",
 	Send:      "send",
 	Recv:      "recv",
@@ -47,8 +47,8 @@ var kindNames = map[EventKind]string{
 
 // String returns the kind's name.
 func (k EventKind) String() string {
-	if n, ok := kindNames[k]; ok {
-		return n
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("EventKind(%d)", int(k))
 }
@@ -132,77 +132,6 @@ type Program struct {
 
 // NumRanks returns the number of ranks in the program.
 func (p *Program) NumRanks() int { return len(p.Ranks) }
-
-// Validate checks every event and the structural sanity of the program:
-// matching send/recv multisets per (src,dst,tag) pair and equal collective
-// counts across ranks (necessary conditions for deadlock-free replay).
-func (p *Program) Validate() error {
-	n := len(p.Ranks)
-	if n == 0 {
-		return fmt.Errorf("mpi: program has no ranks")
-	}
-	type chanKey struct{ src, dst, tag int }
-	sends := map[chanKey]int{}
-	recvs := map[chanKey]int{}
-	collectives := make([]int, n)
-	for r, evs := range p.Ranks {
-		posted := map[int]bool{} // outstanding non-blocking requests
-		for i, e := range evs {
-			if err := e.Validate(r, n); err != nil {
-				return fmt.Errorf("mpi: rank %d event %d: %w", r, i, err)
-			}
-			switch e.Kind {
-			case Send:
-				sends[chanKey{r, e.Peer, e.Tag}]++
-			case Recv:
-				recvs[chanKey{e.Peer, r, e.Tag}]++
-			case Isend:
-				sends[chanKey{r, e.Peer, e.Tag}]++
-				if posted[e.Request] {
-					return fmt.Errorf("mpi: rank %d reuses outstanding request %d", r, e.Request)
-				}
-				posted[e.Request] = true
-			case Irecv:
-				recvs[chanKey{e.Peer, r, e.Tag}]++
-				if posted[e.Request] {
-					return fmt.Errorf("mpi: rank %d reuses outstanding request %d", r, e.Request)
-				}
-				posted[e.Request] = true
-			case Wait:
-				if !posted[e.Request] {
-					return fmt.Errorf("mpi: rank %d waits on unposted request %d", r, e.Request)
-				}
-				delete(posted, e.Request)
-			default:
-				if e.Kind.IsCollective() {
-					collectives[r]++
-				}
-			}
-		}
-		if len(posted) > 0 {
-			return fmt.Errorf("mpi: rank %d finishes with %d unwaited requests", r, len(posted))
-		}
-	}
-	for k, ns := range sends {
-		if recvs[k] != ns {
-			return fmt.Errorf("mpi: %d sends but %d recvs on channel %d→%d tag %d",
-				ns, recvs[k], k.src, k.dst, k.tag)
-		}
-	}
-	for k, nr := range recvs {
-		if _, ok := sends[k]; !ok && nr > 0 {
-			return fmt.Errorf("mpi: %d recvs with no sends on channel %d→%d tag %d",
-				nr, k.src, k.dst, k.tag)
-		}
-	}
-	for r := 1; r < n; r++ {
-		if collectives[r] != collectives[0] {
-			return fmt.Errorf("mpi: rank %d has %d collectives, rank 0 has %d",
-				r, collectives[r], collectives[0])
-		}
-	}
-	return nil
-}
 
 // TotalMessages counts point-to-point sends (blocking and non-blocking) in
 // the program.

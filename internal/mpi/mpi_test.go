@@ -292,35 +292,24 @@ func TestDominantRank(t *testing.T) {
 }
 
 // Property: programs built from random mixtures of builder patterns always
-// validate (the builder maintains the structural invariants).
+// validate (the builder maintains the structural invariants), under both
+// validators, and their slots pair the k-th send and receive of every
+// channel. Build does not re-validate, so this is what keeps its programs
+// sound.
 func TestBuilderAlwaysValidProperty(t *testing.T) {
 	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := []int{1, 2, 4, 8, 12, 27}[r.Intn(6)]
-		b := NewBuilder("p", n)
-		g, err := NewGrid3D(n)
+		p, err := composeProgram(rand.New(rand.NewSource(seed)))
 		if err != nil {
+			t.Logf("seed %d: Build: %v", seed, err)
 			return false
 		}
-		for step := 0; step < 1+r.Intn(6); step++ {
-			switch r.Intn(4) {
-			case 0:
-				b.ComputeAll(uint64(r.Intn(5)+1), r.Float64()*0.9+0.1)
-			case 1:
-				b.HaloExchange3D(g, uint64(r.Intn(4096)+1), step*10)
-			case 2:
-				b.Allreduce(uint64(r.Intn(64) + 1))
-			case 3:
-				b.Ring(uint64(r.Intn(1024)+1), step*10+7)
-			}
-		}
-		p, err := b.Build()
-		if err != nil {
+		if err := checkMatch(p); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
 		return p.Validate() == nil
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

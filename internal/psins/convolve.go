@@ -1,7 +1,10 @@
 package psins
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
 
 	"tracex/internal/machine"
 	"tracex/internal/trace"
@@ -104,15 +107,16 @@ func Convolve(tr *trace.Trace, prof *machine.Profile) (*Computation, error) {
 // (the paper's approach of scaling every trace file from the slowest task's
 // prediction vector).
 func CostFromComputation(comp *Computation, loadFactor func(rank int) float64) ComputeCost {
-	byID := make(map[uint64]float64, len(comp.Blocks))
-	for _, bt := range comp.Blocks {
-		byID[bt.BlockID] = bt.Seconds
-	}
+	// Blocks sorted stably by ID, searched once per compute event; the
+	// last block of a repeated ID wins.
+	byID := slices.Clone(comp.Blocks)
+	slices.SortStableFunc(byID, func(a, b BlockTime) int { return cmp.Compare(a.BlockID, b.BlockID) })
 	return func(rank int, blockID uint64, share float64) (float64, error) {
-		t, ok := byID[blockID]
-		if !ok {
+		i := sort.Search(len(byID), func(i int) bool { return byID[i].BlockID > blockID })
+		if i == 0 || byID[i-1].BlockID != blockID {
 			return 0, fmt.Errorf("psins: compute event references block %d absent from trace", blockID)
 		}
+		t := byID[i-1].Seconds
 		f := 1.0
 		if loadFactor != nil {
 			f = loadFactor(rank)

@@ -354,10 +354,14 @@ func TestReplayTracedTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tl Timeline
-	res, err := ReplayTraced(context.Background(), prog, testNet(t), flatCost(0.5), &tl)
+	sched, err := Compile(prog)
 	if err != nil {
-		t.Fatalf("ReplayTraced: %v", err)
+		t.Fatal(err)
+	}
+	var tl Timeline
+	res, err := sched.Replay(context.Background(), testNet(t), flatCost(0.5), &tl)
+	if err != nil {
+		t.Fatalf("Replay with timeline: %v", err)
 	}
 	if len(tl.Segments) == 0 {
 		t.Fatal("empty timeline")

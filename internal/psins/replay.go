@@ -3,6 +3,7 @@ package psins
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"tracex/internal/mpi"
 	"tracex/internal/obs"
@@ -30,9 +31,6 @@ type Result struct {
 	// Messages is the number of point-to-point messages delivered.
 	Messages int
 }
-
-// chanKey identifies an ordered point-to-point message stream.
-type chanKey struct{ src, dst, tag int }
 
 // collState tracks one collective occurrence while ranks arrive at it.
 type collState struct {
@@ -74,59 +72,85 @@ func (tl *Timeline) add(rank int, kind mpi.EventKind, start, end float64, blockI
 	})
 }
 
-// Replay performs a discrete-event replay of prog: per-rank virtual clocks
-// advance through each rank's event list, blocking receives wait for
-// message arrival under the network model, and collectives synchronize all
-// ranks. The cost callback supplies compute-segment durations. Replay
-// returns an error for structurally invalid programs and for replays that
-// deadlock (which cannot happen for programs produced by mpi.Builder).
+// Schedule is a program compiled for replay: the program's events, read in
+// place, plus its static point-to-point matching, which gives every message
+// a slot shared by its send and its receive (and the receive's Wait). A
+// Schedule is immutable, so one compiled program can be replayed any number
+// of times, concurrently, under different costs and networks; the program
+// must not change after Compile.
+type Schedule struct {
+	prog  *mpi.Program
+	off   []int // off[r] is the index of rank r's first event in match.Slot
+	match *mpi.Matching
+}
+
+// Compile validates prog (every check of mpi.Program.Validate) and resolves
+// its point-to-point matching into message slots. It is the only validation
+// a replay needs.
+func Compile(prog *mpi.Program) (*Schedule, error) {
+	m, err := prog.Match()
+	if err != nil {
+		return nil, err
+	}
+	off := make([]int, len(prog.Ranks)+1)
+	for r, evs := range prog.Ranks {
+		off[r+1] = off[r] + len(evs)
+	}
+	return &Schedule{prog: prog, off: off, match: m}, nil
+}
+
+// Replay compiles prog and replays it once; see Schedule.Replay. Callers
+// that replay one program several times compile it once instead.
 func Replay(prog *mpi.Program, net Network, cost ComputeCost) (*Result, error) {
-	return ReplayTraced(context.Background(), prog, net, cost, nil)
+	s, err := Compile(prog)
+	if err != nil {
+		return nil, err
+	}
+	return s.Replay(context.Background(), net, cost, nil)
 }
 
 // ctxCheckMask throttles cancellation polling in the replay scheduler: the
 // context is consulted every ctxCheckMask+1 replayed events.
 const ctxCheckMask = 1<<12 - 1
 
-// ReplayTraced is Replay with context cancellation and optional timeline
-// recording: cancelling ctx stops the replay promptly mid-schedule and
-// returns ctx.Err(); when tl is non-nil every rank's compute and
-// communication intervals are appended to it (memory grows with the event
-// count — use judiciously at large rank counts).
-func ReplayTraced(ctx context.Context, prog *mpi.Program, net Network, cost ComputeCost, tl *Timeline) (*Result, error) {
-	if err := prog.Validate(); err != nil {
-		return nil, err
-	}
+// Replay performs a discrete-event replay of the compiled program: per-rank
+// virtual clocks advance through each rank's event list, blocking receives
+// and Waits on receives wait for their message slot's arrival under the
+// network model, and collectives synchronize all ranks. The cost callback
+// supplies compute-segment durations. Cancelling ctx stops the replay
+// promptly mid-schedule and returns ctx.Err(); when tl is non-nil every
+// rank's compute and communication intervals are appended to it (memory
+// grows with the event count — use judiciously at large rank counts).
+// Replay returns an error for replays that deadlock (which cannot happen
+// for programs produced by mpi.Builder) and for collectives whose kind or
+// payload differs between ranks.
+func (s *Schedule) Replay(ctx context.Context, net Network, cost ComputeCost, tl *Timeline) (*Result, error) {
 	if cost == nil {
 		return nil, fmt.Errorf("psins: nil compute cost")
 	}
-	n := prog.NumRanks()
-	sp := obs.From(ctx).StartSpan("psins.replay", fmt.Sprintf("%d ranks", n))
+	ranks := s.prog.Ranks
+	n := len(ranks)
+	// The label is built without fmt, whose printer pool a garbage
+	// collection may empty, so a replay's allocations do not depend on
+	// when the collector runs.
+	var buf [32]byte
+	label := string(append(strconv.AppendInt(buf[:0], int64(n), 10), " ranks"...))
+	sp := obs.From(ctx).StartSpan("psins.replay", label)
 	defer sp.End()
 	res := &Result{
 		RankEnd:     make([]float64, n),
 		ComputeTime: make([]float64, n),
 		CommTime:    make([]float64, n),
+		Messages:    s.match.Messages,
 	}
 	clock := make([]float64, n)
 	pc := make([]int, n)
 	collIdx := make([]int, n) // next collective occurrence index per rank
 	collReg := make([]int, n) // collectives rank r has registered arrival at
-	// arrivals is append-only per channel; consumed counts the slots
-	// claimed by executed Recvs and posted Irecvs (MPI matches receives to
-	// messages in posting order).
-	arrivals := map[chanKey][]float64{}
-	consumed := map[chanKey]int{}
-	// pendingReq[r][request] is an outstanding non-blocking operation.
-	type reqState struct {
-		key    chanKey
-		idx    int // reserved arrival slot (receives only)
-		isSend bool
-	}
-	pendingReq := make([]map[int]reqState, n)
-	for r := range pendingReq {
-		pendingReq[r] = map[int]reqState{}
-	}
+	// arrivals[slot] is when the message in slot reaches its receiver, valid
+	// once ready[slot] (its send has executed).
+	arrivals := make([]float64, s.match.Messages)
+	ready := make([]bool, s.match.Messages)
 	// nicFree[r] is when rank r's NIC finishes injecting its previous
 	// message: consecutive sends from one rank serialize at the NIC even
 	// though the CPU only pays the per-message overhead.
@@ -140,35 +164,50 @@ func ReplayTraced(ctx context.Context, prog *mpi.Program, net Network, cost Comp
 		nicFree[r] = start + ser
 		return start + ser + net.Latency()
 	}
-	var colls []collState
-
-	done := func(r int) bool { return pc[r] >= len(prog.Ranks[r]) }
-	allDone := func() bool {
-		for r := 0; r < n; r++ {
-			if !done(r) {
-				return false
-			}
+	// receive completes a Recv, or the Wait of an Irecv, on rank r at the
+	// message's arrival.
+	receive := func(r int, kind mpi.EventKind, arrival float64) {
+		start := clock[r]
+		end := arrival
+		if end < start {
+			end = start
 		}
-		return true
+		end += net.RecvOverhead()
+		tl.add(r, kind, start, end, 0)
+		res.CommTime[r] += end - start
+		clock[r] = end
+	}
+	colls := make([]collState, 0, s.match.Collectives)
+	unfinished := 0
+	for _, evs := range ranks {
+		if len(evs) > 0 {
+			unfinished++
+		}
 	}
 
 	var replayed int
-	for !allDone() {
+	for unfinished > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		progress := false
 		for r := 0; r < n; r++ {
+			evs := ranks[r]
+			slots := s.match.Slot[s.off[r]:s.off[r+1]]
+			if pc[r] == len(evs) {
+				continue
+			}
 			// Drain as many events as possible for this rank before moving
-			// on; only a blocked receive or collective stops it.
+			// on; only a blocked receive, Wait or collective stops it.
 		rankLoop:
-			for !done(r) {
+			for pc[r] < len(evs) {
 				if replayed++; replayed&ctxCheckMask == 0 {
 					if err := ctx.Err(); err != nil {
 						return nil, err
 					}
 				}
-				e := prog.Ranks[r][pc[r]]
+				e := &evs[pc[r]]
+				slot := slots[pc[r]]
 				switch e.Kind {
 				case mpi.Compute:
 					dt, err := cost(r, e.BlockID, e.Share)
@@ -181,78 +220,30 @@ func ReplayTraced(ctx context.Context, prog *mpi.Program, net Network, cost Comp
 					tl.add(r, mpi.Compute, clock[r], clock[r]+dt, e.BlockID)
 					clock[r] += dt
 					res.ComputeTime[r] += dt
-					pc[r]++
-				case mpi.Send:
+				case mpi.Send, mpi.Isend:
+					// Sends are eager: the CPU pays the injection overhead
+					// at post time, and an Isend's Wait is then free.
 					o := net.SendOverhead(e.Bytes)
-					arrival := inject(r, clock[r]+o, e.Bytes)
-					k := chanKey{r, e.Peer, e.Tag}
-					arrivals[k] = append(arrivals[k], arrival)
-					tl.add(r, mpi.Send, clock[r], clock[r]+o, 0)
+					arrivals[slot] = inject(r, clock[r]+o, e.Bytes)
+					ready[slot] = true
+					tl.add(r, e.Kind, clock[r], clock[r]+o, 0)
 					clock[r] += o
 					res.CommTime[r] += o
-					pc[r]++
 				case mpi.Recv:
-					k := chanKey{e.Peer, r, e.Tag}
-					idx := consumed[k]
-					if idx >= len(arrivals[k]) {
+					if !ready[slot] {
 						break rankLoop // blocked: matching send not yet executed
 					}
-					consumed[k] = idx + 1
-					arrival := arrivals[k][idx]
-					start := clock[r]
-					end := arrival
-					if end < start {
-						end = start
-					}
-					end += net.RecvOverhead()
-					tl.add(r, mpi.Recv, start, end, 0)
-					res.CommTime[r] += end - start
-					clock[r] = end
-					pc[r]++
-				case mpi.Isend:
-					// Eager non-blocking send: the CPU pays the injection
-					// overhead at post time; the Wait is then free.
-					o := net.SendOverhead(e.Bytes)
-					arrival := inject(r, clock[r]+o, e.Bytes)
-					k := chanKey{r, e.Peer, e.Tag}
-					arrivals[k] = append(arrivals[k], arrival)
-					pendingReq[r][e.Request] = reqState{key: k, isSend: true}
-					tl.add(r, mpi.Isend, clock[r], clock[r]+o, 0)
-					clock[r] += o
-					res.CommTime[r] += o
-					pc[r]++
+					receive(r, mpi.Recv, arrivals[slot])
 				case mpi.Irecv:
-					// Posting reserves the next message slot on the channel
-					// (MPI posting-order matching) and costs no time.
-					k := chanKey{e.Peer, r, e.Tag}
-					pendingReq[r][e.Request] = reqState{key: k, idx: consumed[k]}
-					consumed[k]++
-					pc[r]++
+					// Posting costs no time; the slot was reserved in
+					// posting order at compile time.
 				case mpi.Wait:
-					st, ok := pendingReq[r][e.Request]
-					if !ok {
-						return nil, fmt.Errorf("psins: rank %d waits on unknown request %d", r, e.Request)
+					if slot >= 0 { // an Irecv's Wait; an Isend's is complete
+						if !ready[slot] {
+							break rankLoop // message not yet injected by the sender
+						}
+						receive(r, mpi.Wait, arrivals[slot])
 					}
-					if st.isSend {
-						delete(pendingReq[r], e.Request) // eager send: already complete
-						pc[r]++
-						break
-					}
-					if st.idx >= len(arrivals[st.key]) {
-						break rankLoop // message not yet injected by the sender
-					}
-					arrival := arrivals[st.key][st.idx]
-					start := clock[r]
-					end := arrival
-					if end < start {
-						end = start
-					}
-					end += net.RecvOverhead()
-					tl.add(r, mpi.Wait, start, end, 0)
-					res.CommTime[r] += end - start
-					clock[r] = end
-					delete(pendingReq[r], e.Request)
-					pc[r]++
 				default: // collective
 					idx := collIdx[r]
 					for len(colls) <= idx {
@@ -287,14 +278,17 @@ func ReplayTraced(ctx context.Context, prog *mpi.Program, net Network, cost Comp
 					res.CommTime[r] += st.endT - clock[r]
 					clock[r] = st.endT
 					collIdx[r]++
-					pc[r]++
 				}
+				pc[r]++
 				progress = true
+			}
+			if pc[r] == len(evs) {
+				unfinished--
 			}
 		}
 		if !progress {
 			return nil, fmt.Errorf("psins: replay deadlocked with %d/%d ranks incomplete",
-				countUnfinished(pc, prog), n)
+				unfinished, n)
 		}
 	}
 	for r := 0; r < n; r++ {
@@ -303,34 +297,19 @@ func ReplayTraced(ctx context.Context, prog *mpi.Program, net Network, cost Comp
 			res.Runtime = clock[r]
 		}
 	}
-	res.Messages = prog.TotalMessages()
 	// One batched metrics update per replay: events executed, messages
 	// delivered, and the virtual compute vs communication-wait split summed
 	// across ranks.
-	m := obs.From(ctx)
-	var events int
-	for r := 0; r < n; r++ {
-		events += len(prog.Ranks[r])
-	}
 	var compute, comm float64
 	for r := 0; r < n; r++ {
 		compute += res.ComputeTime[r]
 		comm += res.CommTime[r]
 	}
+	m := obs.From(ctx)
 	m.Counter("psins.replays").Inc()
-	m.Counter("psins.events").Add(uint64(events))
+	m.Counter("psins.events").Add(uint64(s.off[n]))
 	m.Counter("psins.messages").Add(uint64(res.Messages))
 	m.Gauge("psins.compute_seconds").Add(compute)
 	m.Gauge("psins.comm_seconds").Add(comm)
 	return res, nil
-}
-
-func countUnfinished(pc []int, prog *mpi.Program) int {
-	var c int
-	for r, p := range pc {
-		if p < len(prog.Ranks[r]) {
-			c++
-		}
-	}
-	return c
 }

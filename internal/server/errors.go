@@ -69,6 +69,8 @@ func classify(err error) (status int, code string) {
 		return StatusClientClosedRequest, "client_closed_request"
 	case errors.Is(err, tracex.ErrRankOutOfRange):
 		return http.StatusBadRequest, "rank_out_of_range"
+	case errors.Is(err, tracex.ErrCoresOutOfRange):
+		return http.StatusBadRequest, "cores_out_of_range"
 	case errors.Is(err, tracex.ErrMachineMismatch):
 		return http.StatusConflict, "machine_mismatch"
 	case errors.Is(err, tracex.ErrNoTraces):

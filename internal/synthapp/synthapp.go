@@ -15,6 +15,7 @@
 package synthapp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -133,11 +134,15 @@ func (a *App) ClassOf(rank int) int { return rank % len(a.classFactors) }
 // is the dominant, most heavily loaded task with factor 1.
 func (a *App) LoadFactor(rank int) float64 { return a.classFactors[a.ClassOf(rank)] }
 
+// ErrCoresOutOfRange reports a core count outside an application's
+// CoreRange, where its workload laws are not defined.
+var ErrCoresOutOfRange = errors.New("core count out of range")
+
 // checkCores validates a core count against the app's defined range.
 func (a *App) checkCores(p int) error {
 	if p < a.minCores || p > a.maxCores {
-		return fmt.Errorf("synthapp: %s defined for %d..%d cores, got %d",
-			a.name, a.minCores, a.maxCores, p)
+		return fmt.Errorf("synthapp: %w: %s defined for %d..%d cores, got %d",
+			ErrCoresOutOfRange, a.name, a.minCores, a.maxCores, p)
 	}
 	return nil
 }

@@ -144,6 +144,10 @@ func Average(forms []stats.Form, xs, ys []float64, x float64) (*Estimate, error)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("uncert: no form yields a finite prediction at x=%g", x)
 	}
+	// FitAll returns a map, so fix the candidate order before any sum:
+	// floating-point addition is not associative, and summing in map
+	// order would move the weights by an ulp from run to run.
+	sort.Slice(cands, func(i, j int) bool { return cands[i].name < cands[j].name })
 	// Posterior weights with a uniform prior: w ∝ exp(-ΔBIC/2).
 	total := 0.0
 	weights := make([]float64, len(cands))

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"tracex/internal/machine"
-	"tracex/internal/mpi"
 	"tracex/internal/psins"
 	"tracex/internal/trace"
 	"tracex/internal/uncert"
@@ -35,7 +34,7 @@ import (
 //     so communication waits that absorb (or amplify) compute shifts are
 //     modeled rather than assumed away.
 func runtimeIntervals(ctx context.Context, dom *trace.Trace, uc *trace.SignatureUncertainty,
-	prof *machine.Profile, comp *psins.Computation, prog *mpi.Program, net psins.Network,
+	prof *machine.Profile, comp *psins.Computation, sched *psins.Schedule, net psins.Network,
 	lf func(int) float64, levels []float64) ([]Interval, error) {
 	if uc == nil || comp.Seconds <= 0 {
 		return nil, nil
@@ -90,11 +89,11 @@ func runtimeIntervals(ctx context.Context, dom *trace.Trace, uc *trace.Signature
 		if loScale < 0 {
 			loScale = 0
 		}
-		loRT, err := replayScaled(ctx, prog, net, comp, lf, loScale)
+		loRT, err := replayScaled(ctx, sched, net, comp, lf, loScale)
 		if err != nil {
 			return nil, err
 		}
-		hiRT, err := replayScaled(ctx, prog, net, comp, lf, 1+q*relSD)
+		hiRT, err := replayScaled(ctx, sched, net, comp, lf, 1+q*relSD)
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +129,7 @@ func perturbedBlockSeconds(base []float64, e int, delta float64, cons []trace.Co
 
 // replayScaled re-runs the communication replay with every convolved block
 // cost multiplied by scale, returning the predicted runtime.
-func replayScaled(ctx context.Context, prog *mpi.Program, net psins.Network, comp *psins.Computation, lf func(int) float64, scale float64) (float64, error) {
+func replayScaled(ctx context.Context, sched *psins.Schedule, net psins.Network, comp *psins.Computation, lf func(int) float64, scale float64) (float64, error) {
 	cost := psins.CostFromComputation(comp, lf)
 	scaled := func(rank int, blockID uint64, share float64) (float64, error) {
 		c, err := cost(rank, blockID, share)
@@ -139,7 +138,7 @@ func replayScaled(ctx context.Context, prog *mpi.Program, net psins.Network, com
 		}
 		return c * scale, nil
 	}
-	res, err := psins.ReplayTraced(ctx, prog, net, scaled, nil)
+	res, err := sched.Replay(ctx, net, scaled, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -69,6 +69,10 @@ func measure(ctx context.Context, col *pebil.Collector, app *App, cores int, tar
 	if err != nil {
 		return nil, err
 	}
+	sched, err := psins.Compile(prog)
+	if err != nil {
+		return nil, err
+	}
 	net, err := psins.NewNetwork(target.Network)
 	if err != nil {
 		return nil, err
@@ -80,7 +84,7 @@ func measure(ctx context.Context, col *pebil.Collector, app *App, cores int, tar
 		}
 		return t * share * app.LoadFactor(rank), nil
 	}
-	res, err := psins.ReplayTraced(ctx, prog, net, cost, nil)
+	res, err := sched.Replay(ctx, net, cost, nil)
 	if err != nil {
 		return nil, err
 	}

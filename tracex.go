@@ -150,6 +150,9 @@ var (
 	// cache model cannot serve faithfully (shared hierarchies, hardware
 	// prefetchers, mismatched line sizes); retry with ModelExact.
 	ErrModelUnsupported = cache.ErrModelUnsupported
+	// ErrCoresOutOfRange reports a core count outside the application's
+	// CoreRange.
+	ErrCoresOutOfRange = synthapp.ErrCoresOutOfRange
 )
 
 // CanonicalForms returns the paper's four canonical forms (constant,

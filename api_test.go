@@ -32,12 +32,12 @@ func smallSetup(t *testing.T) (*App, MachineConfig, *Profile, []*Signature) {
 		if apiSetup.err != nil {
 			return
 		}
-		apiSetup.prof, apiSetup.err = BuildProfile(apiSetup.cfg)
+		apiSetup.prof, apiSetup.err = testEngine.Profile(context.Background(), apiSetup.cfg)
 		if apiSetup.err != nil {
 			return
 		}
-		opt := CollectOptions{SampleRefs: 60_000, MaxWarmRefs: 150_000}
-		apiSetup.inputs, apiSetup.err = CollectInputs(apiSetup.app, []int{64, 128, 256}, apiSetup.cfg, opt)
+		opt := CollectOptions{Sampling: FixedSampling(60_000, 150_000)}
+		apiSetup.inputs, apiSetup.err = testEngine.CollectInputs(context.Background(), apiSetup.app, []int{64, 128, 256}, apiSetup.cfg, opt)
 	})
 	if apiSetup.err != nil {
 		t.Fatal(apiSetup.err)
@@ -56,7 +56,7 @@ func TestFormsReexports(t *testing.T) {
 
 func TestExtrapolateWithCrossValidation(t *testing.T) {
 	_, _, _, inputs := smallSetup(t)
-	res, err := Extrapolate(inputs, 512, ExtrapOptions{
+	res, err := testEngine.Extrapolate(context.Background(), inputs, 512, ExtrapOptions{
 		Forms:         ExtendedForms(),
 		CrossValidate: true,
 	})
@@ -78,7 +78,7 @@ func TestExtrapolateWithCrossValidation(t *testing.T) {
 
 func TestPredictDetailedExposesPerRank(t *testing.T) {
 	app, _, prof, inputs := smallSetup(t)
-	pred, err := DefaultEngine().Predict(context.Background(),
+	pred, err := testEngine.Predict(context.Background(),
 		PredictRequest{Signature: inputs[0], Profile: prof, App: app, WithReplay: true})
 	if err != nil {
 		t.Fatalf("Predict(WithReplay): %v", err)
@@ -158,7 +158,7 @@ func TestProgramWrapper(t *testing.T) {
 
 func TestCollectInputsPropagatesErrors(t *testing.T) {
 	app, cfg, _, _ := smallSetup(t)
-	if _, err := CollectInputs(app, []int{64, 1}, cfg, CollectOptions{SampleRefs: 1000}); err == nil {
+	if _, err := testEngine.CollectInputs(context.Background(), app, []int{64, 1}, cfg, CollectOptions{Sampling: FixedSampling(1000, 0)}); err == nil {
 		t.Error("invalid core count accepted")
 	}
 }
@@ -172,7 +172,7 @@ func TestPrefetchVariantMachine(t *testing.T) {
 		t.Errorf("prefetch variant wrong: %+v", cfg.Name)
 	}
 	app, _ := LoadApp("stencil3d")
-	sig, err := CollectSignature(app, 64, cfg, CollectOptions{SampleRefs: 60_000, MaxWarmRefs: 150_000})
+	sig, err := testEngine.CollectSignature(context.Background(), app, 64, cfg, CollectOptions{Sampling: FixedSampling(60_000, 150_000)})
 	if err != nil {
 		t.Fatalf("CollectSignature(+pf): %v", err)
 	}
@@ -190,7 +190,7 @@ func TestPrefetchVariantMachine(t *testing.T) {
 
 func TestPredictTimeline(t *testing.T) {
 	app, _, prof, inputs := smallSetup(t)
-	pred, err := DefaultEngine().Predict(context.Background(),
+	pred, err := testEngine.Predict(context.Background(),
 		PredictRequest{Signature: inputs[0], Profile: prof, App: app, WithTimeline: true})
 	if err != nil {
 		t.Fatalf("Predict(WithTimeline): %v", err)
@@ -199,7 +199,7 @@ func TestPredictTimeline(t *testing.T) {
 	if tl == nil || len(tl.Segments) == 0 {
 		t.Fatal("empty timeline")
 	}
-	plain, err := DefaultEngine().Predict(context.Background(),
+	plain, err := testEngine.Predict(context.Background(),
 		PredictRequest{Signature: inputs[0], Profile: prof, App: app})
 	if err != nil {
 		t.Fatal(err)
@@ -232,12 +232,12 @@ func TestSignatureSerializationPreservesPrediction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Load(%s): %v", ext, err)
 		}
-		orig, err := DefaultEngine().Predict(context.Background(),
+		orig, err := testEngine.Predict(context.Background(),
 			PredictRequest{Signature: inputs[0], Profile: prof, App: app})
 		if err != nil {
 			t.Fatal(err)
 		}
-		round, err := DefaultEngine().Predict(context.Background(),
+		round, err := testEngine.Predict(context.Background(),
 			PredictRequest{Signature: loaded, Profile: prof, App: app})
 		if err != nil {
 			t.Fatalf("Predict(loaded %s): %v", ext, err)

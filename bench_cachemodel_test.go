@@ -17,7 +17,7 @@ import (
 // with `make bench-cachemodel`).
 
 // benchSweepOpt mirrors the cachedesign example's collection depth.
-var benchSweepOpt = CollectOptions{SampleRefs: 200_000, MaxWarmRefs: 400_000}
+var benchSweepOpt = CollectOptions{Sampling: FixedSampling(200_000, 400_000)}
 
 const benchSweepCores = 96
 

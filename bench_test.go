@@ -18,7 +18,7 @@ import (
 // benchConfig keeps per-iteration cost moderate while preserving the
 // steady-state warm-up that the multi-megabyte random regions need.
 var benchConfig = expt.Config{
-	Collect: tracex.CollectOptions{SampleRefs: 150_000, MaxWarmRefs: 1_000_000},
+	Collect: tracex.CollectOptions{Sampling: tracex.FixedSampling(150_000, 1_000_000)},
 }
 
 var printOnce sync.Map
@@ -325,7 +325,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := tracex.CollectOptions{SampleRefs: 100_000, MaxWarmRefs: 400_000}
+	opt := tracex.CollectOptions{Sampling: tracex.FixedSampling(100_000, 400_000)}
 	eng := tracex.NewEngine(tracex.WithCacheSize(0))
 	ctx := context.Background()
 	b.ResetTimer()
@@ -392,7 +392,7 @@ func BenchmarkSignatureCollection(b *testing.B) {
 		b.Fatal(err)
 	}
 	target, _ := tracex.LoadMachine("bluewaters")
-	opt := tracex.CollectOptions{SampleRefs: 200_000, MaxWarmRefs: 1_000_000}
+	opt := tracex.CollectOptions{Sampling: tracex.FixedSampling(200_000, 1_000_000)}
 	eng := tracex.NewEngine(tracex.WithCacheSize(0))
 	ctx := context.Background()
 	b.ResetTimer()

@@ -6,7 +6,6 @@ import (
 	"tracex/internal/cache"
 	"tracex/internal/calibrate"
 	"tracex/internal/memsim"
-	"tracex/internal/pebil"
 )
 
 // Machine-calibration re-exports: solving the machine-profile inverse
@@ -43,9 +42,17 @@ func CalibrateMachine(cfg MachineConfig, obs []Observation, params []MachinePara
 // application at one core count on the given machine: the block's sampled
 // cache accounting paired with its detailed-model execution time. In a
 // real deployment the times would come from hardware measurement; here the
-// detailed simulator plays that role.
-func ObserveBlocks(app *App, cores int, cfg MachineConfig, opt CollectOptions) ([]Observation, error) {
-	counters, err := pebil.DefaultCollector().Counters(context.Background(), app, cores, cfg, opt)
+// detailed simulator plays that role. The counters come from the engine's
+// collector arena; a zero opt selects the engine's default collection
+// options.
+func (e *Engine) ObserveBlocks(ctx context.Context, app *App, cores int, cfg MachineConfig, opt CollectOptions) ([]Observation, error) {
+	if err := e.usable(); err != nil {
+		return nil, err
+	}
+	if opt == (CollectOptions{}) {
+		opt = e.collectOpt
+	}
+	counters, err := e.collector.Counters(e.obsCtx(ctx), app, cores, cfg, opt)
 	if err != nil {
 		return nil, err
 	}

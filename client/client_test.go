@@ -307,7 +307,7 @@ func TestAgainstServer(t *testing.T) {
 	// Collect a real signature through the API, then round-trip it through
 	// the store.
 	coll, err := c.Collect(bg, &wire.SignatureRequest{
-		App: "stencil3d", Cores: 64, Machine: "bluewaters", SampleRefs: 20000,
+		App: "stencil3d", Cores: 64, Machine: "bluewaters", Sampling: "fixed:20000",
 	})
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
@@ -359,7 +359,7 @@ func TestAgainstServer(t *testing.T) {
 	sigs := []*tracex.Signature{coll.Signature}
 	for _, cores := range []int{16, 32} {
 		r, err := c.Collect(bg, &wire.SignatureRequest{
-			App: "stencil3d", Cores: cores, Machine: "bluewaters", SampleRefs: 20000,
+			App: "stencil3d", Cores: cores, Machine: "bluewaters", Sampling: "fixed:20000",
 		})
 		if err != nil {
 			t.Fatalf("Collect(%d): %v", cores, err)
@@ -420,18 +420,11 @@ func TestAgainstServer(t *testing.T) {
 	if want := adaptivePolicy + ",cluster=on"; ap.Sampling != want {
 		t.Errorf("Predict echoed sampling %q, want %q", ap.Sampling, want)
 	}
-	// A malformed policy maps to the 400 sentinel, and combining the
-	// policy with the legacy knob is rejected rather than silently picked.
+	// A malformed policy maps to the 400 sentinel.
 	if _, err := c.Collect(bg, &wire.SignatureRequest{
 		App: "stencil3d", Cores: 64, Machine: "bluewaters", Sampling: "adaptive:nope",
 	}); !errors.Is(err, ErrBadRequest) {
 		t.Errorf("malformed sampling: %v, want ErrBadRequest", err)
-	}
-	if _, err := c.Collect(bg, &wire.SignatureRequest{
-		App: "stencil3d", Cores: 64, Machine: "bluewaters",
-		Sampling: "fixed:20000", SampleRefs: 20000,
-	}); !errors.Is(err, ErrBadRequest) {
-		t.Errorf("sampling+sample_refs conflict: %v, want ErrBadRequest", err)
 	}
 }
 

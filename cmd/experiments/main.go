@@ -35,7 +35,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	cfg := expt.Config{Ctx: ctx, Collect: pebil.CollectorConfig{SampleRefs: *sample, MaxWarmRefs: *warm}}
+	cfg := expt.Config{Ctx: ctx, Collect: pebil.CollectorConfig{Sampling: pebil.FixedSampling(*sample, *warm)}}
 	runners := runnerMap()
 	order := runnerOrder()
 	if *run == "all" {

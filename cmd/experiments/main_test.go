@@ -11,7 +11,7 @@ import (
 
 // fastCfg keeps the experiment smoke tests cheap; the expt package's
 // process-wide memoization makes repeated runs nearly free.
-var fastCfg = expt.Config{Collect: pebil.CollectorConfig{SampleRefs: 60_000, MaxWarmRefs: 400_000}}
+var fastCfg = expt.Config{Collect: pebil.CollectorConfig{Sampling: pebil.FixedSampling(60_000, 400_000)}}
 
 func TestRunnersCoverEveryExperiment(t *testing.T) {
 	// The -run dispatcher and the ordered list must agree.

@@ -67,7 +67,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			return fmt.Errorf("signature is for %d cores, replay requested %d", sig.CoreCount, *cores)
 		}
 	} else {
-		sig, err = eng.CollectSignature(ctx, app, *cores, cfg, tracex.CollectOptions{SampleRefs: *sample})
+		sig, err = eng.CollectSignature(ctx, app, *cores, cfg, tracex.CollectOptions{Sampling: tracex.FixedSampling(*sample, 0)})
 		if err != nil {
 			return err
 		}

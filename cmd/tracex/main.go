@@ -137,11 +137,9 @@ var (
 )
 
 // collectOptions builds a subcommand's collection options from the global
-// tuning flags; sample ≤ 0 keeps the default per-block sample length. The
-// model and sampling-policy names are validated here so a typo fails before
-// any simulation; combining -sampling with a subcommand's -sample surfaces
-// as the options' own conflict error.
-func collectOptions(sample int) (tracex.CollectOptions, error) {
+// tuning flags. The model and sampling-policy names are validated here so
+// a typo fails before any simulation.
+func collectOptions() (tracex.CollectOptions, error) {
 	m, err := pebil.ParseCacheModel(collectModel)
 	if err != nil {
 		return tracex.CollectOptions{}, err
@@ -150,7 +148,7 @@ func collectOptions(sample int) (tracex.CollectOptions, error) {
 	if err != nil {
 		return tracex.CollectOptions{}, err
 	}
-	opt := tracex.CollectOptions{SampleRefs: sample, Workers: collectWorkers, BatchSize: collectBatch, Model: m, Sampling: pol}
+	opt := tracex.CollectOptions{Workers: collectWorkers, BatchSize: collectBatch, Model: m, Sampling: pol}
 	if err := opt.Validate(); err != nil {
 		return tracex.CollectOptions{}, err
 	}
@@ -268,7 +266,6 @@ func cmdTrace(ctx context.Context, eng *tracex.Engine, args []string) error {
 	cores := fs.Int("cores", 0, "core count to trace")
 	machineName := fs.String("machine", "bluewaters", "target machine")
 	out := fs.String("out", "", "output signature path (.json or .bin), or a directory with -perrank")
-	sample := fs.Int("sample", 0, "per-block simulated references (0 = default)")
 	perRank := fs.Bool("perrank", false, "write a signature directory with one trace file per rank (the paper's layout)")
 	binary := fs.Bool("binary", false, "use the compact binary encoding for per-rank files")
 	if err := fs.Parse(args); err != nil {
@@ -281,7 +278,7 @@ func cmdTrace(ctx context.Context, eng *tracex.Engine, args []string) error {
 	if err != nil {
 		return err
 	}
-	opt, err := collectOptions(*sample)
+	opt, err := collectOptions()
 	if err != nil {
 		return err
 	}
@@ -412,7 +409,7 @@ func cmdMeasure(ctx context.Context, eng *tracex.Engine, args []string) error {
 	if err != nil {
 		return err
 	}
-	opt, err := collectOptions(0)
+	opt, err := collectOptions()
 	if err != nil {
 		return err
 	}

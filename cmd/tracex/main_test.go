@@ -31,19 +31,29 @@ func tmp(t *testing.T, name string) string {
 	return filepath.Join(t.TempDir(), name)
 }
 
-// collectArgs builds a fast trace invocation.
+// collectArgs builds a trace invocation; pair it with fastSampling.
 func collectArgs(out string, cores int, extra ...string) []string {
 	args := []string{
 		"-app", "stencil3d", "-cores", fmt.Sprint(cores),
-		"-machine", "bluewaters", "-out", out, "-sample", "30000",
+		"-machine", "bluewaters", "-out", out,
 	}
 	return append(args, extra...)
+}
+
+// fastSampling makes the test's collections short, as the global flag in
+// `tracex -sampling fixed:30000 <command>` does, and restores the flag
+// when the test ends.
+func fastSampling(t *testing.T) {
+	prev := collectSampling
+	collectSampling = "fixed:30000"
+	t.Cleanup(func() { collectSampling = prev })
 }
 
 func TestCmdTraceAndPredictFlow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline flow in -short mode")
 	}
+	fastSampling(t)
 	dir := t.TempDir()
 	paths := make([]string, 0, 3)
 	for _, cores := range []int{64, 128, 256} {
@@ -101,6 +111,7 @@ func TestCmdTraceAndPredictFlow(t *testing.T) {
 }
 
 func TestCmdTracePerRankDirectory(t *testing.T) {
+	fastSampling(t)
 	dir := tmp(t, "sigdir")
 	if err := cmdTrace(bg, testEng, collectArgs(dir, 64, "-perrank", "-binary")); err != nil {
 		t.Fatalf("trace -perrank: %v", err)
@@ -160,10 +171,11 @@ func TestCmdReportToFile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("report in -short mode")
 	}
+	fastSampling(t)
 	out := tmp(t, "report.md")
 	err := cmdReport(bg, testEng, []string{
 		"-app", "stencil3d", "-counts", "64,128,256", "-target", "512",
-		"-out", out, "-sample", "30000",
+		"-out", out,
 	})
 	if err != nil {
 		t.Fatalf("report: %v", err)
@@ -190,10 +202,11 @@ func TestCmdReportJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("report in -short mode")
 	}
+	fastSampling(t)
 	out := tmp(t, "study.json")
 	err := cmdReport(bg, testEng, []string{
 		"-app", "stencil3d", "-counts", "64,128,256", "-target", "512",
-		"-out", out, "-sample", "30000", "-json",
+		"-out", out, "-json",
 	})
 	if err != nil {
 		t.Fatalf("report -json: %v", err)
@@ -220,6 +233,7 @@ func TestCmdReportJSON(t *testing.T) {
 // printed snapshot carries the engine and pipeline metrics — including the
 // reuse-profile tier counters.
 func TestCmdStatsWrapper(t *testing.T) {
+	fastSampling(t)
 	eng := tracex.NewEngine()
 	out := tmp(t, "sig.json")
 	if err := cmdStats(bg, eng, append([]string{"trace"}, collectArgs(out, 64)...)); err != nil {
@@ -272,6 +286,7 @@ func TestCmdStatsWrapper(t *testing.T) {
 // TestServeMetrics hits the -metrics-addr HTTP endpoint and checks it
 // serves the engine's JSON snapshot and then drains cleanly.
 func TestServeMetrics(t *testing.T) {
+	fastSampling(t)
 	eng := tracex.NewEngine()
 	if err := cmdTrace(bg, eng, collectArgs(tmp(t, "sig.json"), 64)); err != nil {
 		t.Fatal(err)

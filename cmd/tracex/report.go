@@ -30,7 +30,6 @@ func cmdReport(ctx context.Context, eng *tracex.Engine, args []string) error {
 	countsFlag := fs.String("counts", "", "comma-separated input core counts (default: the paper's for specfem3d/uh3d)")
 	target := fs.Int("target", 0, "target core count (default: the paper's)")
 	out := fs.String("out", "", "output markdown path (default: stdout)")
-	sample := fs.Int("sample", 0, "per-block simulated references (0 = default)")
 	energy := fs.Bool("energy", true, "include the energy/DVFS section")
 	jsonOut := fs.Bool("json", false, "emit the study as the tracexd wire JSON body instead of markdown")
 	if err := fs.Parse(args); err != nil {
@@ -47,7 +46,7 @@ func cmdReport(ctx context.Context, eng *tracex.Engine, args []string) error {
 	if err != nil {
 		return err
 	}
-	opt, err := collectOptions(*sample)
+	opt, err := collectOptions()
 	if err != nil {
 		return err
 	}

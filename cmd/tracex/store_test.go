@@ -56,7 +56,7 @@ func TestCmdStoreFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig, prov, err := eng.CollectSignatureFrom(bg, app, 64, cfg, tracex.CollectOptions{SampleRefs: 30_000})
+	sig, prov, err := eng.CollectSignatureFrom(bg, app, 64, cfg, tracex.CollectOptions{Sampling: tracex.FixedSampling(30_000, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,7 +215,8 @@ type LoadConfig struct {
 	Keys int
 	// Deadline draws each request's client-side deadline.
 	Deadline DeadlineDist
-	// SampleRefs tunes the study operation's collections.
+	// SampleRefs is the per-block sample length of every collection the
+	// load requests, sent as a fixed sampling policy (0 = server default).
 	SampleRefs int
 	// Seed makes a run's arrival pattern reproducible.
 	Seed uint64
@@ -386,6 +387,10 @@ const seedConcurrency = 4
 // serving regime, not the collection regime. Seeding is outside the
 // measurement window by construction.
 func newWorkload(ctx context.Context, cfg LoadConfig) (*workload, error) {
+	var sampling string
+	if cfg.SampleRefs > 0 {
+		sampling = tracex.FixedSampling(cfg.SampleRefs, 0).String()
+	}
 	w := &workload{
 		cfg: cfg,
 		// Retries tolerate admission pushback, both during seeding bursts
@@ -397,7 +402,7 @@ func newWorkload(ctx context.Context, cfg LoadConfig) (*workload, error) {
 		study: &wire.StudyRequest{
 			App: loadApp, Machine: loadMachine,
 			InputCounts: []int{8, 16}, TargetCores: 32,
-			SampleRefs: cfg.SampleRefs,
+			Sampling: sampling,
 		},
 	}
 	for i, t := range cfg.Targets {
@@ -415,7 +420,7 @@ func newWorkload(ctx context.Context, cfg LoadConfig) (*workload, error) {
 			cores := loadBaseCores + k
 			coll, err := w.clients[0].Collect(ctx, &wire.SignatureRequest{
 				App: loadApp, Cores: cores, Machine: loadMachine,
-				SampleRefs: cfg.SampleRefs,
+				Sampling: sampling,
 			})
 			if err != nil {
 				errs <- fmt.Errorf("seeding collect at %d cores: %w", cores, err)
@@ -432,7 +437,7 @@ func newWorkload(ctx context.Context, cfg LoadConfig) (*workload, error) {
 			w.sigs[k] = coll.Signature
 			w.preds[k] = &wire.PredictRequest{
 				App: loadApp, Cores: cores, Machine: loadMachine,
-				SampleRefs: cfg.SampleRefs,
+				Sampling: sampling,
 			}
 		}(k)
 	}

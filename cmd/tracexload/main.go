@@ -57,7 +57,7 @@ func run(args []string, out *os.File) error {
 	zipf := fs.Float64("zipf", 0, "key-popularity skew: Zipf s parameter > 1 (0 = uniform)")
 	keys := fs.Int("keys", 32, "distinct signature identities in play")
 	deadlineFlag := fs.String("deadline", "none", "per-request deadline distribution: none, fixed:200ms, uniform:50ms-500ms or exp:200ms")
-	sampleRefs := fs.Int("sample-refs", 5000, "per-block simulated references for study operations")
+	sampleRefs := fs.Int("sample-refs", 5000, "per-block simulated references of every collection, sent as a fixed sampling policy")
 	seed := fs.Uint64("seed", 1, "arrival-pattern seed")
 	outPath := fs.String("out", "BENCH_serve.json", "result file to create or update (\"\" = stdout only)")
 	label := fs.String("label", "run", "name of this run in the result file")

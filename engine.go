@@ -42,12 +42,7 @@ import (
 //
 // An Engine holds long-lived resources — the collection worker arena and,
 // with WithStore, the on-disk store handle. Call Close when finished with
-// it; the process-wide DefaultEngine is intentionally never closed.
-//
-// The package-level convenience functions (BuildProfile, CollectSignature,
-// CollectInputs, ...) are thin wrappers over a process-wide default Engine;
-// construct a dedicated Engine to control parallelism, cache capacity and
-// default collection options.
+// it.
 type Engine struct {
 	parallelism int
 	collectOpt  CollectOptions
@@ -171,16 +166,20 @@ func ReuseStoreKey(app string, cores int, opt CollectOptions) SignatureKey {
 }
 
 // optIdentity renders a normalized configuration in the stable identity
-// form hashed into store keys. For the exact model it reproduces the
-// pre-Model `%+v` rendering of CollectorConfig byte for byte, so stores
-// written before the Model field existed keep resolving under their
-// original keys. Fixed sampling policies normalize into the legacy
-// SampleRefs/MaxWarmRefs ints (see CollectorConfig.Normalized), so only
-// adaptive policies — which produce different hit rates — extend the
-// identity.
+// form hashed into store keys. The leading brace group is a frozen format:
+// the `%+v` rendering of the collector configuration before the sampling
+// policy and the cache model existed, so every store written since keeps
+// resolving under its original keys. A fixed policy fills its sample length
+// and warm cap into it; an adaptive policy renders 0/0 there and extends
+// the identity with its own string, as a non-exact model does with its
+// name.
 func optIdentity(n CollectOptions) string {
+	var sample, warm int
+	if !n.Sampling.IsAdaptive() {
+		sample, warm = n.Sampling.SampleRefs, n.Sampling.MaxWarmRefs
+	}
 	s := fmt.Sprintf("{SampleRefs:%d MaxWarmRefs:%d Workers:0 BatchSize:0 SharedHierarchy:%t}",
-		n.SampleRefs, n.MaxWarmRefs, n.SharedHierarchy)
+		sample, warm, n.SharedHierarchy)
 	if n.Model != "" && n.Model != ModelExact {
 		s += " Model:" + string(n.Model)
 	}
@@ -517,19 +516,6 @@ func NewEngine(opts ...EngineOption) *Engine {
 	e.reg.GaugeFunc("engine.cache.reuse.misses", func() float64 { _, m := e.reuse.Stats(); return float64(m) })
 	e.reg.GaugeFunc("engine.cache.reuse.evictions", func() float64 { return float64(e.reuse.Evictions()) })
 	return e
-}
-
-// defaultEngine backs the package-level convenience functions.
-var defaultEngine struct {
-	once sync.Once
-	e    *Engine
-}
-
-// DefaultEngine returns the process-wide Engine behind the package-level
-// convenience functions.
-func DefaultEngine() *Engine {
-	defaultEngine.once.Do(func() { defaultEngine.e = NewEngine() })
-	return defaultEngine.e
 }
 
 // obsCtx threads the engine's registry to the pipeline stages below, so

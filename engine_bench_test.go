@@ -15,9 +15,8 @@ import (
 // Per-block parallelism is pinned to 1 so the engine's worker pool is the
 // only concurrency under test.
 var benchCollectOpt = tracex.CollectOptions{
-	SampleRefs:  60_000,
-	MaxWarmRefs: 150_000,
-	Workers:     1,
+	Sampling: tracex.FixedSampling(60_000, 150_000),
+	Workers:  1,
 }
 
 var benchInputCounts = []int{64, 96, 128, 192, 256}

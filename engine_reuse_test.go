@@ -24,7 +24,7 @@ func TestStoreKeyLegacyOptHash(t *testing.T) {
 		BatchSize       int
 		SharedHierarchy bool
 	}{SampleRefs: 20_000, MaxWarmRefs: 60_000}
-	opt := CollectOptions{SampleRefs: 20_000, MaxWarmRefs: 60_000, Workers: 5, BatchSize: 99}
+	opt := CollectOptions{Sampling: FixedSampling(20_000, 60_000), Workers: 5, BatchSize: 99}
 	if got, want := optIdentity(opt.Normalized()), fmt.Sprintf("%+v", legacy); got != want {
 		t.Errorf("optIdentity(exact) = %q, want legacy rendering %q", got, want)
 	}
@@ -48,7 +48,7 @@ func TestStoreKeyLegacyOptHash(t *testing.T) {
 // are keyed without any machine component, and neither the cache model nor
 // the execution knobs change which stored profile a request resolves to.
 func TestReuseStoreKeyMachineFree(t *testing.T) {
-	opt := CollectOptions{SampleRefs: 20_000, MaxWarmRefs: 60_000}
+	opt := CollectOptions{Sampling: FixedSampling(20_000, 60_000)}
 	k := ReuseStoreKey("uh3d", 256, opt)
 	if k.Machine != "" || k.MachineFP != "" {
 		t.Errorf("reuse key carries machine identity: %+v", k)
@@ -64,7 +64,7 @@ func TestReuseStoreKeyMachineFree(t *testing.T) {
 		t.Error("model/scheduling knobs changed the reuse profile key")
 	}
 	shape := opt
-	shape.SampleRefs = 40_000
+	shape.Sampling = FixedSampling(40_000, 60_000)
 	if ReuseStoreKey("uh3d", 256, shape) == k {
 		t.Error("sample length did not change the reuse profile key")
 	}

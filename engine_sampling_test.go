@@ -2,11 +2,11 @@ package tracex
 
 import "testing"
 
-// These tests pin the store-key semantics of the SamplingPolicy redesign:
-// a Fixed policy is the same identity as the legacy SampleRefs/MaxWarmRefs
-// ints (stores written before the policy existed keep resolving), while an
-// adaptive policy — which produces different hit rates — extends the
-// identity string in a pinned, byte-stable way.
+// These tests pin the store-key semantics of the sampling policy: a fixed
+// policy renders the frozen identity format stores were written under
+// before the policy existed (so they keep resolving), while an adaptive
+// policy — which produces different hit rates — extends the identity string
+// in a pinned, byte-stable way.
 
 func TestOptIdentityFixedPolicyByteCompatible(t *testing.T) {
 	// The default configuration renders exactly the pre-policy identity.
@@ -15,17 +15,16 @@ func TestOptIdentityFixedPolicyByteCompatible(t *testing.T) {
 	if got := optIdentity(def.Normalized()); got != legacyDefault {
 		t.Errorf("optIdentity(default) = %q, want %q", got, legacyDefault)
 	}
-	// A Fixed policy collapses to the same rendering as the equivalent
-	// legacy ints: byte-identical identity, so byte-identical store keys.
-	legacy := CollectOptions{SampleRefs: 20_000, MaxWarmRefs: 60_000}
+	// A fixed policy fills its sample length and warm cap into the frozen
+	// format; the default policy spelled out is the unset one.
 	pol := CollectOptions{Sampling: FixedSampling(20_000, 60_000)}
-	lid, pid := optIdentity(legacy.Normalized()), optIdentity(pol.Normalized())
-	if lid != pid {
-		t.Errorf("fixed policy identity %q != legacy identity %q", pid, lid)
+	const legacyFixed = "{SampleRefs:20000 MaxWarmRefs:60000 Workers:0 BatchSize:0 SharedHierarchy:false}"
+	if got := optIdentity(pol.Normalized()); got != legacyFixed {
+		t.Errorf("optIdentity(fixed) = %q, want %q", got, legacyFixed)
 	}
 	m := testMachine(t, "bluewaters")
-	if StoreKey("uh3d", 256, m, legacy) != StoreKey("uh3d", 256, m, pol) {
-		t.Error("fixed policy and legacy ints produced different store keys")
+	if StoreKey("uh3d", 256, m, def) != StoreKey("uh3d", 256, m, CollectOptions{Sampling: FixedSampling(0, 0)}) {
+		t.Error("the unset policy and the default fixed policy produced different store keys")
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // storeTestOpts keeps collections fast while staying above the warm-up
 // needs of the simulated regions.
-var storeTestOpts = CollectOptions{SampleRefs: 30_000, MaxWarmRefs: 100_000}
+var storeTestOpts = CollectOptions{Sampling: FixedSampling(30_000, 100_000)}
 
 // TestEngineWarmStartFromDisk is the tentpole contract: a fresh engine
 // (a restarted process) over the same store directory serves a repeat
@@ -74,7 +74,7 @@ func TestEngineWarmStartFromDisk(t *testing.T) {
 
 	// Different options are a different identity: no false sharing.
 	narrower := storeTestOpts
-	narrower.SampleRefs = 20_000
+	narrower.Sampling = FixedSampling(20_000, 100_000)
 	_, prov, err = e2.CollectSignatureFrom(ctx, app, 64, cfg, narrower)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestStoreKeyDiscriminates(t *testing.T) {
 	if k := StoreKey("uh3d", 1024, cfg, CollectOptions{}); k == base {
 		t.Error("core count not discriminated")
 	}
-	if k := StoreKey("uh3d", 512, cfg, CollectOptions{SampleRefs: 9}); k == base {
+	if k := StoreKey("uh3d", 512, cfg, CollectOptions{Sampling: FixedSampling(9, 0)}); k == base {
 		t.Error("options not discriminated")
 	}
 	other := cfg

@@ -14,7 +14,7 @@ import (
 )
 
 // smallOpt keeps engine-test collections fast.
-var smallOpt = CollectOptions{SampleRefs: 20_000, MaxWarmRefs: 60_000}
+var smallOpt = CollectOptions{Sampling: FixedSampling(20_000, 60_000)}
 
 func testApp(t testing.TB, name string) *App {
 	t.Helper()
@@ -35,7 +35,7 @@ func testMachine(t testing.TB, name string) MachineConfig {
 }
 
 func TestEngineOptions(t *testing.T) {
-	opt := CollectOptions{SampleRefs: 123}
+	opt := CollectOptions{Sampling: FixedSampling(123, 0)}
 	e := NewEngine(WithParallelism(3), WithCacheSize(7), WithCollectOptions(opt))
 	if e.parallelism != 3 {
 		t.Errorf("parallelism %d, want 3", e.parallelism)
@@ -232,7 +232,7 @@ func TestEngineCancellationMidCollection(t *testing.T) {
 	e := NewEngine()
 	app := testApp(t, "uh3d")
 	cfg := testMachine(t, "bluewaters")
-	heavy := CollectOptions{SampleRefs: 5_000_000, MaxWarmRefs: 10_000_000}
+	heavy := CollectOptions{Sampling: FixedSampling(5_000_000, 10_000_000)}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -621,7 +621,7 @@ func TestSentinelErrors(t *testing.T) {
 	}
 	defer col.Close()
 	if _, err := col.Collect(ctx, app, 64, cfg, []int{64},
-		pebil.CollectorConfig{SampleRefs: smallOpt.SampleRefs, MaxWarmRefs: smallOpt.MaxWarmRefs}); !errors.Is(err, ErrRankOutOfRange) {
+		smallOpt); !errors.Is(err, ErrRankOutOfRange) {
 		t.Errorf("rank 64 of 64: %v, want ErrRankOutOfRange", err)
 	}
 
@@ -683,16 +683,16 @@ func TestPredictRequestVariants(t *testing.T) {
 	}
 	app := testApp(t, "stencil3d")
 	cfg := testMachine(t, "bluewaters")
-	sig, err := CollectSignature(app, 64, cfg, smallOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := BuildProfile(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := context.Background()
-	e := DefaultEngine()
+	e := testEngine
+	sig, err := e.CollectSignature(ctx, app, 64, cfg, smallOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := e.Profile(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pred, err := e.Predict(ctx, PredictRequest{Signature: sig, Profile: prof, App: app})
 	if err != nil {
 		t.Fatal(err)
@@ -723,9 +723,9 @@ func TestPredictWarmAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The default engine shares its memoized bluewaters profile with the
+	// The shared test engine holds the memoized bluewaters profile of the
 	// other tests; AllocsPerRun's untimed first call builds it otherwise.
-	eng := DefaultEngine()
+	eng := testEngine
 	ctx := context.Background()
 	sig, err := eng.CollectSignature(ctx, app, 1024, target, CollectOptions{Sampling: FixedSampling(2_000, 2_000)})
 	if err != nil {

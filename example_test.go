@@ -12,6 +12,9 @@ import (
 // target machine, collect signatures at three small core counts,
 // extrapolate to a count that was never traced, and predict its runtime.
 func Example() {
+	ctx := context.Background()
+	eng := tracex.NewEngine()
+	defer eng.Close()
 	app, err := tracex.LoadApp("stencil3d")
 	if err != nil {
 		log.Fatal(err)
@@ -20,20 +23,20 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof, err := tracex.BuildProfile(target) // MultiMAPS sweep
+	prof, err := eng.Profile(ctx, target) // MultiMAPS sweep
 	if err != nil {
 		log.Fatal(err)
 	}
-	inputs, err := tracex.CollectInputs(app, []int{64, 128, 256}, target,
+	inputs, err := eng.CollectInputs(ctx, app, []int{64, 128, 256}, target,
 		tracex.CollectOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := tracex.Extrapolate(inputs, 512, tracex.ExtrapOptions{})
+	res, err := eng.Extrapolate(ctx, inputs, 512, tracex.ExtrapOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	pred, err := tracex.DefaultEngine().Predict(context.Background(),
+	pred, err := eng.Predict(ctx,
 		tracex.PredictRequest{Signature: res.Signature, Profile: prof, App: app})
 	if err != nil {
 		log.Fatal(err)
@@ -41,16 +44,20 @@ func Example() {
 	fmt.Printf("predicted %d-core runtime: %.1f s", pred.CoreCount, pred.Runtime)
 }
 
-// ExampleExtrapolate shows form selection per feature-vector element.
-func ExampleExtrapolate() {
+// ExampleEngine_Extrapolate shows form selection per feature-vector
+// element.
+func ExampleEngine_Extrapolate() {
+	ctx := context.Background()
+	eng := tracex.NewEngine()
+	defer eng.Close()
 	app, _ := tracex.LoadApp("uh3d")
 	target, _ := tracex.LoadMachine("bluewaters")
-	inputs, err := tracex.CollectInputs(app, []int{1024, 2048, 4096}, target,
+	inputs, err := eng.CollectInputs(ctx, app, []int{1024, 2048, 4096}, target,
 		tracex.CollectOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := tracex.Extrapolate(inputs, 8192, tracex.ExtrapOptions{
+	res, err := eng.Extrapolate(ctx, inputs, 8192, tracex.ExtrapOptions{
 		// The paper's future-work extension, guarded by cross-validation:
 		Forms:         tracex.ExtendedForms(),
 		CrossValidate: true,
@@ -65,12 +72,14 @@ func ExampleExtrapolate() {
 	}
 }
 
-// ExampleMeasure runs the detailed execution simulation — the stand-in for
-// timing a real run — to validate a prediction.
-func ExampleMeasure() {
+// ExampleEngine_Measure runs the detailed execution simulation — the
+// stand-in for timing a real run — to validate a prediction.
+func ExampleEngine_Measure() {
+	eng := tracex.NewEngine()
+	defer eng.Close()
 	app, _ := tracex.LoadApp("cgsolve")
 	target, _ := tracex.LoadMachine("sandybridge")
-	measured, err := tracex.Measure(app, 256, target, tracex.CollectOptions{})
+	measured, err := eng.Measure(context.Background(), app, 256, target, tracex.CollectOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,15 +90,18 @@ func ExampleMeasure() {
 // ExampleDVFSSweep prices energy at scale from an extrapolated trace and
 // finds the energy-optimal core frequency.
 func ExampleDVFSSweep() {
+	ctx := context.Background()
+	eng := tracex.NewEngine()
+	defer eng.Close()
 	app, _ := tracex.LoadApp("uh3d")
 	target, _ := tracex.LoadMachine("bluewaters")
-	prof, _ := tracex.BuildProfile(target)
-	inputs, err := tracex.CollectInputs(app, []int{1024, 2048, 4096}, target,
+	prof, _ := eng.Profile(ctx, target)
+	inputs, err := eng.CollectInputs(ctx, app, []int{1024, 2048, 4096}, target,
 		tracex.CollectOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, _ := tracex.Extrapolate(inputs, 8192, tracex.ExtrapOptions{})
+	res, _ := eng.Extrapolate(ctx, inputs, 8192, tracex.ExtrapOptions{})
 	model := tracex.DefaultEnergyModel(target)
 	pts, err := tracex.DVFSSweep(res.Signature, prof, model,
 		[]float64{0.6, 0.8, 1.0, 1.2})

@@ -24,6 +24,9 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+	eng := tracex.NewEngine()
+	defer eng.Close()
 	app, err := tracex.LoadApp("specfem3d")
 	if err != nil {
 		log.Fatal(err)
@@ -54,7 +57,7 @@ func main() {
 	}
 
 	counts := []int{96, 384, 1536, 6144}
-	opt := tracex.CollectOptions{SampleRefs: 200_000}
+	opt := tracex.CollectOptions{Sampling: tracex.FixedSampling(200_000, 0)}
 	const lookupBlockID = 2
 
 	fmt.Println("Table III (swept): flux_lookup_table L1 hit rate across candidate L1 sizes")
@@ -66,7 +69,7 @@ func main() {
 	for _, p := range counts {
 		// One reuse-distance collection per core count...
 		start := time.Now()
-		rs, err := tracex.CollectReuse(app, p, opt)
+		rs, _, err := eng.CollectReuse(ctx, app, p, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -90,7 +93,7 @@ func main() {
 	// The architect's conclusion: compare predicted runtimes on the Table
 	// III pair at the largest scale, both signatures derived from the one
 	// 6144-core reuse profile (already cached by the loop above).
-	rs, err := tracex.CollectReuse(app, 6144, opt)
+	rs, _, err := eng.CollectReuse(ctx, app, 6144, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,7 +103,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		prof, err := tracex.BuildProfile(sys)
+		prof, err := eng.Profile(ctx, sys)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -108,8 +111,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pred, err := tracex.DefaultEngine().Predict(context.Background(),
-			tracex.PredictRequest{Signature: sig, Profile: prof, App: app})
+		pred, err := eng.Predict(ctx, tracex.PredictRequest{Signature: sig, Profile: prof, App: app})
 		if err != nil {
 			log.Fatal(err)
 		}

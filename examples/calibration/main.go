@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,8 @@ import (
 )
 
 func main() {
+	eng := tracex.NewEngine()
+	defer eng.Close()
 	truth, err := tracex.LoadMachine("bluewaters")
 	if err != nil {
 		log.Fatal(err)
@@ -29,7 +32,7 @@ func main() {
 	// time each block with the detailed model. In a real deployment these
 	// observations come from hardware counters + wall clocks.
 	fmt.Println("gathering observed block timings on the true machine...")
-	obs, err := observeBlocks(app, truth, []int{1024, 2048, 4096})
+	obs, err := observeBlocks(eng, app, truth, []int{1024, 2048, 4096})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,10 +65,11 @@ func main() {
 
 // observeBlocks produces (counters, seconds) pairs for every block of the
 // application at the given core counts on the true machine.
-func observeBlocks(app *tracex.App, truth tracex.MachineConfig, counts []int) ([]tracex.Observation, error) {
+func observeBlocks(eng *tracex.Engine, app *tracex.App, truth tracex.MachineConfig, counts []int) ([]tracex.Observation, error) {
 	var obs []tracex.Observation
+	opt := tracex.CollectOptions{Sampling: tracex.FixedSampling(150_000, 0)}
 	for _, p := range counts {
-		blockObs, err := tracex.ObserveBlocks(app, p, truth, tracex.CollectOptions{SampleRefs: 150_000})
+		blockObs, err := eng.ObserveBlocks(context.Background(), app, p, truth, opt)
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,9 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+	eng := tracex.NewEngine()
+	defer eng.Close()
 	app, err := tracex.LoadApp("uh3d")
 	if err != nil {
 		log.Fatal(err)
@@ -23,13 +27,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := tracex.CollectOptions{SampleRefs: 150_000}
+	opt := tracex.CollectOptions{Sampling: tracex.FixedSampling(150_000, 0)}
 
 	// Collect signatures with one trace per load class at each input count.
 	counts := []int{1024, 2048, 4096}
 	fmt.Printf("collecting UH3D signatures (%d load classes) at %v cores...\n",
 		app.NumClasses(), counts)
-	inputs, err := tracex.CollectInputs(app, counts, target, opt)
+	inputs, err := eng.CollectInputs(ctx, app, counts, target, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +67,7 @@ func main() {
 				}
 			}
 		}
-		res, err := tracex.Extrapolate(sub, targetCount, tracex.ExtrapOptions{})
+		res, err := eng.Extrapolate(ctx, sub, targetCount, tracex.ExtrapOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

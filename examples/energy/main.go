@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,6 +17,9 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+	eng := tracex.NewEngine()
+	defer eng.Close()
 	app, err := tracex.LoadApp("uh3d")
 	if err != nil {
 		log.Fatal(err)
@@ -24,18 +28,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof, err := tracex.BuildProfile(target)
+	prof, err := eng.Profile(ctx, target)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := tracex.CollectOptions{SampleRefs: 200_000}
+	opt := tracex.CollectOptions{Sampling: tracex.FixedSampling(200_000, 0)}
 
 	fmt.Println("collecting UH3D at 1024/2048/4096 cores and extrapolating to 8192...")
-	inputs, err := tracex.CollectInputs(app, []int{1024, 2048, 4096}, target, opt)
+	inputs, err := eng.CollectInputs(ctx, app, []int{1024, 2048, 4096}, target, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := tracex.Extrapolate(inputs, 8192, tracex.ExtrapOptions{})
+	res, err := eng.Extrapolate(ctx, inputs, 8192, tracex.ExtrapOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	eng := tracex.NewEngine(
-		tracex.WithCollectOptions(tracex.CollectOptions{SampleRefs: 200_000}),
+		tracex.WithCollectOptions(tracex.CollectOptions{Sampling: tracex.FixedSampling(200_000, 0)}),
 	)
 	defer eng.Close()
 

@@ -18,6 +18,9 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+	eng := tracex.NewEngine()
+	defer eng.Close()
 	app, err := tracex.LoadApp("specfem3d")
 	if err != nil {
 		log.Fatal(err)
@@ -26,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof, err := tracex.BuildProfile(target)
+	prof, err := eng.Profile(ctx, target)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,13 +39,13 @@ func main() {
 	opt := tracex.CollectOptions{}
 
 	fmt.Printf("collecting SPECFEM3D signatures at %v cores on %s...\n", inputCounts, target.Name)
-	inputs, err := tracex.CollectInputs(app, inputCounts, target, opt)
+	inputs, err := eng.CollectInputs(ctx, app, inputCounts, target, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("extrapolating to %d cores...\n", targetCount)
-	res, err := tracex.Extrapolate(inputs, targetCount, tracex.ExtrapOptions{})
+	res, err := eng.Extrapolate(ctx, inputs, targetCount, tracex.ExtrapOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +57,7 @@ func main() {
 	}
 
 	fmt.Printf("collecting the ground-truth %d-core signature...\n", targetCount)
-	collected, err := tracex.CollectSignature(app, targetCount, target, opt)
+	collected, err := eng.CollectSignature(ctx, app, targetCount, target, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,17 +78,15 @@ func main() {
 	fmt.Printf("influential-element audit: max error %.1f%% (%s) — paper claims <20%%\n",
 		100*maxErr, worst)
 
-	predExtrap, err := tracex.DefaultEngine().Predict(context.Background(),
-		tracex.PredictRequest{Signature: res.Signature, Profile: prof, App: app})
+	predExtrap, err := eng.Predict(ctx, tracex.PredictRequest{Signature: res.Signature, Profile: prof, App: app})
 	if err != nil {
 		log.Fatal(err)
 	}
-	predColl, err := tracex.DefaultEngine().Predict(context.Background(),
-		tracex.PredictRequest{Signature: collected, Profile: prof, App: app})
+	predColl, err := eng.Predict(ctx, tracex.PredictRequest{Signature: collected, Profile: prof, App: app})
 	if err != nil {
 		log.Fatal(err)
 	}
-	measured, err := tracex.Measure(app, targetCount, target, opt)
+	measured, err := eng.Measure(ctx, app, targetCount, target, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,9 +18,10 @@ func TestClusterRanksGroupsLoadClasses(t *testing.T) {
 	// clustering with k = classes must group identical-class ranks.
 	app := synthapp.UH3D()
 	bw := machine.BlueWatersP1()
+	col := newCollector(t)
 	// Ranks 0..7 cover each of the 4 classes twice (round-robin).
-	sig, err := pebil.DefaultCollector().Collect(context.Background(), app, 1024, bw, []int{0, 1, 2, 3, 4, 5, 6, 7},
-		pebil.CollectorConfig{SampleRefs: 50_000, MaxWarmRefs: 100_000})
+	sig, err := col.Collect(context.Background(), app, 1024, bw, []int{0, 1, 2, 3, 4, 5, 6, 7},
+		pebil.CollectorConfig{Sampling: pebil.FixedSampling(50_000, 100_000)})
 	if err != nil {
 		t.Fatalf("Collect: %v", err)
 	}
@@ -55,12 +56,23 @@ func TestClusterRanksGroupsLoadClasses(t *testing.T) {
 func TestClusterRanksValidation(t *testing.T) {
 	app := synthapp.Stencil3D()
 	bw := machine.BlueWatersP1()
-	sig, err := pebil.DefaultCollector().Collect(context.Background(), app, 64, bw, []int{0, 1},
-		pebil.CollectorConfig{SampleRefs: 20_000, MaxWarmRefs: 50_000})
+	sig, err := newCollector(t).Collect(context.Background(), app, 64, bw, []int{0, 1},
+		pebil.CollectorConfig{Sampling: pebil.FixedSampling(20_000, 50_000)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cluster.ClusterRanks(sig, 5, 1); err == nil {
 		t.Error("k > rank count accepted")
 	}
+}
+
+// newCollector returns a collector that is closed when the test ends.
+func newCollector(t *testing.T) *pebil.Collector {
+	t.Helper()
+	col, err := pebil.NewCollector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(col.Close)
+	return col
 }

@@ -34,9 +34,15 @@ func testSetup(t *testing.T) (*trace.Trace, *psins.Computation, machine.Config) 
 			setupErr = err
 			return
 		}
+		col, err := pebil.NewCollector()
+		if err != nil {
+			setupErr = err
+			return
+		}
+		defer col.Close()
 		app := synthapp.Stencil3D()
-		sig, err := pebil.DefaultCollector().Collect(context.Background(), app, 64, setupCfg, []int{0},
-			pebil.CollectorConfig{SampleRefs: 60_000, MaxWarmRefs: 200_000})
+		sig, err := col.Collect(context.Background(), app, 64, setupCfg, []int{0},
+			pebil.CollectorConfig{Sampling: pebil.FixedSampling(60_000, 200_000)})
 		if err != nil {
 			setupErr = err
 			return

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 
-	"tracex"
 	"tracex/internal/cluster"
 	"tracex/internal/extrap"
+	"tracex/internal/pebil"
 	"tracex/internal/psins"
 	"tracex/internal/stats"
 	"tracex/internal/synthapp"
@@ -70,7 +70,7 @@ func AblationForms(cfg Config) ([]FormsAblationRow, error) {
 		}
 		for _, name := range FormSetOrder() {
 			opt := extrap.Options{Forms: sets[name], CrossValidate: name == cvFormSet}
-			res, err := tracex.Extrapolate(inputs, spec.TargetCount, opt)
+			res, err := extrap.Extrapolate(cfg.context(), inputs, spec.TargetCount, opt)
 			if err != nil {
 				return nil, fmt.Errorf("expt: %s with forms %q: %w", spec.App, name, err)
 			}
@@ -139,7 +139,7 @@ func AblationInputCounts(cfg Config) ([]InputCountAblationRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := tracex.Extrapolate(inputs, spec.TargetCount, extrap.Options{MinInputs: 2})
+			res, err := extrap.Extrapolate(cfg.context(), inputs, spec.TargetCount, extrap.Options{MinInputs: 2})
 			if err != nil {
 				return nil, err
 			}
@@ -244,7 +244,7 @@ func AblationClustering(cfg Config) ([]ClusteringAblationRow, error) {
 					return nil, fmt.Errorf("expt: representative rank %d missing at %d cores", rep, sig.CoreCount)
 				}
 			}
-			res, err := tracex.Extrapolate(sub, spec.TargetCount, extrap.Options{})
+			res, err := extrap.Extrapolate(cfg.context(), sub, spec.TargetCount, extrap.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -263,7 +263,7 @@ func AblationClustering(cfg Config) ([]ClusteringAblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		measured, err := tracex.Measure(app, spec.TargetCount, target, cfg.Collect)
+		measured, err := measure(cfg.context(), app, spec.TargetCount, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
@@ -343,7 +343,7 @@ func AblationDistance(cfg Config) ([]DistanceAblationRow, error) {
 			if tgt > maxCores {
 				continue
 			}
-			res, err := tracex.Extrapolate(inputs, tgt, extrap.Options{})
+			res, err := extrap.Extrapolate(cfg.context(), inputs, tgt, extrap.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -396,12 +396,12 @@ func AblationSampleSize(cfg Config, samples []int) ([]SampleAblationRow, error) 
 		}
 		for _, s := range samples {
 			opt := cfg.Collect
-			opt.SampleRefs = s
+			opt.Sampling = pebil.FixedSampling(s, cfg.Collect.Sampling.MaxWarmRefs)
 			inputs, err := collectInputs(cfg.context(), app, spec.InputCounts, target, opt)
 			if err != nil {
 				return nil, err
 			}
-			res, err := tracex.Extrapolate(inputs, spec.TargetCount, extrap.Options{})
+			res, err := extrap.Extrapolate(cfg.context(), inputs, spec.TargetCount, extrap.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -452,7 +452,7 @@ func AblationCollectionMode(cfg Config) ([]CollectionModeRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		measured, err := tracex.Measure(app, spec.TargetCount, target, cfg.Collect)
+		measured, err := measure(cfg.context(), app, spec.TargetCount, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
@@ -469,7 +469,7 @@ func AblationCollectionMode(cfg Config) ([]CollectionModeRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := tracex.Extrapolate(inputs, spec.TargetCount, extrap.Options{})
+			res, err := extrap.Extrapolate(cfg.context(), inputs, spec.TargetCount, extrap.Options{})
 			if err != nil {
 				return nil, err
 			}

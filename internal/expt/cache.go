@@ -8,11 +8,20 @@ import (
 
 	"tracex"
 	"tracex/internal/machine"
-	"tracex/internal/multimaps"
 	"tracex/internal/pebil"
 	"tracex/internal/synthapp"
 	"tracex/internal/trace"
 )
+
+// harness returns the Engine and Collector every experiment shares, built
+// on first use and kept for the life of the process. The Engine memoizes
+// machine profiles and runs predictions and detailed simulations; the
+// Collector runs the rank-selected collections and raw block counters the
+// Engine does not expose, so all experiments share its worker arena.
+var harness = sync.OnceValues(func() (*tracex.Engine, *pebil.Collector) {
+	col, _ := pebil.NewCollector() // the zero configuration is always valid
+	return tracex.NewEngine(), col
+})
 
 // Collection is deterministic — the same (application, core count, machine,
 // options, ranks) always produces the identical signature — so the harness
@@ -22,14 +31,26 @@ import (
 
 var collectMemo struct {
 	sync.Mutex
-	sigs     map[string]*trace.Signature
-	counters map[string][]pebil.BlockCounters
+	sigs     map[collectKey]*trace.Signature
+	counters map[collectKey][]pebil.BlockCounters
 }
 
-func memoKey(app *synthapp.App, p int, target machine.Config, opt pebil.CollectorConfig, ranks []int) string {
+// collectKey identifies one memoized collection, like the engine's own
+// signature key: the normalized collection options (so every sampling
+// policy, cache model and hierarchy mode is its own entry), the machine
+// configuration's fingerprint and the sorted rank selection.
+type collectKey struct {
+	app     string
+	cores   int
+	machine string // machine.Config.Fingerprint()
+	opt     pebil.CollectorConfig
+	ranks   string
+}
+
+func memoKey(app *synthapp.App, p int, target machine.Config, opt pebil.CollectorConfig, ranks []int) collectKey {
 	r := append([]int(nil), ranks...)
 	sort.Ints(r)
-	return fmt.Sprintf("%s|%d|%s|%d|%d|%v|%v", app.Name(), p, target.Name, opt.SampleRefs, opt.MaxWarmRefs, opt.SharedHierarchy, r)
+	return collectKey{app: app.Name(), cores: p, machine: target.Fingerprint(), opt: opt.Normalized(), ranks: fmt.Sprint(r)}
 }
 
 // collectSig is Collector.Collect with process-wide memoization. Callers must
@@ -38,14 +59,15 @@ func collectSig(ctx context.Context, app *synthapp.App, p int, target machine.Co
 	key := memoKey(app, p, target, opt, ranks)
 	collectMemo.Lock()
 	if collectMemo.sigs == nil {
-		collectMemo.sigs = map[string]*trace.Signature{}
+		collectMemo.sigs = map[collectKey]*trace.Signature{}
 	}
 	if sig, ok := collectMemo.sigs[key]; ok {
 		collectMemo.Unlock()
 		return sig, nil
 	}
 	collectMemo.Unlock()
-	sig, err := pebil.DefaultCollector().Collect(ctx, app, p, target, ranks, opt)
+	_, col := harness()
+	sig, err := col.Collect(ctx, app, p, target, ranks, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -71,17 +93,18 @@ func collectInputs(ctx context.Context, app *synthapp.App, counts []int, target 
 // collectCounters is Collector.Counters with process-wide memoization.
 // Callers must treat the returned slice as read-only.
 func collectCounters(ctx context.Context, app *synthapp.App, p int, target machine.Config, opt pebil.CollectorConfig) ([]pebil.BlockCounters, error) {
-	key := memoKey(app, p, target, opt, []int{-1})
+	key := memoKey(app, p, target, opt, nil)
 	collectMemo.Lock()
 	if collectMemo.counters == nil {
-		collectMemo.counters = map[string][]pebil.BlockCounters{}
+		collectMemo.counters = map[collectKey][]pebil.BlockCounters{}
 	}
 	if cs, ok := collectMemo.counters[key]; ok {
 		collectMemo.Unlock()
 		return cs, nil
 	}
 	collectMemo.Unlock()
-	cs, err := pebil.DefaultCollector().Counters(ctx, app, p, target, opt)
+	_, col := harness()
+	cs, err := col.Counters(ctx, app, p, target, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -91,40 +114,22 @@ func collectCounters(ctx context.Context, app *synthapp.App, p int, target machi
 	return cs, nil
 }
 
-// profileMemo caches MultiMAPS profiles per machine (deterministic too).
-var profileMemo struct {
-	sync.Mutex
-	m map[string]*machine.Profile
-}
-
-// buildProfile memoizes tracex.BuildProfile-equivalent sweeps.
+// buildProfile returns the machine's MultiMAPS profile, memoized by the
+// harness Engine.
 func buildProfile(ctx context.Context, cfg machine.Config) (*machine.Profile, error) {
-	profileMemo.Lock()
-	if profileMemo.m == nil {
-		profileMemo.m = map[string]*machine.Profile{}
-	}
-	if p, ok := profileMemo.m[cfg.Name]; ok {
-		profileMemo.Unlock()
-		return p, nil
-	}
-	profileMemo.Unlock()
-	p, err := buildProfileUncached(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	profileMemo.Lock()
-	profileMemo.m[cfg.Name] = p
-	profileMemo.Unlock()
-	return p, nil
+	eng, _ := harness()
+	return eng.Profile(ctx, cfg)
 }
 
-// buildProfileUncached runs the default MultiMAPS sweep.
-func buildProfileUncached(ctx context.Context, cfg machine.Config) (*machine.Profile, error) {
-	return multimaps.Run(ctx, cfg, multimaps.DefaultOptions(cfg))
-}
-
-// predictSig runs one Engine prediction from an existing signature and
-// profile on the process-wide default engine.
+// predictSig runs one harness-Engine prediction from an existing signature
+// and profile.
 func predictSig(ctx context.Context, sig *trace.Signature, prof *machine.Profile, app *synthapp.App) (*tracex.Prediction, error) {
-	return tracex.DefaultEngine().Predict(ctx, tracex.PredictRequest{Signature: sig, Profile: prof, App: app})
+	eng, _ := harness()
+	return eng.Predict(ctx, tracex.PredictRequest{Signature: sig, Profile: prof, App: app})
+}
+
+// measure runs the harness Engine's detailed execution simulation.
+func measure(ctx context.Context, app *synthapp.App, p int, target machine.Config, opt pebil.CollectorConfig) (*tracex.Prediction, error) {
+	eng, _ := harness()
+	return eng.Measure(ctx, app, p, target, opt)
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 
-	"tracex"
 	"tracex/internal/extrap"
 	"tracex/internal/machine"
 	"tracex/internal/pebil"
@@ -89,7 +88,7 @@ func Table1(cfg Config) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := tracex.Extrapolate(inputs, spec.TargetCount, extrap.Options{})
+		res, err := extrap.Extrapolate(cfg.context(), inputs, spec.TargetCount, extrap.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +96,7 @@ func Table1(cfg Config) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		measured, err := tracex.Measure(app, spec.TargetCount, target, cfg.Collect)
+		measured, err := measure(cfg.context(), app, spec.TargetCount, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
@@ -352,7 +351,7 @@ func Figure3(cfg Config) ([]Figure3Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := tracex.Extrapolate(inputs, spec.TargetCount, extrap.Options{})
+	res, err := extrap.Extrapolate(cfg.context(), inputs, spec.TargetCount, extrap.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -416,7 +415,7 @@ func InfluentialElementError(cfg Config) ([]InfluentialErrorResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := tracex.Extrapolate(inputs, spec.TargetCount, extrap.Options{})
+		res, err := extrap.Extrapolate(cfg.context(), inputs, spec.TargetCount, extrap.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,7 @@ import (
 
 // quickCfg trades a little steady-state fidelity for test speed; shape
 // assertions below are tolerant of the reduced sampling.
-var quickCfg = Config{Collect: pebil.CollectorConfig{SampleRefs: 100_000, MaxWarmRefs: 800_000}}
+var quickCfg = Config{Collect: pebil.CollectorConfig{Sampling: pebil.FixedSampling(100_000, 800_000)}}
 
 func TestPaperSpecs(t *testing.T) {
 	specs := PaperSpecs()
@@ -77,7 +77,7 @@ func TestTable2ShapeCriteria(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale experiment in -short mode")
 	}
-	rows, err := Table2(Config{Collect: pebil.CollectorConfig{SampleRefs: 300_000, MaxWarmRefs: 2_000_000}})
+	rows, err := Table2(Config{Collect: pebil.CollectorConfig{Sampling: pebil.FixedSampling(300_000, 2_000_000)}})
 	if err != nil {
 		t.Fatalf("Table2: %v", err)
 	}

@@ -55,7 +55,7 @@ func WeakScaling(cfg Config) ([]WeakScalingRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := tracex.Extrapolate(inputs, targetCount, extrap.Options{})
+		res, err := extrap.Extrapolate(cfg.context(), inputs, targetCount, extrap.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -83,7 +83,7 @@ func WeakScaling(cfg Config) ([]WeakScalingRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		measured, err := tracex.Measure(app, targetCount, target, cfg.Collect)
+		measured, err := measure(cfg.context(), app, targetCount, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +132,7 @@ func CrossArch(cfg Config) ([]CrossArchRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			measured, err := tracex.Measure(app, p, sys, cfg.Collect)
+			measured, err := measure(cfg.context(), app, p, sys, cfg.Collect)
 			if err != nil {
 				return nil, err
 			}
@@ -185,7 +185,7 @@ func ScalingCurve(cfg Config) ([]ScalingCurveRow, error) {
 	targets := []int{5120, 6144, 8192, 12288, 16384}
 	var rows []ScalingCurveRow
 	for _, p := range targets {
-		res, err := tracex.Extrapolate(inputs, p, extrap.Options{})
+		res, err := extrap.Extrapolate(cfg.context(), inputs, p, extrap.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +193,7 @@ func ScalingCurve(cfg Config) ([]ScalingCurveRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		measured, err := tracex.Measure(app, p, target, cfg.Collect)
+		measured, err := measure(cfg.context(), app, p, target, cfg.Collect)
 		if err != nil {
 			return nil, err
 		}
@@ -250,7 +250,7 @@ func EnergyDVFS(cfg Config) ([]EnergyRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := tracex.Extrapolate(inputs, spec.TargetCount, extrap.Options{})
+		res, err := extrap.Extrapolate(cfg.context(), inputs, spec.TargetCount, extrap.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -323,7 +323,7 @@ func PrefetchExploration(cfg Config) ([]PrefetchRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := tracex.Extrapolate(inputs, spec.TargetCount, extrap.Options{})
+			res, err := extrap.Extrapolate(cfg.context(), inputs, spec.TargetCount, extrap.Options{})
 			if err != nil {
 				return nil, err
 			}

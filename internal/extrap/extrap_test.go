@@ -239,7 +239,12 @@ func TestEndToEndInfluentialElementError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline in -short mode")
 	}
-	opt := pebil.CollectorConfig{SampleRefs: 200_000, MaxWarmRefs: 1_000_000}
+	opt := pebil.CollectorConfig{Sampling: pebil.FixedSampling(200_000, 1_000_000)}
+	col, err := pebil.NewCollector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
 	bw := machine.BlueWatersP1()
 	cases := []struct {
 		app    *synthapp.App
@@ -252,7 +257,7 @@ func TestEndToEndInfluentialElementError(t *testing.T) {
 	for _, c := range cases {
 		var inputs []*trace.Signature
 		for _, p := range c.counts {
-			sig, err := pebil.DefaultCollector().Collect(context.Background(), c.app, p, bw, []int{0}, opt)
+			sig, err := col.Collect(context.Background(), c.app, p, bw, []int{0}, opt)
 			if err != nil {
 				t.Fatalf("%s collect(%d): %v", c.app.Name(), p, err)
 			}
@@ -262,7 +267,7 @@ func TestEndToEndInfluentialElementError(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s extrapolate: %v", c.app.Name(), err)
 		}
-		truth, err := pebil.DefaultCollector().Collect(context.Background(), c.app, c.target, bw, []int{0}, opt)
+		truth, err := col.Collect(context.Background(), c.app, c.target, bw, []int{0}, opt)
 		if err != nil {
 			t.Fatalf("%s collect(%d): %v", c.app.Name(), c.target, err)
 		}

@@ -3,9 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
-	"sync"
 	"testing"
 	"time"
 
@@ -25,20 +23,14 @@ const (
 	sigMachine = "bluewaters"
 )
 
-var sigOpt = tracex.CollectOptions{SampleRefs: 20_000, MaxWarmRefs: 60_000}
+var sigOpt = tracex.CollectOptions{Sampling: tracex.FixedSampling(20_000, 60_000)}
 
-var testSigs struct {
-	mu   sync.Mutex
-	byCC map[int]*tracex.Signature
-}
+// sigEngine collects the signatures the fakes serve; its memo hands every
+// test the same signature for a core count.
+var sigEngine = tracex.NewEngine()
 
 func collectSigAt(t *testing.T, cores int) *tracex.Signature {
 	t.Helper()
-	testSigs.mu.Lock()
-	defer testSigs.mu.Unlock()
-	if sig := testSigs.byCC[cores]; sig != nil {
-		return sig
-	}
 	app, err := tracex.LoadApp(sigApp)
 	if err != nil {
 		t.Fatal(err)
@@ -47,14 +39,10 @@ func collectSigAt(t *testing.T, cores int) *tracex.Signature {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig, err := tracex.CollectSignature(app, cores, m, sigOpt)
+	sig, err := sigEngine.CollectSignature(bg, app, cores, m, sigOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if testSigs.byCC == nil {
-		testSigs.byCC = map[int]*tracex.Signature{}
-	}
-	testSigs.byCC[cores] = sig
 	return sig
 }
 
@@ -158,7 +146,8 @@ func TestFetchOwnedLocally(t *testing.T) {
 }
 
 // TestFetchFromOwnerStore pins the happy path: the owner already holds the
-// signature, the fetch validates it and the counters move.
+// signature and answers the delegated collection from its own tiers, the
+// fetch validates it and the counters move.
 func TestFetchFromOwnerStore(t *testing.T) {
 	fake := &fakeRemote{t: t}
 	f, reg := newTestFleet(t, fake)
@@ -167,12 +156,11 @@ func TestFetchFromOwnerStore(t *testing.T) {
 		t.Fatal("no peer-owned identity found")
 	}
 	sig := collectSigAt(t, cores)
-	fake.get = func(key string) (*wire.StoredSignatureResponse, error) {
-		want := client.Key(sigApp, cores, sigMachine)
-		if key != want {
-			t.Errorf("fetched key %q, want %q", key, want)
+	fake.collect = func(req *wire.SignatureRequest) (*wire.SignatureResponse, error) {
+		if req.App != sigApp || req.Cores != cores || req.Machine != sigMachine {
+			t.Errorf("delegated %s@%d@%s, want %s@%d@%s", req.App, req.Cores, req.Machine, sigApp, cores, sigMachine)
 		}
-		return &wire.StoredSignatureResponse{App: sigApp, Cores: cores, Machine: sigMachine, Signature: sig}, nil
+		return &wire.SignatureResponse{Signature: sig}, nil
 	}
 	got, err := f.FetchSignature(bg, sigApp, cores, sigMachine, sigOpt)
 	if err != nil {
@@ -189,9 +177,11 @@ func TestFetchFromOwnerStore(t *testing.T) {
 	}
 }
 
-// TestFetchDelegates pins the claim path: the owner misses (404), the
-// non-owner delegates the collection with Delegated=true and serves the
-// result.
+// TestFetchDelegates pins the claim path: the non-owner delegates the
+// collection with Delegated=true under its exact identity — the normalized
+// model and sampling policy, warm-up cap included — and serves the result.
+// It never reads the owner's store, which answers the triple under any
+// options.
 func TestFetchDelegates(t *testing.T) {
 	fake := &fakeRemote{t: t}
 	f, _ := newTestFleet(t, fake)
@@ -200,9 +190,6 @@ func TestFetchDelegates(t *testing.T) {
 		t.Fatal("no peer-owned identity found")
 	}
 	sig := collectSigAt(t, cores)
-	fake.get = func(string) (*wire.StoredSignatureResponse, error) {
-		return nil, fmt.Errorf("%w", client.ErrNotFound)
-	}
 	var delegated *wire.SignatureRequest
 	fake.collect = func(req *wire.SignatureRequest) (*wire.SignatureResponse, error) {
 		delegated = req
@@ -218,8 +205,11 @@ func TestFetchDelegates(t *testing.T) {
 	if delegated == nil || !delegated.Delegated {
 		t.Fatalf("delegation request = %+v, want Delegated=true", delegated)
 	}
-	if delegated.App != sigApp || delegated.Cores != cores || delegated.SampleRefs != sigOpt.SampleRefs {
+	if delegated.App != sigApp || delegated.Cores != cores || delegated.Machine != sigMachine {
 		t.Errorf("delegation identity = %+v", delegated)
+	}
+	if delegated.Sampling != "fixed:20000,warm=60000" || delegated.Model != string(tracex.ModelExact) {
+		t.Errorf("delegated sampling %q model %q, want fixed:20000,warm=60000 and exact", delegated.Sampling, delegated.Model)
 	}
 }
 
@@ -235,8 +225,8 @@ func TestFetchRejectsMismatch(t *testing.T) {
 	// The peer answers with a signature for a different core count than
 	// the one requested.
 	sig := collectSigAt(t, cores)
-	fake.get = func(string) (*wire.StoredSignatureResponse, error) {
-		return &wire.StoredSignatureResponse{Signature: sig}, nil
+	fake.collect = func(*wire.SignatureRequest) (*wire.SignatureResponse, error) {
+		return &wire.SignatureResponse{Signature: sig}, nil
 	}
 	wrong, ok := nextPeerCores(f, cores)
 	if !ok {
@@ -266,7 +256,7 @@ func nextPeerCores(f *Fleet, not int) (int, bool) {
 func TestFetchProbation(t *testing.T) {
 	fake := &fakeRemote{t: t}
 	calls := 0
-	fake.get = func(string) (*wire.StoredSignatureResponse, error) {
+	fake.collect = func(*wire.SignatureRequest) (*wire.SignatureResponse, error) {
 		calls++
 		return nil, errors.New("connection refused")
 	}
@@ -309,7 +299,7 @@ func TestFetchProbation(t *testing.T) {
 // their probation state, departed peers are forgotten.
 func TestSetPeersPreservesHealth(t *testing.T) {
 	fake := &fakeRemote{t: t}
-	fake.get = func(string) (*wire.StoredSignatureResponse, error) {
+	fake.collect = func(*wire.SignatureRequest) (*wire.SignatureResponse, error) {
 		return nil, errors.New("down")
 	}
 	f, _ := newTestFleet(t, fake)
@@ -405,7 +395,8 @@ func TestLoadPeers(t *testing.T) {
 
 // TestReplicate pins warm-start replication: a node with an empty store
 // pulls exactly the keys it owns from a peer's manifest — one self-owned
-// entry is pulled, one peer-owned entry is left alone.
+// entry is pulled by its content hash, one peer-owned entry is left alone —
+// and files each under the peer's own key for it.
 func TestReplicate(t *testing.T) {
 	fake := &fakeRemote{t: t}
 	f, reg := newTestFleet(t, fake)
@@ -419,19 +410,24 @@ func TestReplicate(t *testing.T) {
 	}
 	sig := collectSigAt(t, mine)
 	key := client.Key(sigApp, mine, sigMachine)
+	m, err := tracex.LoadMachine(sigMachine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sigKey := tracex.StoreKey(sigApp, mine, m, sigOpt)
 
 	fake.sync = func(req *wire.FleetSyncRequest) (*wire.FleetSyncResponse, error) {
 		if len(req.Have) != 0 {
 			t.Errorf("empty store advertised %v", req.Have)
 		}
 		return &wire.FleetSyncResponse{Entries: []wire.FleetSyncEntry{
-			{App: sigApp, Cores: mine, Machine: sigMachine, Hash: "x", Bytes: 1},
+			{App: sigApp, Cores: mine, Machine: sigMachine, MachineFP: sigKey.MachineFP, Opt: sigKey.Opt, Hash: "x", Bytes: 1},
 			{App: sigApp, Cores: theirs, Machine: sigMachine, Hash: "y", Bytes: 1},
 		}}, nil
 	}
 	fake.get = func(k string) (*wire.StoredSignatureResponse, error) {
-		if k != key {
-			t.Errorf("pulled %q, want only the owned key %q", k, key)
+		if k != "x" {
+			t.Errorf("pulled %q, want only the owned entry's hash x", k)
 		}
 		return &wire.StoredSignatureResponse{App: sigApp, Cores: mine, Machine: sigMachine, Signature: sig}, nil
 	}
@@ -454,14 +450,14 @@ func TestReplicate(t *testing.T) {
 	if !f.Status().Replication.Done {
 		t.Error("replication not marked done")
 	}
-	// The pulled signature must now resolve from the local store.
-	m, err := tracex.LoadMachine(sigMachine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := eng.Store().Get(tracex.StoreKey(sigApp, mine, m, tracex.CollectOptions{}))
+	// The pulled signature resolves from the local store under the key it
+	// was collected for, and does not answer default-options requests.
+	got, ok, err := eng.Store().Get(sigKey)
 	if err != nil || !ok || got == nil {
-		t.Fatalf("pulled signature not in store: ok=%v err=%v", ok, err)
+		t.Fatalf("pulled signature not in store under its own key: ok=%v err=%v", ok, err)
+	}
+	if _, ok, _ := eng.Store().Get(tracex.StoreKey(sigApp, mine, m, tracex.CollectOptions{})); ok {
+		t.Error("pulled signature filed under the default-options key")
 	}
 
 	// A second pass with the now-populated store advertises the key and

@@ -65,7 +65,7 @@ func (f *Fleet) Replicate(ctx context.Context, eng *tracex.Engine) (pulled int, 
 				fail(err)
 				return pulled, firstErr
 			}
-			if err := f.pullOne(ctx, rem, st, key, e); err != nil {
+			if err := f.pullOne(ctx, rem, st, e); err != nil {
 				fail(fmt.Errorf("fleet: pulling %s from %s: %w", key, peer, err))
 				continue
 			}
@@ -78,9 +78,11 @@ func (f *Fleet) Replicate(ctx context.Context, eng *tracex.Engine) (pulled int, 
 	return pulled, firstErr
 }
 
-// pullOne fetches one owned signature from a peer and files it in the
-// local store under the canonical key for its identity.
-func (f *Fleet) pullOne(ctx context.Context, rem remote, st *tracex.SignatureStore, key string, e wire.FleetSyncEntry) error {
+// pullOne fetches one owned signature from a peer by its content hash and
+// files it in the local store under the peer's own key for it: the same
+// machine fingerprint and collection options, so it answers exactly the
+// requests it was collected for.
+func (f *Fleet) pullOne(ctx context.Context, rem remote, st *tracex.SignatureStore, e wire.FleetSyncEntry) error {
 	select {
 	case f.sem <- struct{}{}:
 		defer func() { <-f.sem }()
@@ -89,7 +91,7 @@ func (f *Fleet) pullOne(ctx context.Context, rem remote, st *tracex.SignatureSto
 	}
 	ctx, cancel := context.WithTimeout(ctx, f.fetchTimeout)
 	defer cancel()
-	stored, err := rem.GetSignature(ctx, key)
+	stored, err := rem.GetSignature(ctx, e.Hash)
 	if err != nil {
 		return err
 	}
@@ -97,11 +99,7 @@ func (f *Fleet) pullOne(ctx context.Context, rem remote, st *tracex.SignatureSto
 	if err != nil {
 		return err
 	}
-	m, err := tracex.LoadMachine(e.Machine)
-	if err != nil {
-		return err
-	}
-	_, err = st.Put(sig, tracex.StoreKey(e.App, e.Cores, m, tracex.CollectOptions{}))
+	_, err = st.Put(sig, tracex.SignatureKey{App: e.App, Machine: e.Machine, MachineFP: e.MachineFP, Cores: e.Cores, Opt: e.Opt})
 	return err
 }
 

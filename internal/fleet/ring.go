@@ -1,8 +1,7 @@
 // Package fleet turns a set of independent tracexd daemons into one
 // signature cache: a consistent-hash ring assigns every signature key an
 // owning node, the owner collects it exactly once cluster-wide, and the
-// other nodes fetch the result over the existing store API instead of
-// re-simulating. The package provides the engine's remote tier
+// other nodes delegate to the owner instead of re-simulating. The package provides the engine's remote tier
 // (tracex.WithRemoteTier), per-peer health tracking with probation, and a
 // warm-start replicator that pulls a restarted node's owned keys from its
 // peers.

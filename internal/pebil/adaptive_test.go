@@ -98,12 +98,6 @@ func TestSamplingPolicyValidate(t *testing.T) {
 	}
 
 	// Config-level combination rules.
-	if err := (CollectorConfig{Sampling: FixedSampling(1000, 0), SampleRefs: 500}).Validate(); err == nil {
-		t.Error("Sampling + deprecated SampleRefs accepted")
-	}
-	if err := (CollectorConfig{Sampling: AdaptiveSampling(0), MaxWarmRefs: 10}).Validate(); err == nil {
-		t.Error("Sampling + deprecated MaxWarmRefs accepted")
-	}
 	if err := (CollectorConfig{Sampling: AdaptiveSampling(0), SharedHierarchy: true}).Validate(); err == nil {
 		t.Error("adaptive + SharedHierarchy accepted")
 	}
@@ -111,7 +105,12 @@ func TestSamplingPolicyValidate(t *testing.T) {
 	if !errors.Is(err, cache.ErrModelUnsupported) {
 		t.Errorf("adaptive + analytical: got %v, want ErrModelUnsupported", err)
 	}
-	if _, err := DefaultCollector().CollectReuse(context.Background(), synthapp.UH3D(), 64,
+	col, err := NewCollector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer col.Close()
+	if _, err := col.CollectReuse(context.Background(), synthapp.UH3D(), 64,
 		CollectorConfig{Sampling: AdaptiveSampling(0)}); !errors.Is(err, cache.ErrModelUnsupported) {
 		t.Errorf("CollectReuse with adaptive policy: got %v, want ErrModelUnsupported", err)
 	}
@@ -125,7 +124,7 @@ func TestEffectiveSampling(t *testing.T) {
 		want string
 	}{
 		{CollectorConfig{}, "fixed:400000,warm=2000000"},
-		{CollectorConfig{SampleRefs: 50_000}, "fixed:50000,warm=2000000"},
+		{CollectorConfig{Sampling: FixedSampling(50_000, 0)}, "fixed:50000,warm=2000000"},
 		{CollectorConfig{Sampling: FixedSampling(50_000, 100_000)}, "fixed:50000,warm=100000"},
 		{CollectorConfig{Sampling: AdaptiveSampling(0)}, "adaptive:0.05,pilot=20000,min=20000,max=400000,cluster=on"},
 		{CollectorConfig{Sampling: AdaptiveSampling(0.1)}, "adaptive:0.1,pilot=20000,min=20000,max=400000,cluster=on"},
@@ -134,54 +133,6 @@ func TestEffectiveSampling(t *testing.T) {
 		if got := tc.cfg.EffectiveSampling().String(); got != tc.want {
 			t.Errorf("EffectiveSampling of %+v: %q, want %q", tc.cfg, got, tc.want)
 		}
-	}
-}
-
-// TestFixedPolicyMatchesLegacyConfig is the golden compatibility gate of
-// the SamplingPolicy redesign: a Fixed policy must produce bit-identical
-// output to the deprecated SampleRefs/MaxWarmRefs fields, and the two must
-// normalize to the same configuration (same memoization and store keys).
-func TestFixedPolicyMatchesLegacyConfig(t *testing.T) {
-	legacy := CollectorConfig{SampleRefs: 50_000, MaxWarmRefs: 150_000}
-	policy := CollectorConfig{Sampling: FixedSampling(50_000, 150_000)}
-	if legacy.Normalized() != policy.Normalized() {
-		t.Fatalf("normalized forms differ:\nlegacy %+v\npolicy %+v", legacy.Normalized(), policy.Normalized())
-	}
-	if d := (CollectorConfig{}).Normalized(); d != (CollectorConfig{Sampling: FixedSampling(0, 0)}).Normalized() {
-		t.Fatalf("zero config and zero Fixed policy normalize differently: %+v", d)
-	}
-
-	app := synthapp.UH3D()
-	bw := machine.BlueWatersP1()
-	col, err := NewCollector(WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	want, err := col.Counters(context.Background(), app, 1024, bw, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := col.Counters(context.Background(), app, 1024, bw, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Error("Fixed policy counters diverge from legacy fields")
-	}
-	sigL, err := col.Collect(context.Background(), app, 1024, bw, nil, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigP, err := col.Collect(context.Background(), app, 1024, bw, nil, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sigL, sigP) {
-		t.Error("Fixed policy signature diverges from legacy fields")
-	}
-	if sigP.Uncertainty != nil {
-		t.Error("fixed collection carries uncertainty")
 	}
 }
 

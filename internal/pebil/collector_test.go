@@ -12,7 +12,7 @@ import (
 	"tracex/internal/synthapp"
 )
 
-var fastCfg = CollectorConfig{SampleRefs: 60_000, MaxWarmRefs: 120_000}
+var fastCfg = CollectorConfig{Sampling: FixedSampling(60_000, 120_000)}
 
 func TestCollectorConfigValidate(t *testing.T) {
 	good := []CollectorConfig{
@@ -27,8 +27,8 @@ func TestCollectorConfigValidate(t *testing.T) {
 		}
 	}
 	bad := []CollectorConfig{
-		{SampleRefs: -1},
-		{MaxWarmRefs: -1},
+		{Sampling: FixedSampling(-1, 0)},
+		{Sampling: FixedSampling(0, -1)},
 		{Workers: -1},
 		{BatchSize: -1},
 		{BatchSize: maxBatchSize + 1},
@@ -46,8 +46,11 @@ func TestCollectorConfigNormalized(t *testing.T) {
 	if a != b {
 		t.Errorf("Normalized forms differ for execution-only knobs: %+v vs %+v", a, b)
 	}
-	if a.SampleRefs != DefaultSampleRefs || a.MaxWarmRefs != DefaultMaxWarmRefs {
-		t.Errorf("Normalized did not fill defaults: %+v", a)
+	if a.Sampling != FixedSampling(DefaultSampleRefs, DefaultMaxWarmRefs) {
+		t.Errorf("Normalized did not resolve the default fixed policy: %+v", a)
+	}
+	if f := (CollectorConfig{Sampling: FixedSampling(0, 0)}).Normalized(); f != a {
+		t.Errorf("zero config and zero Fixed policy normalize differently: %+v vs %+v", a, f)
 	}
 	if a.Workers != 0 || a.BatchSize != 0 {
 		t.Errorf("Normalized kept execution knobs: %+v", a)
@@ -56,12 +59,12 @@ func TestCollectorConfigNormalized(t *testing.T) {
 
 func TestNewCollectorConfigOptions(t *testing.T) {
 	c, err := NewCollectorConfig(
-		WithSampleRefs(123), WithMaxWarmRefs(456),
+		WithSamplingPolicy(FixedSampling(123, 456)),
 		WithWorkers(2), WithBatchSize(64), WithSharedHierarchy(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := CollectorConfig{SampleRefs: 123, MaxWarmRefs: 456, Workers: 2, BatchSize: 64, SharedHierarchy: true}
+	want := CollectorConfig{Sampling: FixedSampling(123, 456), Workers: 2, BatchSize: 64, SharedHierarchy: true}
 	if c != want {
 		t.Errorf("NewCollectorConfig = %+v, want %+v", c, want)
 	}
@@ -83,10 +86,10 @@ func TestCountersDeterministicAcrossWorkersAndBatch(t *testing.T) {
 	defer col.Close()
 	var base []BlockCounters
 	for _, cfg := range []CollectorConfig{
-		{SampleRefs: 40_000, MaxWarmRefs: 80_000, Workers: 1, BatchSize: 1},
-		{SampleRefs: 40_000, MaxWarmRefs: 80_000, Workers: 1, BatchSize: 257},
-		{SampleRefs: 40_000, MaxWarmRefs: 80_000, Workers: 8, BatchSize: 4096},
-		{SampleRefs: 40_000, MaxWarmRefs: 80_000, Workers: 3, BatchSize: 1 << 15},
+		{Sampling: FixedSampling(40_000, 80_000), Workers: 1, BatchSize: 1},
+		{Sampling: FixedSampling(40_000, 80_000), Workers: 1, BatchSize: 257},
+		{Sampling: FixedSampling(40_000, 80_000), Workers: 8, BatchSize: 4096},
+		{Sampling: FixedSampling(40_000, 80_000), Workers: 3, BatchSize: 1 << 15},
 	} {
 		got, err := col.Counters(ctx, app, 2048, bw, cfg)
 		if err != nil {
@@ -110,8 +113,8 @@ func TestCollectorRejectsInvalidConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer col.Close()
-	if _, err := col.Counters(context.Background(), app, 64, bw, CollectorConfig{SampleRefs: -5}); err == nil {
-		t.Error("negative SampleRefs accepted")
+	if _, err := col.Counters(context.Background(), app, 64, bw, CollectorConfig{Sampling: FixedSampling(-5, 0)}); err == nil {
+		t.Error("negative sample length accepted")
 	}
 	if _, err := NewCollector(WithBatchSize(-1)); err == nil {
 		t.Error("NewCollector accepted invalid option")
@@ -152,7 +155,7 @@ func TestCancellationPromptNoGoroutineLeak(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// A sample far larger than any test budget: only cancellation ends it.
-	huge := CollectorConfig{SampleRefs: 1 << 30, MaxWarmRefs: 1 << 30}
+	huge := CollectorConfig{Sampling: FixedSampling(1<<30, 1<<30)}
 	errc := make(chan error, 1)
 	go func() {
 		_, err := col.Counters(ctx, app, 2048, bw, huge)

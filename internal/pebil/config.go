@@ -69,23 +69,8 @@ func ParseCacheModel(s string) (CacheModel, error) {
 // bit-identical BlockCounters.
 type CollectorConfig struct {
 	// Sampling is the reference-budget policy (see SamplingPolicy). The
-	// zero value defers to the deprecated SampleRefs/MaxWarmRefs fields
-	// below, which behave as a fixed policy; setting both the policy and
-	// the deprecated fields is a validation error.
+	// zero value selects the default fixed policy.
 	Sampling SamplingPolicy
-	// SampleRefs is the number of references simulated per block
-	// (default DefaultSampleRefs).
-	//
-	// Deprecated: set Sampling to FixedSampling(n, 0) instead. This field
-	// remains as a one-release shim and is rejected when Sampling is set.
-	SampleRefs int
-	// MaxWarmRefs caps the cache warm-up stream per block (default
-	// DefaultMaxWarmRefs; random patterns over multi-megabyte regions need
-	// a long warm-up before the last-level cache reaches steady state).
-	//
-	// Deprecated: set Sampling to FixedSampling(0, n) instead. This field
-	// remains as a one-release shim and is rejected when Sampling is set.
-	MaxWarmRefs int
 	// Workers bounds concurrent work units for one collection; ≤0 means one
 	// worker per CPU. The collector's arena caps the effective value.
 	Workers int
@@ -110,15 +95,6 @@ type CollectorConfig struct {
 func (c CollectorConfig) Validate() error {
 	if err := c.Sampling.Validate(); err != nil {
 		return err
-	}
-	if c.Sampling.Mode != "" && (c.SampleRefs != 0 || c.MaxWarmRefs != 0) {
-		return fmt.Errorf("pebil: both Sampling (%s) and the deprecated SampleRefs/MaxWarmRefs fields are set", c.Sampling.Mode)
-	}
-	if c.SampleRefs < 0 {
-		return fmt.Errorf("pebil: negative SampleRefs %d", c.SampleRefs)
-	}
-	if c.MaxWarmRefs < 0 {
-		return fmt.Errorf("pebil: negative MaxWarmRefs %d", c.MaxWarmRefs)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("pebil: negative Workers %d", c.Workers)
@@ -148,30 +124,15 @@ func (c CollectorConfig) Validate() error {
 	return nil
 }
 
-// withDefaults fills unset fields. Fixed sampling policies (and the
-// unset policy with its deprecated int fields) collapse into the resolved
-// SampleRefs/MaxWarmRefs ints with a zero Sampling — the canonical form
-// is the pre-redesign one, so memoization and store keys for every
-// non-adaptive configuration are byte-identical to before the
-// SamplingPolicy API existed. Adaptive policies keep their normalized
-// Sampling and leave the deprecated ints zero.
+// withDefaults fills unset fields. The sampling policy resolves to its
+// normalized form: an unset policy is the default fixed one, a fixed
+// policy gains the default sample length and warm cap, an adaptive one its
+// default bounds.
 func (c CollectorConfig) withDefaults() CollectorConfig {
-	switch c.Sampling.Mode {
-	case SamplingModeAdaptive:
-		c.Sampling = c.Sampling.normalizedAdaptive()
-	case SamplingModeFixed:
-		c.SampleRefs = c.Sampling.SampleRefs
-		c.MaxWarmRefs = c.Sampling.MaxWarmRefs
-		c.Sampling = SamplingPolicy{}
+	if c.Sampling.Mode == "" {
+		c.Sampling.Mode = SamplingModeFixed
 	}
-	if !c.Sampling.IsAdaptive() {
-		if c.SampleRefs <= 0 {
-			c.SampleRefs = DefaultSampleRefs
-		}
-		if c.MaxWarmRefs <= 0 {
-			c.MaxWarmRefs = DefaultMaxWarmRefs
-		}
-	}
+	c.Sampling = c.Sampling.Normalized()
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -199,30 +160,13 @@ func (c CollectorConfig) Normalized() CollectorConfig {
 
 // EffectiveSampling returns the sampling policy the configuration
 // resolves to: the normalized adaptive policy, or a fixed policy carrying
-// the resolved sample length and warm cap (whether they came from a
-// Fixed policy, the deprecated fields, or defaults). Use it for truthful
-// reporting of what a collection ran with.
-func (c CollectorConfig) EffectiveSampling() SamplingPolicy {
-	n := c.Normalized()
-	if n.Sampling.IsAdaptive() {
-		return n.Sampling
-	}
-	return SamplingPolicy{Mode: SamplingModeFixed, SampleRefs: n.SampleRefs, MaxWarmRefs: n.MaxWarmRefs}
-}
+// the resolved sample length and warm cap. Use it for truthful reporting
+// of what a collection ran with.
+func (c CollectorConfig) EffectiveSampling() SamplingPolicy { return c.Normalized().Sampling }
 
 // CollectorOption configures a CollectorConfig, mirroring the Engine's
 // functional-option style.
 type CollectorOption func(*CollectorConfig)
-
-// WithSampleRefs sets the per-block sample length.
-func WithSampleRefs(n int) CollectorOption {
-	return func(c *CollectorConfig) { c.SampleRefs = n }
-}
-
-// WithMaxWarmRefs sets the per-block warm-up cap.
-func WithMaxWarmRefs(n int) CollectorOption {
-	return func(c *CollectorConfig) { c.MaxWarmRefs = n }
-}
 
 // WithWorkers bounds concurrent work units (and sizes the arena of a
 // Collector built with this option).

@@ -51,7 +51,7 @@ func referenceCounters(t *testing.T, app *synthapp.App, p int, target machine.Co
 // every block's counters must be bit-identical to the serial reference —
 // across worker counts, batch sizes, and with the prefetcher on.
 func TestGoldenEquivalenceWithSerialPath(t *testing.T) {
-	cfg := CollectorConfig{SampleRefs: 50_000, MaxWarmRefs: 150_000}
+	cfg := CollectorConfig{Sampling: FixedSampling(50_000, 150_000)}
 	cases := []struct {
 		app    *synthapp.App
 		cores  int
@@ -69,8 +69,8 @@ func TestGoldenEquivalenceWithSerialPath(t *testing.T) {
 	for _, tc := range cases {
 		want := referenceCounters(t, tc.app, tc.cores, tc.target, cfg)
 		for _, run := range []CollectorConfig{
-			{SampleRefs: cfg.SampleRefs, MaxWarmRefs: cfg.MaxWarmRefs, Workers: 8, BatchSize: 4096},
-			{SampleRefs: cfg.SampleRefs, MaxWarmRefs: cfg.MaxWarmRefs, Workers: 2, BatchSize: 1009},
+			{Sampling: cfg.Sampling, Workers: 8, BatchSize: 4096},
+			{Sampling: cfg.Sampling, Workers: 2, BatchSize: 1009},
 		} {
 			got, err := col.Counters(context.Background(), tc.app, tc.cores, tc.target, run)
 			if err != nil {
@@ -92,14 +92,14 @@ func TestGoldenEquivalenceWithSerialPath(t *testing.T) {
 func BenchmarkCollect(b *testing.B) {
 	app := synthapp.UH3D()
 	bw := machine.BlueWatersP1()
-	base := CollectorConfig{SampleRefs: 100_000, MaxWarmRefs: 200_000}
+	base := CollectorConfig{Sampling: FixedSampling(100_000, 200_000)}
 	runs := []struct {
 		name string
 		cfg  CollectorConfig
 	}{
-		{"serial", CollectorConfig{SampleRefs: base.SampleRefs, MaxWarmRefs: base.MaxWarmRefs, Workers: 1, BatchSize: 1}},
-		{"batched", CollectorConfig{SampleRefs: base.SampleRefs, MaxWarmRefs: base.MaxWarmRefs, Workers: 1}},
-		{"parallel", CollectorConfig{SampleRefs: base.SampleRefs, MaxWarmRefs: base.MaxWarmRefs}},
+		{"serial", CollectorConfig{Sampling: base.Sampling, Workers: 1, BatchSize: 1}},
+		{"batched", CollectorConfig{Sampling: base.Sampling, Workers: 1}},
+		{"parallel", CollectorConfig{Sampling: base.Sampling}},
 	}
 	for _, run := range runs {
 		b.Run(run.name, func(b *testing.B) {

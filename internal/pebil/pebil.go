@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"tracex/internal/addrgen"
@@ -89,22 +88,6 @@ func (c *Collector) Workers() int { return c.arena.Workers() }
 // the worker goroutines. Collections submitted after Close fail with
 // ErrArenaClosed. Close is idempotent.
 func (c *Collector) Close() { c.arena.Close() }
-
-// defaultCollector is the process-wide pool used by callers without an
-// Engine (tools, experiments, calibration).
-var defaultCollector struct {
-	once sync.Once
-	c    *Collector
-}
-
-// DefaultCollector returns a lazily-created process-wide Collector with
-// default configuration. It is never closed.
-func DefaultCollector() *Collector {
-	defaultCollector.once.Do(func() {
-		defaultCollector.c, _ = NewCollector()
-	})
-	return defaultCollector.c
-}
 
 // resolve merges a per-call configuration with the collector base and
 // validates it: a zero cfg selects the collector's base configuration.

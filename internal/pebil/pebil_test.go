@@ -12,7 +12,7 @@ import (
 )
 
 // fastOpt keeps unit-test simulation cheap.
-var fastOpt = CollectorConfig{SampleRefs: 60_000, MaxWarmRefs: 120_000}
+var fastOpt = CollectorConfig{Sampling: FixedSampling(60_000, 120_000)}
 
 // collectCounters and collect run one collection on a throwaway collector,
 // standing in for the removed package-level convenience functions.
@@ -197,7 +197,7 @@ func TestTableIIHitRatesRiseWithCoreCount(t *testing.T) {
 	bw := machine.BlueWatersP1()
 	// Steady-state rates for multi-megabyte random regions need the full
 	// warm-up, unlike the other tests.
-	steadyOpt := CollectorConfig{SampleRefs: 400_000, MaxWarmRefs: 2_000_000}
+	steadyOpt := CollectorConfig{Sampling: FixedSampling(400_000, 2_000_000)}
 	var l1, l3 []float64
 	for _, p := range []int{1024, 2048, 4096, 8192} {
 		cs, err := collectCounters(context.Background(), app, p, bw, steadyOpt)

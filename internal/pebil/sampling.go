@@ -7,9 +7,8 @@ import (
 )
 
 // SamplingMode selects how the collector budgets simulated references per
-// block. The zero value means "unset": the legacy SampleRefs/MaxWarmRefs
-// fields (or their defaults) apply, exactly as before the SamplingPolicy
-// redesign.
+// block. The zero value means "unset", which collects like the default
+// fixed policy.
 type SamplingMode string
 
 const (
@@ -50,16 +49,13 @@ const (
 	DefaultMaxRefs = DefaultSampleRefs
 )
 
-// SamplingPolicy is the typed replacement for the raw SampleRefs and
-// MaxWarmRefs knobs on CollectorConfig: one value that says how the
+// SamplingPolicy is the collection budget: one value that says how the
 // collector spends simulated references. It is a flat comparable struct
 // (not an interface) because CollectorConfig participates in the engine's
 // memoization keys; Mode selects which field group applies.
 //
-// The zero SamplingPolicy means "unset" and defers to the deprecated
-// SampleRefs/MaxWarmRefs fields on CollectorConfig, which convert to a
-// fixed policy — existing configurations keep their byte-identical store
-// keys (pinned by test).
+// The zero SamplingPolicy means "unset" and resolves to the default fixed
+// policy (see CollectorConfig.Normalized).
 type SamplingPolicy struct {
 	// Mode selects fixed or adaptive budgeting ("" = unset).
 	Mode SamplingMode
@@ -308,12 +304,12 @@ func ParseSamplingPolicy(s string) (SamplingPolicy, error) {
 // single definition of the fixed budget, shared by the exact collector,
 // the reuse-distance recorder and the golden-test oracle.
 func (c CollectorConfig) Budget(refs, workingSetBytes float64) (warm, sample int) {
-	cfg := c.withDefaults()
+	pol := c.withDefaults().Sampling
 	warm = int(workingSetBytes / 8)
-	if warm > cfg.MaxWarmRefs {
-		warm = cfg.MaxWarmRefs
+	if warm > pol.MaxWarmRefs {
+		warm = pol.MaxWarmRefs
 	}
-	sample = cfg.SampleRefs
+	sample = pol.SampleRefs
 	if full := int(refs); full < sample {
 		sample = full // tiny blocks are simulated exactly
 	}

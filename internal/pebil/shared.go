@@ -93,7 +93,7 @@ func collectShared(ctx context.Context, works []synthapp.Work, target machine.Co
 	// Warm-up: one interleaved pass sized like the per-block warm cap.
 	// Metric updates are batched per phase, as in simulateBlock.
 	m := obs.From(ctx)
-	warm := cfg.MaxWarmRefs
+	warm := cfg.Sampling.MaxWarmRefs
 	warmStart := time.Now()
 	for i := 0; i < warm; i++ {
 		if i&ctxCheckMask == 0 {
@@ -120,7 +120,7 @@ func collectShared(ctx context.Context, works []synthapp.Work, target machine.Co
 	for i := range stats {
 		stats[i].levelHits = make([]uint64, levels)
 	}
-	total := cfg.SampleRefs * len(works)
+	total := cfg.Sampling.SampleRefs * len(works)
 	sampleStart := time.Now()
 	lastPF := sim.PrefetchFillCount()
 	for i := 0; i < total; i++ {

@@ -13,7 +13,7 @@ import (
 func TestSharedHierarchyCollection(t *testing.T) {
 	app := synthapp.UH3D()
 	bw := machine.BlueWatersP1()
-	opt := CollectorConfig{SampleRefs: 120_000, MaxWarmRefs: 1_200_000, SharedHierarchy: true}
+	opt := CollectorConfig{Sampling: FixedSampling(120_000, 1_200_000), SharedHierarchy: true}
 	cs, err := collectCounters(context.Background(), app, 1024, bw, opt)
 	if err != nil {
 		t.Fatalf("CollectCounters(shared): %v", err)
@@ -56,7 +56,7 @@ func TestSharedVsPrivateContention(t *testing.T) {
 	// small next to the hierarchy).
 	app := synthapp.UH3D()
 	bw := machine.BlueWatersP1()
-	base := CollectorConfig{SampleRefs: 120_000, MaxWarmRefs: 1_200_000}
+	base := CollectorConfig{Sampling: FixedSampling(120_000, 1_200_000)}
 	shared := base
 	shared.SharedHierarchy = true
 	priv, err := collectCounters(context.Background(), app, 1024, bw, base)
@@ -90,7 +90,7 @@ func TestSharedVsPrivateContention(t *testing.T) {
 func TestSharedHierarchySignature(t *testing.T) {
 	app := synthapp.Stencil3D()
 	bw := machine.BlueWatersP1()
-	opt := CollectorConfig{SampleRefs: 60_000, MaxWarmRefs: 300_000, SharedHierarchy: true}
+	opt := CollectorConfig{Sampling: FixedSampling(60_000, 300_000), SharedHierarchy: true}
 	sig, err := collect(context.Background(), app, 64, bw, nil, opt)
 	if err != nil {
 		t.Fatalf("Collect(shared): %v", err)

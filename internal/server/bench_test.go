@@ -93,7 +93,7 @@ func BenchmarkStoreGet(b *testing.B) {
 			}
 			h := s.Handler()
 			collect := httptest.NewRequest("POST", "/v1/predict",
-				bytes.NewReader([]byte(`{"app":"stencil3d","cores":64,"machine":"bluewaters","sample_refs":20000}`)))
+				bytes.NewReader([]byte(`{"app":"stencil3d","cores":64,"machine":"bluewaters","sampling":"fixed:20000"}`)))
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, collect)
 			if rec.Code != 200 {

@@ -44,7 +44,7 @@ func (s *Server) fleetStatus(w http.ResponseWriter, r *http.Request) {
 // requester already has, answer with the store entries this node holds
 // beyond them — the newest entry per (app, cores, machine) triple, reuse
 // profiles excluded. The requester filters the response to the keys it
-// owns and pulls each over GET /v1/signatures/{key}.
+// owns and pulls each entry's content hash over GET /v1/signatures/{hash}.
 func (s *Server) fleetSync(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.fleet(); err != nil {
 		s.writeError(w, err)
@@ -94,11 +94,13 @@ func (s *Server) fleetSync(w http.ResponseWriter, r *http.Request) {
 	for _, key := range order {
 		e := latest[key]
 		resp.Entries = append(resp.Entries, wire.FleetSyncEntry{
-			App:     e.App,
-			Machine: e.Machine,
-			Cores:   e.Cores,
-			Hash:    e.Hash,
-			Bytes:   e.Bytes,
+			App:       e.App,
+			Machine:   e.Machine,
+			Cores:     e.Cores,
+			MachineFP: e.MachineFP,
+			Opt:       e.Opt,
+			Hash:      e.Hash,
+			Bytes:     e.Bytes,
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)

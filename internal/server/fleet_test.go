@@ -90,11 +90,13 @@ func startFleetCluster(t *testing.T, n int, mode string) []*fleetNode {
 	return nodes
 }
 
-// fleetIdentity finds a stencil3d core count whose triple key is owned by
-// the wanted node, so tests can steer an identity onto (or off) a node.
+// fleetIdentity finds the smallest stencil3d core count whose triple key is
+// owned by the wanted node, so tests can steer an identity onto (or off) a
+// node. Ring ownership hashes the nodes' random loopback ports, so the
+// search walks every count in stencil3d's range rather than a handful.
 func fleetIdentity(t *testing.T, nodes []*fleetNode, owner int) (cores int, key string) {
 	t.Helper()
-	for cores := 8; cores <= 16384; cores *= 2 {
+	for cores := 8; cores <= 16384; cores++ {
 		key := fmt.Sprintf("stencil3d@%d@bluewaters", cores)
 		if nodes[0].flt.Owner(key) == nodes[owner].url {
 			return cores, key
@@ -107,7 +109,7 @@ func fleetIdentity(t *testing.T, nodes []*fleetNode, owner int) (cores int, key 
 // predictBody builds the predict request for one identity, with sampling
 // turned down so real collections stay fast.
 func predictBody(cores int) string {
-	return fmt.Sprintf(`{"app":"stencil3d","cores":%d,"machine":"bluewaters","sample_refs":20000}`, cores)
+	return fmt.Sprintf(`{"app":"stencil3d","cores":%d,"machine":"bluewaters","sampling":"fixed:20000"}`, cores)
 }
 
 // TestFleetExactlyOnce is the headline contract: the same identity
@@ -247,6 +249,75 @@ func TestFleetOwnerDownFallsBack(t *testing.T) {
 	}
 	if st.Collections != 1 {
 		t.Errorf("local collections = %d, want 1", st.Collections)
+	}
+}
+
+// TestFleetPeerAnswersExactIdentity checks that a non-owner answers under
+// the exact identity it was asked for, warm-up cap included: its runtime
+// equals a standalone engine's prediction under the same sampling policy,
+// whatever else the owner already holds for the app@cores@machine triple.
+func TestFleetPeerAnswersExactIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real collections in -short mode")
+	}
+	cases := []struct {
+		name   string
+		seed   string // policy the owner collects first ("" = none)
+		policy string
+	}{
+		{"owner holds another policy", "fixed:20000", "fixed:30000"},
+		{"first-time warm cap", "", "fixed:20000,warm=20000"},
+	}
+	body := func(cores int, policy string) string {
+		return fmt.Sprintf(`{"app":"stencil3d","cores":%d,"machine":"bluewaters","sampling":%q}`, cores, policy)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			nodes := startFleetCluster(t, 3, fleet.ModeFetch)
+			cores, _ := fleetIdentity(t, nodes, 0)
+			if tc.seed != "" {
+				if resp, b := post(t, nodes[0].url+"/v1/predict", body(cores, tc.seed)); resp.StatusCode != http.StatusOK {
+					t.Fatalf("owner seed predict: %d %s", resp.StatusCode, b)
+				}
+			}
+			resp, b := post(t, nodes[1].url+"/v1/predict", body(cores, tc.policy))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("non-owner predict: %d %s", resp.StatusCode, b)
+			}
+			var pr wire.PredictResponse
+			if err := json.Unmarshal(b, &pr); err != nil {
+				t.Fatal(err)
+			}
+			if pr.From != string(tracex.FromPeer) {
+				t.Errorf("non-owner answered from %q, want %q", pr.From, tracex.FromPeer)
+			}
+
+			pol, err := tracex.ParseSamplingPolicy(tc.policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app, err := tracex.LoadApp("stencil3d")
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := tracex.LoadMachine("bluewaters")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			sig, err := sharedEng.CollectSignature(ctx, app, cores, m, tracex.CollectOptions{Sampling: pol})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sharedEng.Predict(ctx, tracex.PredictRequest{Signature: sig, App: app})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pr.RuntimeSeconds != want.Runtime {
+				t.Errorf("non-owner %s runtime %.9f s, want %.9f s from a standalone %s collection",
+					tc.policy, pr.RuntimeSeconds, want.Runtime, tc.policy)
+			}
+		})
 	}
 }
 

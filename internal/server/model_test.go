@@ -22,7 +22,7 @@ func TestPredictCacheModel(t *testing.T) {
 	}
 
 	resp, body := post(t, base+"/v1/predict",
-		`{"app":"stencil3d","cores":64,"machine":"bluewaters","sample_refs":20000,"model":"analytical"}`)
+		`{"app":"stencil3d","cores":64,"machine":"bluewaters","sampling":"fixed:20000","model":"analytical"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("analytical predict: %d %s", resp.StatusCode, body)
 	}
@@ -32,7 +32,7 @@ func TestPredictCacheModel(t *testing.T) {
 
 	// An omitted model runs (and reports) the default exact simulation.
 	resp, body = post(t, base+"/v1/predict",
-		`{"app":"stencil3d","cores":64,"machine":"bluewaters","sample_refs":20000}`)
+		`{"app":"stencil3d","cores":64,"machine":"bluewaters","sampling":"fixed:20000"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("default predict: %d %s", resp.StatusCode, body)
 	}
@@ -50,7 +50,7 @@ func TestPredictCacheModel(t *testing.T) {
 	// The analytical model cannot reproduce prefetch traffic: 422 with the
 	// stable model_unsupported code.
 	resp, body = post(t, base+"/v1/predict",
-		`{"app":"stencil3d","cores":64,"machine":"bluewaters+pf","sample_refs":20000,"model":"analytical"}`)
+		`{"app":"stencil3d","cores":64,"machine":"bluewaters+pf","sampling":"fixed:20000","model":"analytical"}`)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("prefetch target: %d %s, want 422", resp.StatusCode, body)
 	}
@@ -68,7 +68,7 @@ func TestPredictCacheModel(t *testing.T) {
 func TestServerDefaultCacheModel(t *testing.T) {
 	_, base := newTestServer(t, Config{Engine: sharedEng, DefaultCacheModel: "analytical"})
 	resp, body := post(t, base+"/v1/predict",
-		`{"app":"stencil3d","cores":64,"machine":"bluewaters","sample_refs":20000}`)
+		`{"app":"stencil3d","cores":64,"machine":"bluewaters","sampling":"fixed:20000"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("predict under default analytical: %d %s", resp.StatusCode, body)
 	}
@@ -81,7 +81,7 @@ func TestServerDefaultCacheModel(t *testing.T) {
 	}
 	// An explicit request-level model still wins over the server default.
 	resp, body = post(t, base+"/v1/predict",
-		`{"app":"stencil3d","cores":64,"machine":"bluewaters","sample_refs":20000,"model":"exact"}`)
+		`{"app":"stencil3d","cores":64,"machine":"bluewaters","sampling":"fixed:20000","model":"exact"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("explicit exact: %d %s", resp.StatusCode, body)
 	}

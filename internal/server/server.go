@@ -752,7 +752,7 @@ func writeRaw(w http.ResponseWriter, status int, body []byte) {
 // model or sampling policy selects the server's configured default, and an
 // unknown name, malformed policy or invalid combination is a 400 (the
 // fields are client-supplied).
-func (s *Server) collectOpt(sampleRefs int, model, sampling string) (tracex.CollectOptions, error) {
+func (s *Server) collectOpt(model, sampling string) (tracex.CollectOptions, error) {
 	m := s.model
 	if model != "" {
 		var err error
@@ -766,15 +766,10 @@ func (s *Server) collectOpt(sampleRefs int, model, sampling string) (tracex.Coll
 		if pol, err = tracex.ParseSamplingPolicy(sampling); err != nil {
 			return tracex.CollectOptions{}, badRequestf("%v", err)
 		}
-	} else if sampleRefs != 0 {
-		// The client chose the legacy sample_refs knob explicitly; the
-		// server's default policy must not turn that into a conflict.
-		pol = tracex.SamplingPolicy{}
 	}
-	opt := tracex.CollectOptions{SampleRefs: sampleRefs, Model: m, Sampling: pol}
+	opt := tracex.CollectOptions{Model: m, Sampling: pol}
 	if err := opt.Validate(); err != nil {
-		// A request combining "sample_refs" with a "sampling" policy, or an
-		// adaptive policy with an unsupported model, is a client error.
+		// An adaptive policy with an unsupported model is a client error.
 		return tracex.CollectOptions{}, badRequestf("%v", err)
 	}
 	return opt, nil
@@ -846,7 +841,7 @@ func (s *Server) predict(ctx context.Context, req *wire.PredictRequest) (any, er
 		if err != nil {
 			return nil, err
 		}
-		opt, err := s.collectOpt(req.SampleRefs, req.Model, req.Sampling)
+		opt, err := s.collectOpt(req.Model, req.Sampling)
 		if err != nil {
 			return nil, err
 		}
@@ -892,7 +887,7 @@ func (s *Server) study(ctx context.Context, req *wire.StudyRequest) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	opt, err := s.collectOpt(req.SampleRefs, req.Model, req.Sampling)
+	opt, err := s.collectOpt(req.Model, req.Sampling)
 	if err != nil {
 		return nil, err
 	}
@@ -952,7 +947,7 @@ func (s *Server) collect(ctx context.Context, req *wire.SignatureRequest) (any, 
 	if err != nil {
 		return nil, err
 	}
-	opt, err := s.collectOpt(req.SampleRefs, req.Model, req.Sampling)
+	opt, err := s.collectOpt(req.Model, req.Sampling)
 	if err != nil {
 		return nil, err
 	}

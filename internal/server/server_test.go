@@ -243,6 +243,19 @@ func TestRequestValidation(t *testing.T) {
 		}
 	}
 
+	// "sampling" is the only way to state a collection budget: the retired
+	// "sample_refs" knob is an unknown field on every collecting route.
+	for _, path := range []string{"/v1/predict", "/v1/study", "/v1/signatures"} {
+		resp, body := post(t, base+path, `{"app":"stencil3d","cores":64,"machine":"bluewaters","sample_refs":20000}`)
+		var eb wire.ErrorBody
+		if err := json.Unmarshal(body, &eb); err != nil {
+			t.Fatalf("%s sample_refs: unstructured error body %s", path, body)
+		}
+		if resp.StatusCode != 400 || eb.Error.Code != "bad_request" {
+			t.Errorf("%s sample_refs: got %d/%s, want 400/bad_request", path, resp.StatusCode, eb.Error.Code)
+		}
+	}
+
 	// Sentinel mapping: an inline signature with no traces → no_traces.
 	resp, body := post(t, base+"/v1/predict",
 		`{"signature":{"app":"stencil3d","core_count":4,"machine":"bluewaters","traces":[]}}`)
@@ -266,7 +279,7 @@ func TestPipelineRoutes(t *testing.T) {
 	var sigs []*tracex.Signature
 	for _, cores := range []int{64, 128, 256} {
 		resp, body := post(t, base+"/v1/signatures", fmt.Sprintf(
-			`{"app":"stencil3d","cores":%d,"machine":"bluewaters","sample_refs":%d}`, cores, testSampleRefs))
+			`{"app":"stencil3d","cores":%d,"machine":"bluewaters","sampling":"fixed:%d"}`, cores, testSampleRefs))
 		if resp.StatusCode != 200 {
 			t.Fatalf("signatures@%d: %d %.300s", cores, resp.StatusCode, body)
 		}
@@ -320,7 +333,7 @@ func TestStudyRoute(t *testing.T) {
 	}
 	_, base := newTestServer(t, Config{Engine: sharedEng})
 	resp, body := post(t, base+"/v1/study", fmt.Sprintf(
-		`{"app":"stencil3d","machine":"bluewaters","input_counts":[64,128,256],"target_cores":512,"sample_refs":%d}`,
+		`{"app":"stencil3d","machine":"bluewaters","input_counts":[64,128,256],"target_cores":512,"sampling":"fixed:%d"}`,
 		testSampleRefs))
 	if resp.StatusCode != 200 {
 		t.Fatalf("study: %d %.300s", resp.StatusCode, body)
@@ -353,7 +366,7 @@ func TestCoalescing(t *testing.T) {
 		t.Fatal(err)
 	}
 	sig, err := real.CollectSignature(context.Background(), app, 64, machine,
-		tracex.CollectOptions{SampleRefs: testSampleRefs})
+		tracex.CollectOptions{Sampling: tracex.FixedSampling(testSampleRefs, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func storeEngine(t *testing.T, dir string) *tracex.Engine {
 
 // collectBody is the predict body that collects stencil3d@64@bluewaters.
 func collectBody() string {
-	return fmt.Sprintf(`{"app":"stencil3d","cores":64,"machine":"bluewaters","sample_refs":%d}`, testSampleRefs)
+	return fmt.Sprintf(`{"app":"stencil3d","cores":64,"machine":"bluewaters","sampling":"fixed:%d"}`, testSampleRefs)
 }
 
 // predictFrom POSTs the collecting predict body and returns the response's

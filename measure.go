@@ -10,15 +10,6 @@ import (
 	"tracex/internal/psins"
 )
 
-// Measure runs the detailed execution simulation of the application at the
-// given core count on the target machine.
-//
-// It is a wrapper over Engine.Measure on the default Engine with
-// context.Background().
-func Measure(app *App, cores int, target MachineConfig, opt CollectOptions) (*Prediction, error) {
-	return DefaultEngine().Measure(context.Background(), app, cores, target, opt)
-}
-
 // measure is the detailed execution simulation behind Engine.Measure: the
 // reproduction's stand-in for actually running and timing the application
 // on real hardware (the paper's "real measured runtime"). Instead of

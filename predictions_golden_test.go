@@ -76,10 +76,10 @@ func TestPredictionsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("collects 30 signatures")
 	}
-	// The default engine shares memoized machine profiles with the other
-	// tests (a profile is the costliest step here under the race
+	// The shared test engine holds the machine profiles the other tests
+	// memoized (a profile is the costliest step here under the race
 	// detector); predictions do not depend on which engine makes them.
-	eng := DefaultEngine()
+	eng := testEngine
 	ctx := context.Background()
 	var got []goldenPrediction
 	for _, name := range Apps() {

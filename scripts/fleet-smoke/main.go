@@ -146,7 +146,7 @@ func (n *node) stop() {
 // predict issues one triple predict and returns the HTTP status and the
 // response's provenance ("from") field.
 func predict(url string, cores int) (status int, from string, err error) {
-	body := fmt.Sprintf(`{"app":%q,"cores":%d,"machine":%q,"sample_refs":%d}`,
+	body := fmt.Sprintf(`{"app":%q,"cores":%d,"machine":%q,"sampling":"fixed:%d"}`,
 		smokeApp, cores, smokeMachine, smokeRefs)
 	resp, err := http.Post(url+"/v1/predict", "application/json", strings.NewReader(body))
 	if err != nil {

@@ -38,7 +38,7 @@ func main() {
 	_ = fs.Parse(os.Args[1:]) // ExitOnError: Parse never returns an error
 
 	cfg := tracex.CalibrationConfig{
-		Collect: tracex.CollectOptions{SampleRefs: *sampleRefs},
+		Collect: tracex.CollectOptions{Sampling: tracex.FixedSampling(*sampleRefs, 0)},
 	}
 	if *apps != "" {
 		cfg.Apps = splitList(*apps)

@@ -18,10 +18,7 @@ const (
 	warmStartCores = 1024
 )
 
-var warmStartOpt = tracex.CollectOptions{
-	SampleRefs:  60_000,
-	MaxWarmRefs: 150_000,
-}
+var warmStartOpt = tracex.CollectOptions{Sampling: tracex.FixedSampling(60_000, 150_000)}
 
 func warmStartFixtures(b *testing.B) (*tracex.App, tracex.MachineConfig) {
 	b.Helper()

@@ -19,15 +19,12 @@
 //
 // The pipeline is orchestrated by Engine, which memoizes machine profiles
 // and application signatures, deduplicates concurrent identical work, and
-// fans batch requests out across a bounded worker pool. The package-level
-// functions below are convenience wrappers over a process-wide default
-// Engine with context.Background(); callers that need cancellation,
-// bounded parallelism or cache control should construct their own Engine.
+// fans batch requests out across a bounded worker pool. Every pipeline
+// step is an Engine method; construct one with NewEngine and Close it when
+// done.
 package tracex
 
 import (
-	"context"
-
 	"tracex/internal/cache"
 	"tracex/internal/cluster"
 	"tracex/internal/extrap"
@@ -70,9 +67,8 @@ type (
 	// ExtrapOptions tunes the extrapolation.
 	ExtrapOptions = extrap.Options
 	// CollectOptions tunes signature collection. It aliases
-	// pebil.CollectorConfig: Sampling/SharedHierarchy/Model (and the
-	// deprecated SampleRefs/MaxWarmRefs ints) shape the result,
-	// Workers/BatchSize only schedule it.
+	// pebil.CollectorConfig: Sampling/SharedHierarchy/Model shape the
+	// result, Workers/BatchSize only schedule it.
 	CollectOptions = pebil.CollectorConfig
 	// SamplingPolicy is the typed reference-budget policy on
 	// CollectOptions.Sampling: a fixed per-block budget or adaptive
@@ -134,7 +130,7 @@ func ParseSamplingPolicy(s string) (SamplingPolicy, error) {
 // Sentinel errors for the failure modes callers branch on. Every error
 // returned from the pipeline that stems from one of these conditions wraps
 // the corresponding sentinel, so errors.Is works across all entry points
-// (free functions, Engine methods, and the CLIs).
+// (Engine methods and the CLIs).
 var (
 	// ErrMachineMismatch reports signatures and profiles (or mixed input
 	// signatures) that describe different machines or applications.
@@ -177,44 +173,6 @@ func LoadMachine(name string) (MachineConfig, error) { return machine.ByName(nam
 
 // Machines lists the predefined machine configurations.
 func Machines() []string { return machine.Names() }
-
-// BuildProfile runs the MultiMAPS benchmark against the machine's simulated
-// memory system and returns its machine profile. The result is memoized by
-// the default Engine and must be treated as read-only.
-func BuildProfile(cfg MachineConfig) (*Profile, error) {
-	return DefaultEngine().Profile(context.Background(), cfg)
-}
-
-// CollectSignature traces the application at the given core count against
-// the target machine's cache structure, producing the application signature
-// (one trace per load class by default; the paper's tracing step). The
-// result is memoized by the default Engine and must be treated as
-// read-only.
-func CollectSignature(app *App, cores int, target MachineConfig, opt CollectOptions) (*Signature, error) {
-	return DefaultEngine().CollectSignature(context.Background(), app, cores, target, opt)
-}
-
-// CollectReuse records the application's machine-independent reuse-distance
-// signature at the given core count (memoized by the default Engine). Derive
-// per-geometry application signatures from it with DeriveSignature.
-func CollectReuse(app *App, cores int, opt CollectOptions) (*ReuseSignature, error) {
-	rs, _, err := DefaultEngine().CollectReuse(context.Background(), app, cores, opt)
-	return rs, err
-}
-
-// CollectInputs traces the application at each of the given core counts —
-// the "series of smaller core counts" the extrapolation consumes. The
-// collections run concurrently on the default Engine's worker pool.
-func CollectInputs(app *App, counts []int, target MachineConfig, opt CollectOptions) ([]*Signature, error) {
-	return DefaultEngine().CollectInputs(context.Background(), app, counts, target, opt)
-}
-
-// Extrapolate fits canonical scaling forms to every feature-vector element
-// of the dominant task across the input signatures and synthesizes the
-// signature at targetCores.
-func Extrapolate(inputs []*Signature, targetCores int, opt ExtrapOptions) (*ExtrapResult, error) {
-	return DefaultEngine().Extrapolate(context.Background(), inputs, targetCores, opt)
-}
 
 // DeriveSignature converts a reuse-distance signature into the application
 // signature for one target geometry using the analytical cache model — no

@@ -8,7 +8,12 @@ import (
 
 // fastCollect keeps test-time simulation modest while staying above the
 // steady-state warm-up needs of the multi-megabyte random regions.
-var fastCollect = CollectOptions{SampleRefs: 200_000, MaxWarmRefs: 1_000_000}
+var fastCollect = CollectOptions{Sampling: FixedSampling(200_000, 1_000_000)}
+
+// testEngine is the Engine the package's tests share, so a profile or
+// signature one test collects is a memory hit for the next. Tests that
+// assert on an engine's own counters or lifecycle build their own.
+var testEngine = NewEngine()
 
 func TestLoadersAndLists(t *testing.T) {
 	if len(Apps()) != 5 || len(Machines()) != 7 {
@@ -34,7 +39,7 @@ func TestLoadersAndLists(t *testing.T) {
 
 func TestBuildProfile(t *testing.T) {
 	cfg, _ := LoadMachine("opteron2")
-	prof, err := BuildProfile(cfg)
+	prof, err := testEngine.Profile(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("BuildProfile: %v", err)
 	}
@@ -57,33 +62,33 @@ func TestTableIPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	target, _ := LoadMachine("bluewaters")
-	prof, err := BuildProfile(target)
+	prof, err := testEngine.Profile(context.Background(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs, err := CollectInputs(app, []int{64, 128, 256}, target, fastCollect)
+	inputs, err := testEngine.CollectInputs(context.Background(), app, []int{64, 128, 256}, target, fastCollect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Extrapolate(inputs, 512, ExtrapOptions{})
+	res, err := testEngine.Extrapolate(context.Background(), inputs, 512, ExtrapOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	collected, err := CollectSignature(app, 512, target, fastCollect)
+	collected, err := testEngine.CollectSignature(context.Background(), app, 512, target, fastCollect)
 	if err != nil {
 		t.Fatal(err)
 	}
-	predExtrap, err := DefaultEngine().Predict(context.Background(),
+	predExtrap, err := testEngine.Predict(context.Background(),
 		PredictRequest{Signature: res.Signature, Profile: prof, App: app})
 	if err != nil {
 		t.Fatalf("Predict(extrapolated): %v", err)
 	}
-	predColl, err := DefaultEngine().Predict(context.Background(),
+	predColl, err := testEngine.Predict(context.Background(),
 		PredictRequest{Signature: collected, Profile: prof, App: app})
 	if err != nil {
 		t.Fatalf("Predict(collected): %v", err)
 	}
-	measured, err := Measure(app, 512, target, fastCollect)
+	measured, err := testEngine.Measure(context.Background(), app, 512, target, fastCollect)
 	if err != nil {
 		t.Fatalf("Measure: %v", err)
 	}
@@ -108,15 +113,15 @@ func TestPredictValidation(t *testing.T) {
 	app, _ := LoadApp("stencil3d")
 	target, _ := LoadMachine("bluewaters")
 	other, _ := LoadMachine("kraken")
-	prof, err := BuildProfile(other)
+	prof, err := testEngine.Profile(context.Background(), other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig, err := CollectSignature(app, 64, target, CollectOptions{SampleRefs: 20_000, MaxWarmRefs: 50_000})
+	sig, err := testEngine.CollectSignature(context.Background(), app, 64, target, CollectOptions{Sampling: FixedSampling(20_000, 50_000)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DefaultEngine().Predict(context.Background(),
+	if _, err := testEngine.Predict(context.Background(),
 		PredictRequest{Signature: sig, Profile: prof, App: app}); err == nil {
 		t.Error("machine mismatch accepted")
 	}
@@ -125,12 +130,12 @@ func TestPredictValidation(t *testing.T) {
 func TestMeasureDeterministic(t *testing.T) {
 	app, _ := LoadApp("stencil3d")
 	target, _ := LoadMachine("bluewaters")
-	opt := CollectOptions{SampleRefs: 50_000, MaxWarmRefs: 100_000}
-	a, err := Measure(app, 64, target, opt)
+	opt := CollectOptions{Sampling: FixedSampling(50_000, 100_000)}
+	a, err := testEngine.Measure(context.Background(), app, 64, target, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Measure(app, 64, target, opt)
+	b, err := testEngine.Measure(context.Background(), app, 64, target, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestCalibrationCoverage(t *testing.T) {
 	rep, err := eng.CalibrateIntervals(context.Background(), CalibrationConfig{
 		Apps:     []string{"stencil3d", "cgsolve"},
 		Machines: []string{"bluewaters", "kraken"},
-		Collect:  CollectOptions{SampleRefs: 20000},
+		Collect:  CollectOptions{Sampling: FixedSampling(20000, 0)},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -73,9 +73,6 @@ type PredictRequest struct {
 	Machine string `json:"machine,omitempty"`
 	// Cores is the core count to collect at. Required without a signature.
 	Cores int `json:"cores,omitempty"`
-	// SampleRefs tunes collection (references simulated per block; 0 =
-	// server default).
-	SampleRefs int `json:"sample_refs,omitempty"`
 	// Model selects the cache model for collection: "exact" (default)
 	// simulates the target hierarchy, "analytical" derives hit rates from a
 	// machine-independent reuse-distance signature. Ignored with an inline
@@ -83,8 +80,7 @@ type PredictRequest struct {
 	Model string `json:"model,omitempty"`
 	// Sampling selects the collection sampling policy ("fixed:400000",
 	// "adaptive:0.05,pilot=20000,min=20000,max=400000,cluster=on"; empty =
-	// server default). Mutually exclusive with SampleRefs. Ignored with an
-	// inline signature.
+	// server default). Ignored with an inline signature.
 	Sampling string `json:"sampling,omitempty"`
 	// Signature predicts from an already-collected (or extrapolated)
 	// signature instead of collecting one.
@@ -158,13 +154,11 @@ type StudyRequest struct {
 	// study evaluates their sorted, deduplicated union.
 	TargetCores  int   `json:"target_cores,omitempty"`
 	TargetCounts []int `json:"target_counts,omitempty"`
-	// SampleRefs tunes collection (0 = server default).
-	SampleRefs int `json:"sample_refs,omitempty"`
 	// Model selects the cache model for every collection in the study
 	// ("exact" default, or "analytical").
 	Model string `json:"model,omitempty"`
 	// Sampling selects the sampling policy for every collection in the
-	// study (empty = server default; mutually exclusive with SampleRefs).
+	// study (empty = server default).
 	Sampling string `json:"sampling,omitempty"`
 	// ExtendedForms adds the power-law and quadratic forms to the fit.
 	ExtendedForms bool `json:"extended_forms,omitempty"`
@@ -211,16 +205,14 @@ type ExtrapolateResponse struct {
 // SignatureRequest is the body of POST /v1/signatures: collect one
 // application signature.
 type SignatureRequest struct {
-	App        string `json:"app"`
-	Cores      int    `json:"cores"`
-	Machine    string `json:"machine"`
-	SampleRefs int    `json:"sample_refs,omitempty"`
+	App     string `json:"app"`
+	Cores   int    `json:"cores"`
+	Machine string `json:"machine"`
 	// Model selects the cache model ("exact" default, or "analytical").
 	Model string `json:"model,omitempty"`
-	// Sampling selects the sampling policy (empty = server default;
-	// mutually exclusive with SampleRefs). A fleet peer delegating a
-	// collection forwards its policy here so the owner collects under the
-	// same identity.
+	// Sampling selects the sampling policy (empty = server default). A
+	// fleet peer delegating a collection forwards its normalized policy
+	// here so the owner collects under the same identity.
 	Sampling string `json:"sampling,omitempty"`
 	// Delegated marks a collection forwarded by a fleet peer to this node
 	// because the consistent-hash ring names it the key's owner. The server
@@ -327,6 +319,11 @@ type FleetSyncEntry struct {
 	App     string `json:"app"`
 	Machine string `json:"machine"`
 	Cores   int    `json:"cores"`
+	// MachineFP and Opt complete the entry's store key (the machine
+	// configuration and collection options it was filed under), so the
+	// requester files the pulled signature under the same identity.
+	MachineFP string `json:"machine_fp,omitempty"`
+	Opt       string `json:"opt,omitempty"`
 	// Hash is the object's hex SHA-256 content hash; Bytes its encoded
 	// size.
 	Hash  string `json:"hash"`

@@ -25,23 +25,26 @@ test-short:
 test-race:
 	$(GO) test -race ./...
 
-# Short fuzz passes over the signature codec, the wire strict decoder and
-# the program validator (CI runs the same smoke).
+# Short fuzz passes over the signature codec, the wire strict decoder, the
+# program validator and the cache simulator (CI runs the same smoke).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSignatureDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStrict -fuzztime 10s ./wire
 	$(GO) test -run '^$$' -fuzz FuzzProgramValidate -fuzztime 10s ./internal/mpi
+	$(GO) test -run '^$$' -fuzz FuzzSimulatorMatchesReference -fuzztime 10s ./internal/cache
 
 # One iteration of every exhibit benchmark (Table/Figure regeneration).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 
-# Serial vs batched vs arena-parallel signature collection (the PR's
-# tentpole), plus the batched hot loops underneath it (address generation
-# and cache AccessBatch). Allocation counts should be 0 in steady state.
+# Serial vs batched vs arena-parallel signature collection, plus the
+# batched hot loops underneath it (address generation and cache
+# AccessBatch) and the MultiMAPS probe sweep that runs the same simulator.
+# Allocation counts should be 0 in steady state.
 bench-collect:
 	$(GO) test -run '^$$' -bench 'BenchmarkCollect/' -benchmem -benchtime=3x ./internal/pebil
 	$(GO) test -run '^$$' -bench 'BenchmarkAccessBatch|BenchmarkStrideNextBatch|BenchmarkRandomNextBatch' -benchmem ./internal/cache ./internal/addrgen
+	$(GO) test -run '^$$' -bench 'BenchmarkProbeSweep' -benchmem ./internal/multimaps
 
 # One iteration of every benchmark in the tree: a cheap CI smoke that
 # catches benchmarks that no longer compile or crash, without timing noise.

@@ -716,7 +716,8 @@ func TestPredictRequestVariants(t *testing.T) {
 // TestPredictWarmAllocs gates the warm predict path deterministically: a
 // stencil3d@1024 predict from a cached signature and profile builds the
 // program, compiles it and replays it in a bounded number of allocations,
-// none per event or per message.
+// none per rank, event or message. It measures ~120; a program whose rank
+// traces grew by append made ~5,500.
 func TestPredictWarmAllocs(t *testing.T) {
 	app := testApp(t, "stencil3d")
 	target, err := LoadMachine("bluewaters")
@@ -737,7 +738,7 @@ func TestPredictWarmAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 8800 {
-		t.Errorf("warm stencil3d@1024 predict made %.0f allocations, want ≤ 8800", allocs)
+	if allocs > 600 {
+		t.Errorf("warm stencil3d@1024 predict made %.0f allocations, want ≤ 600", allocs)
 	}
 }

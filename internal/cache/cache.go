@@ -52,22 +52,42 @@ func (c LevelConfig) Validate() error {
 // Sets returns the number of sets in the level.
 func (c LevelConfig) Sets() int { return c.SizeBytes / c.LineSize / c.Assoc }
 
+// linePad keeps a struct's hot fields off host cache lines shared with
+// other heap objects: a pad at each end of a struct whose fields one
+// goroutine writes on every access. Without the pads two simulators driven
+// by different workers could land in one line, and in about half of all
+// MultiMAPS sweeps on a 2-vCPU Xeon VM both then ran at half speed. 128
+// bytes also covers CPUs that fetch lines in adjacent pairs.
+type linePad [128]byte
+
+// noLine marks an unused way. A way holds its line's tag, the line address
+// with the set index divided out, so every tag is below noLine on a level
+// with two or more sets or with lines of two or more bytes. Only a one-set
+// level with 1-byte lines can hold a line tagged noLine; filled tells that
+// line from the unused ways there.
+const noLine = ^uint64(0)
+
 // level is the runtime state of one cache level. The geometry derived from
 // cfg (set count, mask, associativity) is hoisted into flat fields at
 // construction so the per-access probe never re-derives it from the config
 // struct.
 type level struct {
-	cfg      LevelConfig
-	sets     int
-	sets64   uint64 // uint64(sets), hoisted for the non-power-of-two modulo
-	setMask  uint64 // sets-1 when sets is a power of two, else 0
-	assoc    int    // cfg.Assoc, hoisted out of the probe loop
-	shift    uint   // log2(line size)
-	tags     []uint64
-	ages     []uint64
-	valid    []bool
-	hits     uint64
-	accesses uint64
+	_       linePad
+	cfg     LevelConfig
+	sets64  uint64 // uint64(sets), hoisted for the non-power-of-two divide
+	setMask uint64 // sets-1 when sets is a power of two, else 0
+	setBits uint   // log2(sets) when sets is a power of two
+	pow2    bool   // sets is a power of two (one set included)
+	assoc   int    // cfg.Assoc, hoisted out of the probe loop
+	// ways holds assoc line tags per set, each set most-recent-first, so
+	// the last way of a set is its LRU victim. Unused ways hold noLine
+	// and sit at the tail of their set.
+	ways []uint64
+	// filled counts the fills since the last flush, capped at assoc: on a
+	// one-set level the first filled ways are exactly the used ones.
+	filled int
+	hits   uint64
+	_      linePad
 }
 
 // Options tunes optional simulator hardware features.
@@ -84,8 +104,9 @@ type Options struct {
 // Simulator is a multi-level inclusive cache simulator. It is not safe for
 // concurrent use; create one Simulator per worker goroutine.
 type Simulator struct {
-	levels []*level
-	tick   uint64
+	_      linePad
+	levels []level
+	shift  uint // log2(line size), shared by every level
 	opts   Options
 	// memAccesses counts references that missed every level.
 	memAccesses uint64
@@ -99,6 +120,7 @@ type Simulator struct {
 	// pfLines marks line addresses installed by the prefetcher but not yet
 	// demanded; a demand hit on such a line keeps the stream running.
 	pfLines map[uint64]bool
+	_       linePad
 }
 
 // NewSimulator builds a Simulator for the given hierarchy with default
@@ -115,7 +137,12 @@ func NewSimulatorOpts(levels []LevelConfig, opts Options) (*Simulator, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("cache: hierarchy needs at least one level")
 	}
-	sim := &Simulator{levels: make([]*level, len(levels)), opts: opts, lastMissBlk: ^uint64(0)}
+	sim := &Simulator{
+		levels:      make([]level, len(levels)),
+		shift:       uint(bits.TrailingZeros(uint(levels[0].LineSize))),
+		opts:        opts,
+		lastMissBlk: ^uint64(0),
+	}
 	if opts.NextLinePrefetch {
 		sim.pfLines = make(map[uint64]bool)
 	}
@@ -131,21 +158,18 @@ func NewSimulatorOpts(levels []LevelConfig, opts Options) (*Simulator, error) {
 			return nil, fmt.Errorf("cache: level %s (%d B) smaller than previous level (%d B); inclusive hierarchy requires monotone sizes",
 				cfg.Name, cfg.SizeBytes, levels[i-1].SizeBytes)
 		}
-		lv := &level{
-			cfg:   cfg,
-			sets:  cfg.Sets(),
-			assoc: cfg.Assoc,
-			shift: uint(bits.TrailingZeros(uint(cfg.LineSize))),
+		sets := cfg.Sets()
+		lv := &sim.levels[i]
+		lv.cfg = cfg
+		lv.sets64 = uint64(sets)
+		lv.assoc = cfg.Assoc
+		if bits.OnesCount(uint(sets)) == 1 {
+			lv.pow2 = true
+			lv.setMask = uint64(sets - 1)
+			lv.setBits = uint(bits.TrailingZeros(uint(sets)))
 		}
-		lv.sets64 = uint64(lv.sets)
-		if bits.OnesCount(uint(lv.sets)) == 1 {
-			lv.setMask = uint64(lv.sets - 1)
-		}
-		n := lv.sets * cfg.Assoc
-		lv.tags = make([]uint64, n)
-		lv.ages = make([]uint64, n)
-		lv.valid = make([]bool, n)
-		sim.levels[i] = lv
+		lv.ways = make([]uint64, sets*cfg.Assoc)
+		lv.flush()
 	}
 	return sim, nil
 }
@@ -153,48 +177,54 @@ func NewSimulatorOpts(levels []LevelConfig, opts Options) (*Simulator, error) {
 // Levels returns the configured level geometries nearest-first.
 func (s *Simulator) Levels() []LevelConfig {
 	out := make([]LevelConfig, len(s.levels))
-	for i, lv := range s.levels {
-		out[i] = lv.cfg
+	for i := range s.levels {
+		out[i] = s.levels[i].cfg
 	}
 	return out
 }
 
-// lookupFill probes one level for the line containing addr, fills it on a
-// miss, and reports whether it hit. When countHit is false the probe is a
-// prefetch install: it refreshes recency and fills but never counts.
-func (s *Simulator) lookupFill(lv *level, addr uint64, countHit bool) bool {
-	blk := addr >> lv.shift
-	var set uint64
-	if lv.setMask != 0 {
-		set = blk & lv.setMask
+// lookupFill probes the level for line blk and reports whether it hit. A
+// hit moves the line to the front of its set; a miss shifts the set down
+// one way, evicting the least recent line (or an unused way), and inserts
+// the line at the front.
+func (lv *level) lookupFill(blk uint64) bool {
+	var set, tag uint64
+	if lv.pow2 {
+		set, tag = blk&lv.setMask, blk>>lv.setBits
 	} else {
-		set = blk % lv.sets64
+		tag = blk / lv.sets64
+		set = blk - tag*lv.sets64
 	}
 	base := int(set) * lv.assoc
-	victim := base
-	var victimAge uint64 = ^uint64(0)
-	for w := base; w < base+lv.assoc; w++ {
-		if lv.valid[w] && lv.tags[w] == blk {
-			lv.ages[w] = s.tick
-			if countHit {
-				lv.hits++
-			}
+	ways := lv.ways[base : base+lv.assoc]
+	prev := ways[0]
+	if prev == tag && (tag != noLine || lv.filled > 0) {
+		return true
+	}
+	// Scan and shift in one pass: each way takes its predecessor's tag
+	// until the line turns up, which leaves ways[0] free for it.
+	for k := 1; k < len(ways); k++ {
+		cur := ways[k]
+		ways[k] = prev
+		if cur == tag && (tag != noLine || k < lv.filled) {
+			ways[0] = tag
 			return true
 		}
-		// Track LRU victim: invalid ways win immediately.
-		if !lv.valid[w] {
-			if victimAge != 0 {
-				victim, victimAge = w, 0
-			}
-		} else if lv.ages[w] < victimAge {
-			victim, victimAge = w, lv.ages[w]
-		}
+		prev = cur
 	}
-	// Fill on miss.
-	lv.tags[victim] = blk
-	lv.ages[victim] = s.tick
-	lv.valid[victim] = true
+	ways[0] = tag
+	if lv.filled < lv.assoc {
+		lv.filled++
+	}
 	return false
+}
+
+// flush empties every set of the level.
+func (lv *level) flush() {
+	for i := range lv.ways {
+		lv.ways[i] = noLine
+	}
+	lv.filled = 0
 }
 
 // Access simulates one memory reference to addr. It returns the zero-based
@@ -202,12 +232,13 @@ func (s *Simulator) lookupFill(lv *level, addr uint64, countHit bool) bool {
 // memory. Missing levels are filled (inclusive hierarchy), evicting the LRU
 // way in each set.
 func (s *Simulator) Access(addr uint64) int {
-	s.tick++
 	s.totalRefs++
+	blk := addr >> s.shift
 	hitLevel := len(s.levels)
-	for i, lv := range s.levels {
-		lv.accesses++
-		if s.lookupFill(lv, addr, true) {
+	for i := range s.levels {
+		lv := &s.levels[i]
+		if lv.lookupFill(blk) {
+			lv.hits++
 			hitLevel = i
 			break
 		}
@@ -218,7 +249,6 @@ func (s *Simulator) Access(addr uint64) int {
 		}
 		return hitLevel
 	}
-	blk := addr >> s.levels[0].shift
 	if hitLevel == len(s.levels) {
 		s.memAccesses++
 		// Stream detection: a second miss on the adjacent line arms the
@@ -236,12 +266,14 @@ func (s *Simulator) Access(addr uint64) int {
 }
 
 // prefetchLine installs one line hierarchy-wide on behalf of the stream
-// prefetcher, without touching demand accounting.
+// prefetcher, without touching demand accounting. The installed line is
+// the one holding address blk<<shift, which wraps at the top of the
+// address space.
 func (s *Simulator) prefetchLine(blk uint64) {
-	addr := blk << s.levels[0].shift
+	line := blk << s.shift >> s.shift
 	already := true
-	for _, lv := range s.levels {
-		if !s.lookupFill(lv, addr, false) {
+	for i := range s.levels {
+		if !s.levels[i].lookupFill(line) {
 			already = false
 		}
 	}
@@ -284,8 +316,8 @@ func (s *Simulator) Counters() Counters {
 		MemAccesses:   s.memAccesses,
 		PrefetchFills: s.prefetchFills,
 	}
-	for i, lv := range s.levels {
-		c.LevelHits[i] = lv.hits
+	for i := range s.levels {
+		c.LevelHits[i] = s.levels[i].hits
 	}
 	return c
 }
@@ -297,27 +329,21 @@ func (s *Simulator) ResetCounters() {
 	s.totalRefs = 0
 	s.memAccesses = 0
 	s.prefetchFills = 0
-	for _, lv := range s.levels {
-		lv.hits = 0
-		lv.accesses = 0
+	for i := range s.levels {
+		s.levels[i].hits = 0
 	}
 }
 
-// Flush invalidates all cache contents and zeroes the counters.
+// Flush invalidates all cache contents, disarms the prefetcher and zeroes
+// the counters: a flushed simulator behaves exactly as a new one. It does
+// not allocate.
 func (s *Simulator) Flush() {
 	s.ResetCounters()
-	for _, lv := range s.levels {
-		for i := range lv.valid {
-			lv.valid[i] = false
-			lv.tags[i] = 0
-			lv.ages[i] = 0
-		}
+	for i := range s.levels {
+		s.levels[i].flush()
 	}
-	s.tick = 0
 	s.lastMissBlk = ^uint64(0)
-	if s.pfLines != nil {
-		s.pfLines = make(map[uint64]bool)
-	}
+	clear(s.pfLines)
 }
 
 // CumulativeHitRates returns, for each level i, the fraction of all

@@ -2,11 +2,13 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
 // TestAccessSteadyStateAllocationFree guards the hot loop: once a simulator
-// is constructed, demand accesses (scalar and batched) must not allocate.
+// is constructed, demand accesses (scalar and batched) and Flush must not
+// allocate.
 func TestAccessSteadyStateAllocationFree(t *testing.T) {
 	sim, err := NewSimulator(threeLevel())
 	if err != nil {
@@ -25,6 +27,19 @@ func TestAccessSteadyStateAllocationFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, func() { sim.AccessBatch(batch) }); allocs != 0 {
 		t.Errorf("AccessBatch allocated %.1f objects per run, want 0", allocs)
+	}
+	// Flush clears the prefetcher's stream state in place, so reusing a
+	// prefetching simulator across work units allocates nothing either.
+	pf, err := NewSimulatorOpts(threeLevel(), Options{NextLinePrefetch: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf.AccessBatch(batch) // arm streams: the prefetched-line set is non-empty
+	if allocs := testing.AllocsPerRun(20, func() {
+		pf.Flush()
+		pf.AccessBatch(batch[:64])
+	}); allocs != 0 {
+		t.Errorf("Flush on a prefetching simulator allocated %.1f objects per run, want 0", allocs)
 	}
 }
 
@@ -92,5 +107,38 @@ func BenchmarkAccessBatchRandom(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		off := (i * 4096) & (1<<16 - 1)
 		sim.AccessBatch(addrs[off : off+4096])
+	}
+}
+
+// BenchmarkAccessBatchRandom48Way is BenchmarkAccessBatchRandom on kraken's
+// hierarchy, whose 48-way L3 makes every miss scan and shift a long set.
+func BenchmarkAccessBatchRandom48Way(b *testing.B) {
+	levels := []LevelConfig{
+		{Name: "L1", SizeBytes: 64 << 10, Assoc: 2, LineSize: 64},
+		{Name: "L2", SizeBytes: 512 << 10, Assoc: 16, LineSize: 64},
+		{Name: "L3", SizeBytes: 6 << 20, Assoc: 48, LineSize: 64},
+	}
+	sim, _ := NewSimulator(levels)
+	rng := rand.New(rand.NewSource(1))
+	addrs := make([]uint64, 1<<16)
+	for i := range addrs {
+		addrs[i] = uint64(rng.Intn(16 << 20))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := (i * 4096) & (1<<16 - 1)
+		sim.AccessBatch(addrs[off : off+4096])
+	}
+}
+
+// TestHotStateOwnsItsCacheLines pins the pads that keep the state a worker
+// writes on every access off host cache lines any other heap object uses.
+func TestHotStateOwnsItsCacheLines(t *testing.T) {
+	pad := reflect.TypeOf(linePad{})
+	for _, typ := range []reflect.Type{reflect.TypeOf(Simulator{}), reflect.TypeOf(level{}), reflect.TypeOf(ReuseRecorder{})} {
+		if typ.Field(0).Type != pad || typ.Field(typ.NumField()-1).Type != pad {
+			t.Errorf("%s does not start and end with a linePad", typ)
+		}
 	}
 }

@@ -39,28 +39,111 @@ func (n *naiveStackDistance) access(addr uint64) (dist uint64, cold bool) {
 	return uint64(len(distinct)), false
 }
 
+// TestReuseRecorderMatchesNaive checks every reuse distance against the
+// O(n²) reference over a hot/scan/far mixture, streams in far-apart regions
+// (the ID<<32 bases of synthapp blocks) and streams that straddle page
+// boundaries. One recorder with a tiny capacity serves every stream twice,
+// so compaction runs constantly and the second round reuses the pages the
+// first released through Reset.
 func TestReuseRecorderMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	rec, err := NewReuseRecorder(64, 8) // tiny capacity: exercises compaction
+	rec, err := NewReuseRecorder(64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive := &naiveStackDistance{shift: 6}
-	for i := 0; i < 5000; i++ {
-		// Mixture of hot lines, a strided scan and random far lines.
-		var addr uint64
-		switch rng.Intn(3) {
-		case 0:
-			addr = uint64(rng.Intn(16)) * 64
-		case 1:
-			addr = uint64(i%700) * 64
-		default:
-			addr = uint64(rng.Intn(1 << 20))
+	streams := []struct {
+		name string
+		addr func(i int) uint64
+	}{
+		{"mixed", func(i int) uint64 {
+			switch rng.Intn(3) {
+			case 0:
+				return uint64(rng.Intn(16)) * 64
+			case 1:
+				return uint64(i%700) * 64
+			default:
+				return uint64(rng.Intn(1 << 20))
+			}
+		}},
+		{"far regions", func(i int) uint64 {
+			id := uint64(1 + rng.Intn(6))
+			return id<<32 + uint64(rng.Intn(3*pageLines*64))
+		}},
+		{"page edges", func(i int) uint64 {
+			line := uint64(1+rng.Intn(8))*pageLines + uint64(rng.Intn(5)) - 2
+			return line*64 + uint64(rng.Intn(64))
+		}},
+	}
+	n := 4000
+	if testing.Short() {
+		n = 1000
+	}
+	for round := 0; round < 2; round++ {
+		for _, st := range streams {
+			rec.Reset(8)
+			naive := &naiveStackDistance{shift: 6}
+			for i := 0; i < n; i++ {
+				addr := st.addr(i)
+				gd, gc := rec.access(addr)
+				wd, wc := naive.access(addr)
+				if gd != wd || gc != wc {
+					t.Fatalf("round %d %s: ref %d addr %#x: got (%d,%v), want (%d,%v)", round, st.name, i, addr, gd, gc, wd, wc)
+				}
+			}
 		}
-		gd, gc := rec.access(addr)
-		wd, wc := naive.access(addr)
-		if gd != wd || gc != wc {
-			t.Fatalf("ref %d addr %#x: got (%d,%v), want (%d,%v)", i, addr, gd, gc, wd, wc)
+	}
+}
+
+// TestReuseRecorderWarmThenRecordMatchesNaive: Warm stamps access times
+// without updating the tree, so the distances Record measures afterwards
+// must still equal the naive reference's, with compaction inside Warm, a
+// Warm after a Record, and a reused recorder.
+func TestReuseRecorderWarmThenRecordMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, capacity := range []int{8, 100, 1 << 14} {
+		rec, err := NewReuseRecorder(64, capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ {
+			rec.Reset(capacity)
+			naive := &naiveStackDistance{shift: 6}
+			var got, want trace.ReuseHistogram
+			got.LineSize, want.LineSize = 64, 64
+			for phase := 0; phase < 4; phase++ {
+				addrs := make([]uint64, 300+rng.Intn(700))
+				for i := range addrs {
+					addrs[i] = uint64(1+rng.Intn(3))<<32 + uint64(rng.Intn(1500))*64
+				}
+				warm := phase%2 == 0
+				for i := 0; i < len(addrs); i += 64 {
+					batch := addrs[i:min(i+64, len(addrs))]
+					if warm {
+						rec.Warm(batch)
+					} else {
+						rec.Record(batch, &got)
+					}
+				}
+				for _, a := range addrs {
+					d, cold := naive.access(a)
+					switch {
+					case warm:
+					case cold:
+						want.AddCold()
+					default:
+						want.Add(d)
+					}
+				}
+			}
+			if got.Refs != want.Refs || got.Cold != want.Cold || len(got.Counts) != len(want.Counts) {
+				t.Fatalf("capacity %d round %d: histogram %d refs/%d cold/%d buckets, naive %d/%d/%d",
+					capacity, round, got.Refs, got.Cold, len(got.Counts), want.Refs, want.Cold, len(want.Counts))
+			}
+			for b := range want.Counts {
+				if got.Counts[b] != want.Counts[b] {
+					t.Fatalf("capacity %d round %d: bucket %d = %d, naive %d", capacity, round, b, got.Counts[b], want.Counts[b])
+				}
+			}
 		}
 	}
 }
@@ -86,6 +169,14 @@ func TestReuseRecorderResetReuses(t *testing.T) {
 		if b < len(h2.Counts) && h1.Counts[b] != h2.Counts[b] {
 			t.Fatalf("bucket %d: %d vs %d after Reset", b, h1.Counts[b], h2.Counts[b])
 		}
+	}
+	// Reset keeps the tree and the pages, so recording the same stream
+	// again allocates nothing.
+	if allocs := testing.AllocsPerRun(5, func() {
+		rec.Reset(1024)
+		rec.Record(addrs, &h2)
+	}); allocs != 0 {
+		t.Errorf("Reset+Record allocated %.1f objects per run, want 0", allocs)
 	}
 }
 

@@ -166,7 +166,6 @@ func Synthesize(app string, p Profile) (*mpi.Program, error) {
 		return nil, fmt.Errorf("commx: profile has %d corner neighbors but a %dx%dx%d grid has %d — topology mismatch",
 			p.Neighbors, g.Px, g.Py, g.Pz, cornerDegree)
 	}
-	b := mpi.NewBuilder(app, p.CoreCount)
 	steps := int(math.Round(p.MessagesPerNeighbor))
 	if steps < 0 {
 		steps = 0
@@ -176,19 +175,20 @@ func Synthesize(app string, p Profile) (*mpi.Program, error) {
 	if steps > 0 {
 		collPerStep = p.Collectives / steps
 	}
-	for s := 0; s < steps; s++ {
-		if p.CoreCount > 1 && faceBytes > 0 {
-			b.HaloExchange3D(g, faceBytes, 1000*s)
-		}
-		for c := 0; c < collPerStep; c++ {
-			bytes := uint64(math.Round(p.CollectiveBytes))
-			if bytes == 0 {
-				bytes = 8
+	return mpi.BuildProgram(app, p.CoreCount, func(b *mpi.Builder) {
+		for s := 0; s < steps; s++ {
+			if p.CoreCount > 1 && faceBytes > 0 {
+				b.HaloExchange3D(g, faceBytes, 1000*s)
 			}
-			b.Allreduce(bytes)
+			for c := 0; c < collPerStep; c++ {
+				bytes := uint64(math.Round(p.CollectiveBytes))
+				if bytes == 0 {
+					bytes = 8
+				}
+				b.Allreduce(bytes)
+			}
 		}
-	}
-	return b.Build()
+	})
 }
 
 // CompareProfiles returns per-field absolute relative errors between a

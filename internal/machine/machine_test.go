@@ -413,3 +413,23 @@ func TestProfileJSONPreservesPrefetchFields(t *testing.T) {
 		t.Errorf("probe fields lost: %+v", q.Surface[0])
 	}
 }
+
+// TestPredefinedLevelsHaveTwoSets pins the condition under which the cache
+// simulator's recency order equals the age-stamped order it replaced with
+// the prefetcher on: a prefetched line and the demand line that triggered
+// it are adjacent lines, so they share a set only on a one-set level.
+func TestPredefinedLevelsHaveTwoSets(t *testing.T) {
+	for _, name := range Names() {
+		for _, n := range []string{name, name + "+pf"} {
+			cfg, err := ByName(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, lv := range cfg.Caches {
+				if lv.Sets() < 2 {
+					t.Errorf("%s level %s has %d sets, want at least 2", n, lv.Name, lv.Sets())
+				}
+			}
+		}
+	}
+}

@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Builder incrementally constructs a Program. Methods that add
@@ -12,10 +11,15 @@ import (
 // the matching sends exist somewhere in the program). Every event is
 // checked as it is appended and every pattern appends matched sends and
 // receives, waited requests and collectives on all ranks, so a program
-// built without error always passes Program.Validate.
+// built without error always passes Program.Validate. BuildProgram drives
+// a Builder twice to size every rank's trace exactly.
 type Builder struct {
 	prog Program
 	err  error
+	// counts, while non-nil, makes the builder a dry run for BuildProgram:
+	// add checks each event and counts it against its rank instead of
+	// appending it.
+	counts []int
 }
 
 // NewBuilder returns a Builder for an application with n ranks.
@@ -37,16 +41,67 @@ func (b *Builder) fail(format string, args ...any) {
 }
 
 // add appends e to rank r's trace after checking it as Program.Validate
-// does; an invalid event becomes the sticky error.
+// does; an invalid event becomes the sticky error. In a dry run it only
+// counts the event.
 func (b *Builder) add(r int, e Event) {
 	if b.err != nil {
 		return
 	}
 	if err := e.Validate(r, len(b.prog.Ranks)); err != nil {
-		b.fail("mpi: rank %d event %d: %w", r, len(b.prog.Ranks[r]), err)
+		b.fail("mpi: rank %d event %d: %w", r, b.events(r), err)
+		return
+	}
+	if b.counts != nil {
+		b.counts[r]++
 		return
 	}
 	b.prog.Ranks[r] = append(b.prog.Ranks[r], e)
+}
+
+// events returns the number of events rank r holds so far.
+func (b *Builder) events(r int) int {
+	if b.counts != nil {
+		return b.counts[r]
+	}
+	return len(b.prog.Ranks[r])
+}
+
+// BuildProgram builds the n-rank program that build describes through the
+// Builder's patterns, with every rank's events in one exactly sized array.
+// It calls build twice: a dry run that checks and counts each rank's
+// events, then a fill into the array, so no rank's trace grows by append.
+// build must describe the same program on both calls; a fill that departs
+// from its dry run's counts is an error.
+func BuildProgram(app string, n int, build func(*Builder)) (*Program, error) {
+	b := NewBuilder(app, n)
+	if b.err != nil {
+		return nil, b.err
+	}
+	counts := make([]int, n)
+	b.counts = counts
+	build(b)
+	b.counts = nil
+	if b.err != nil {
+		return nil, b.err
+	}
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	events := make([]Event, total)
+	for r, c := range counts {
+		b.prog.Ranks[r], events = events[:0:c], events[c:]
+	}
+	build(b)
+	if b.err != nil {
+		return nil, b.err
+	}
+	for r, c := range counts {
+		if got := len(b.prog.Ranks[r]); got != c {
+			return nil, fmt.Errorf("mpi: building %s: rank %d has %d events, its dry run counted %d", app, r, got, c)
+		}
+	}
+	return b.Build()
 }
 
 // Compute appends a compute segment executing share of block blockID on
@@ -168,8 +223,8 @@ func (g Grid3D) SurfaceFraction(totalCells float64) float64 {
 var faceDirs = [6][3]int{{-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}}
 
 // faceNeighbors returns rank r's neighbor in each face direction, -1 where
-// r lies on the grid boundary, and the number of neighbors.
-func (g Grid3D) faceNeighbors(r int) (peers [6]int, n int) {
+// r lies on the grid boundary.
+func (g Grid3D) faceNeighbors(r int) (peers [6]int) {
 	x, y, z := g.Coords(r)
 	for di, d := range faceDirs {
 		nx, ny, nz := x+d[0], y+d[1], z+d[2]
@@ -178,9 +233,8 @@ func (g Grid3D) faceNeighbors(r int) (peers [6]int, n int) {
 			continue
 		}
 		peers[di] = g.Rank(nx, ny, nz)
-		n++
 	}
-	return peers, n
+	return peers
 }
 
 // checkGrid records a sticky error when g does not cover the program.
@@ -201,7 +255,7 @@ func (b *Builder) HaloExchange3D(g Grid3D, faceBytes uint64, baseTag int) *Build
 		return b
 	}
 	for r := 0; r < g.Size(); r++ {
-		peers, _ := g.faceNeighbors(r)
+		peers := g.faceNeighbors(r)
 		for di, peer := range peers {
 			if peer >= 0 {
 				b.SendRecv(r, peer, baseTag+di, faceBytes)
@@ -220,9 +274,7 @@ func (b *Builder) HaloExchange3DNonblocking(g Grid3D, faceBytes uint64, baseTag 
 		return b
 	}
 	for r := 0; r < g.Size(); r++ {
-		peers, nb := g.faceNeighbors(r)
-		// nb Irecvs, nb Isends and a Wait for each.
-		b.prog.Ranks[r] = slices.Grow(b.prog.Ranks[r], 4*nb)
+		peers := g.faceNeighbors(r)
 		req := 0
 		// Post receives first (direction di of the neighbor's send is the
 		// opposite direction index: di^1 flips the low bit of each pair).

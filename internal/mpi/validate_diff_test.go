@@ -100,11 +100,19 @@ func (c *byteChooser) Intn(n int) int {
 // arguments.
 func composeProgram(c chooser) (*Program, error) {
 	n := []int{1, 2, 3, 4, 8, 12, 27}[c.Intn(7)]
+	b := NewBuilder("diff", n)
+	composeOn(b, c)
+	return b.Build()
+}
+
+// composeOn appends random pattern calls with valid arguments to b.
+func composeOn(b *Builder, c chooser) {
+	n := len(b.prog.Ranks)
 	g, err := NewGrid3D(n)
 	if err != nil {
-		return nil, err
+		b.fail("%v", err)
+		return
 	}
-	b := NewBuilder("diff", n)
 	for step := 0; step < 1+c.Intn(6); step++ {
 		bytes := uint64(1 + c.Intn(4096))
 		switch c.Intn(8) {
@@ -131,7 +139,6 @@ func composeProgram(c chooser) (*Program, error) {
 			b.Collective(kinds[c.Intn(len(kinds))], c.Intn(n), bytes)
 		}
 	}
-	return b.Build()
 }
 
 // pick returns a random (rank, index) among the events satisfying keep, or

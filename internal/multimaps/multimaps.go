@@ -122,18 +122,17 @@ func streamProbe(ctx context.Context, sim *cache.Simulator, gen addrgen.Generato
 	return nil
 }
 
-// probe runs a single (working set, stride) measurement on a fresh cache
-// simulator and returns the surface point, streaming addresses through the
-// caller's reusable buffer. A zero stride requests the random-access probe;
-// a negative resident fraction is ignored, a positive one requests a
-// mixed-locality probe (stride is then unused).
-func probe(ctx context.Context, cfg machine.Config, model *memsim.Model, ws, stride uint64, frac float64, opt Options, buf []uint64) (machine.SurfacePoint, error) {
+// probe runs a single (working set, stride) measurement on the caller's
+// cache simulator, flushed first so it behaves as a new one, and returns
+// the surface point, streaming addresses through the caller's reusable
+// buffer. A zero stride requests the random-access probe; a negative
+// resident fraction is ignored, a positive one requests a mixed-locality
+// probe (stride is then unused).
+func probe(ctx context.Context, cfg machine.Config, model *memsim.Model, sim *cache.Simulator, ws, stride uint64, frac float64, opt Options, buf []uint64) (machine.SurfacePoint, error) {
 	probeStart := time.Now()
-	sim, err := cache.NewSimulatorOpts(cfg.Caches, cache.Options{NextLinePrefetch: cfg.Prefetch})
-	if err != nil {
-		return machine.SurfacePoint{}, err
-	}
+	sim.Flush()
 	var gen addrgen.Generator
+	var err error
 	switch {
 	case frac > 0:
 		// Mixed probe: a quarter-of-L1 resident region against a
@@ -249,11 +248,18 @@ func Run(ctx context.Context, cfg machine.Config, opt Options) (*machine.Profile
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
+	// One simulator per worker, flushed between its probes.
+	sims := make([]*cache.Simulator, workers)
+	for w := range sims {
+		if sims[w], err = cache.NewSimulatorOpts(cfg.Caches, cache.Options{NextLinePrefetch: cfg.Prefetch}); err != nil {
+			return nil, err
+		}
+	}
 	points := make([]machine.SurfacePoint, len(jobs))
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
 	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for _, sim := range sims {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -262,7 +268,7 @@ func Run(ctx context.Context, cfg machine.Config, opt Options) (*machine.Profile
 				if errs[i] = ctx.Err(); errs[i] != nil {
 					continue // cancelled: drain the remaining jobs cheaply
 				}
-				points[i], errs[i] = probe(ctx, cfg, model, jobs[i].ws, jobs[i].stride, jobs[i].frac, opt, buf)
+				points[i], errs[i] = probe(ctx, cfg, model, sim, jobs[i].ws, jobs[i].stride, jobs[i].frac, opt, buf)
 			}
 		}()
 	}

@@ -40,7 +40,7 @@ func (s *scratch) slab(n int) []uint64 {
 // simulator returns a flushed simulator for the target hierarchy, reusing
 // the worker's previous one when the geometry matches. A flushed simulator
 // is indistinguishable from a fresh one (cache.Simulator.Flush resets
-// contents, counters, tick and prefetcher state).
+// contents, counters and prefetcher state).
 func (s *scratch) simulator(target machine.Config) (*cache.Simulator, error) {
 	if s.sim != nil && s.simPrefetch == target.Prefetch && sameLevels(s.simLevels, target.Caches) {
 		s.sim.Flush()

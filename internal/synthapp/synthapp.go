@@ -187,22 +187,22 @@ func (a *App) Program(p int) (*mpi.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := mpi.NewBuilder(a.name, p)
 	share := 1.0 / float64(a.steps)
-	for step := 0; step < a.steps; step++ {
-		for i := range a.blocks {
-			b.ComputeAll(a.blocks[i].spec.ID, share)
-		}
-		if p > 1 {
-			if a.nonblockingHalo {
-				b.HaloExchange3DNonblocking(g, a.haloBytes(p), 1000*step)
-			} else {
-				b.HaloExchange3D(g, a.haloBytes(p), 1000*step)
+	return mpi.BuildProgram(a.name, p, func(b *mpi.Builder) {
+		for step := 0; step < a.steps; step++ {
+			for i := range a.blocks {
+				b.ComputeAll(a.blocks[i].spec.ID, share)
 			}
+			if p > 1 {
+				if a.nonblockingHalo {
+					b.HaloExchange3DNonblocking(g, a.haloBytes(p), 1000*step)
+				} else {
+					b.HaloExchange3D(g, a.haloBytes(p), 1000*step)
+				}
+			}
+			b.Allreduce(a.allreduceBytes)
 		}
-		b.Allreduce(a.allreduceBytes)
-	}
-	return b.Build()
+	})
 }
 
 // jitter is a small deterministic multiplicative perturbation applied to

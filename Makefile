@@ -85,11 +85,14 @@ bench-serve:
 	$(GO) run ./cmd/tracexload -inprocess -duration 10s -warmup 2s -workers 64 -keys 32 -zipf 1.2 -label closed-zipf
 	$(GO) run ./cmd/tracexload -inprocess -duration 10s -warmup 2s -rate 800 -workers 128 -keys 32 -zipf 1.2 -label open-800rps-zipf
 
-# CI smoke: a 5-second low-rate open-loop run against an in-process daemon
-# must show real throughput and no server errors. Results stay out of
+# CI smoke against an in-process daemon, two 5-second runs: a low-rate
+# open-loop run, then a closed-loop run of 64 workers against 2 in-flight
+# slots, so compute requests queue and some are shed with 429 and retried.
+# Both must show real throughput and no server errors. Results stay out of
 # BENCH_serve.json (-out "").
 bench-serve-smoke:
 	$(GO) run ./cmd/tracexload -inprocess -duration 5s -warmup 1s -rate 50 -workers 16 -keys 4 -sample-refs 2000 -out "" -label smoke -assert-min-rps 10 -assert-max-5xx 0
+	$(GO) run ./cmd/tracexload -inprocess -max-inflight 2 -workers 64 -keys 4 -sample-refs 2000 -duration 5s -warmup 1s -out "" -label smoke-closed -assert-min-rps 10 -assert-max-5xx 0
 
 # Adaptive-vs-fixed sampling comparison on the Table I workloads at their
 # paper core counts, recorded into BENCH_collect.json's "sampling" section

@@ -51,9 +51,6 @@ type options struct {
 	cacheModel     string
 	sampling       string
 	intervals      bool
-	autoTune       bool
-	autoTuneFloor  int
-	tuneInterval   time.Duration
 	storeReadCache int
 	peers          string
 	advertise      string
@@ -81,9 +78,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.StringVar(&o.cacheModel, "cache-model", "", "default cache model for collections whose request omits \"model\": \"exact\" (default) or \"analytical\"")
 	fs.StringVar(&o.sampling, "sampling", "", "default sampling policy for collections whose request omits \"sampling\": \"fixed[:SAMPLE][,warm=N]\" or \"adaptive[:RELERR][,pilot=N][,min=N][,max=N][,cluster=on|off]\"")
 	fs.BoolVar(&o.intervals, "intervals", false, "attach prediction intervals when a request omits the \"intervals\" knob")
-	fs.BoolVar(&o.autoTune, "auto-tune", false, "adjust the in-flight limit from the observed service-time EWMA (AIMD between -auto-tune-floor and -max-inflight)")
-	fs.IntVar(&o.autoTuneFloor, "auto-tune-floor", 0, "smallest in-flight limit -auto-tune may shrink to (0 = max-inflight/4, at least 1)")
-	fs.DurationVar(&o.tuneInterval, "tune-interval", 250*time.Millisecond, "minimum spacing between -auto-tune adjustments")
 	fs.IntVar(&o.storeReadCache, "store-read-cache", 0, "marshalled signature-GET bodies retained (0 = default 256, <0 disables)")
 	fs.StringVar(&o.peers, "peers", "", "fleet membership: comma-separated peer base URLs, or a file with one per line (reloaded on SIGHUP and every -peers-poll); empty = single node")
 	fs.StringVar(&o.advertise, "advertise", "", "this node's base URL as peers reach it (its consistent-hash ring identity); required with -peers")
@@ -157,9 +151,6 @@ func build(o *options, accessLog, errorLog *log.Logger) (*server.Server, *tracex
 		DefaultCacheModel: o.cacheModel,
 		DefaultSampling:   o.sampling,
 		DefaultIntervals:  o.intervals,
-		AutoTune:          o.autoTune,
-		AutoTuneFloor:     o.autoTuneFloor,
-		TuneInterval:      o.tuneInterval,
 		StoreReadCache:    o.storeReadCache,
 		AccessLog:         accessLog,
 		ErrorLog:          errorLog,

@@ -173,7 +173,7 @@ func TestLoadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load smoke in -short mode")
 	}
-	base, shutdown, err := startInProcess(t.TempDir(), 0, false)
+	base, shutdown, err := startInProcess(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestLoadMultiTarget(t *testing.T) {
 	}
 	var targets []string
 	for i := 0; i < 2; i++ {
-		base, shutdown, err := startInProcess(t.TempDir(), 0, false)
+		base, shutdown, err := startInProcess(t.TempDir(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,6 @@ func run(args []string, out *os.File) error {
 	inprocess := fs.Bool("inprocess", false, "start a tracexd in-process and load it over loopback")
 	storeDir := fs.String("store", "", "in-process store directory (default: a temp dir)")
 	maxInFlight := fs.Int("max-inflight", 0, "in-process server in-flight bound (0 = GOMAXPROCS)")
-	autoTune := fs.Bool("auto-tune", false, "enable admission auto-tuning on the in-process server")
 	duration := fs.Duration("duration", 10*time.Second, "total run length, warmup included")
 	warmup := fs.Duration("warmup", time.Second, "initial unrecorded span")
 	rate := fs.Float64("rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
@@ -93,7 +92,7 @@ func run(args []string, out *os.File) error {
 		if *addr != "" {
 			return fmt.Errorf("-addr and -inprocess are mutually exclusive")
 		}
-		base, shutdown, err := startInProcess(*storeDir, *maxInFlight, *autoTune)
+		base, shutdown, err := startInProcess(*storeDir, *maxInFlight)
 		if err != nil {
 			return err
 		}
@@ -136,7 +135,7 @@ func run(args []string, out *os.File) error {
 
 // startInProcess boots a tracexd over a fresh engine on a loopback port and
 // returns its base URL with a shutdown func.
-func startInProcess(storeDir string, maxInFlight int, autoTune bool) (string, func(), error) {
+func startInProcess(storeDir string, maxInFlight int) (string, func(), error) {
 	cleanup := func() {}
 	if storeDir == "" {
 		dir, err := os.MkdirTemp("", "tracexload-store-")
@@ -151,9 +150,7 @@ func startInProcess(storeDir string, maxInFlight int, autoTune bool) (string, fu
 		cleanup()
 		return "", nil, err
 	}
-	s, err := server.New(server.Config{
-		Engine: eng, MaxInFlight: maxInFlight, AutoTune: autoTune,
-	})
+	s, err := server.New(server.Config{Engine: eng, MaxInFlight: maxInFlight})
 	if err != nil {
 		cleanup()
 		return "", nil, err

@@ -8,6 +8,7 @@ import (
 
 	"tracex"
 	"tracex/internal/machine"
+	"tracex/internal/memo"
 	"tracex/internal/pebil"
 	"tracex/internal/synthapp"
 	"tracex/internal/trace"
@@ -27,13 +28,12 @@ var harness = sync.OnceValues(func() (*tracex.Engine, *pebil.Collector) {
 // options, ranks) always produces the identical signature — so the harness
 // memoizes collections process-wide. Experiments share inputs heavily
 // (Table I, the §IV claim and every ablation all trace the same paper-scale
-// runs), and the cache turns those repeats into map lookups.
-
-var collectMemo struct {
-	sync.Mutex
-	sigs     map[collectKey]*trace.Signature
-	counters map[collectKey][]pebil.BlockCounters
-}
+// runs), and the caches turn those repeats into lookups; concurrent
+// requests for one collection share a single run.
+var (
+	sigMemo     = memo.New[collectKey, *trace.Signature](-1)
+	counterMemo = memo.New[collectKey, []pebil.BlockCounters](-1)
+)
 
 // collectKey identifies one memoized collection, like the engine's own
 // signature key: the normalized collection options (so every sampling
@@ -56,25 +56,11 @@ func memoKey(app *synthapp.App, p int, target machine.Config, opt pebil.Collecto
 // collectSig is Collector.Collect with process-wide memoization. Callers must
 // treat the returned signature as read-only.
 func collectSig(ctx context.Context, app *synthapp.App, p int, target machine.Config, opt pebil.CollectorConfig, ranks []int) (*trace.Signature, error) {
-	key := memoKey(app, p, target, opt, ranks)
-	collectMemo.Lock()
-	if collectMemo.sigs == nil {
-		collectMemo.sigs = map[collectKey]*trace.Signature{}
-	}
-	if sig, ok := collectMemo.sigs[key]; ok {
-		collectMemo.Unlock()
-		return sig, nil
-	}
-	collectMemo.Unlock()
-	_, col := harness()
-	sig, err := col.Collect(ctx, app, p, target, ranks, opt)
-	if err != nil {
-		return nil, err
-	}
-	collectMemo.Lock()
-	collectMemo.sigs[key] = sig
-	collectMemo.Unlock()
-	return sig, nil
+	sig, _, err := sigMemo.Do(ctx, memoKey(app, p, target, opt, ranks), func() (*trace.Signature, error) {
+		_, col := harness()
+		return col.Collect(ctx, app, p, target, ranks, opt)
+	})
+	return sig, err
 }
 
 // collectInputs memoizes a series of collections.
@@ -93,25 +79,11 @@ func collectInputs(ctx context.Context, app *synthapp.App, counts []int, target 
 // collectCounters is Collector.Counters with process-wide memoization.
 // Callers must treat the returned slice as read-only.
 func collectCounters(ctx context.Context, app *synthapp.App, p int, target machine.Config, opt pebil.CollectorConfig) ([]pebil.BlockCounters, error) {
-	key := memoKey(app, p, target, opt, nil)
-	collectMemo.Lock()
-	if collectMemo.counters == nil {
-		collectMemo.counters = map[collectKey][]pebil.BlockCounters{}
-	}
-	if cs, ok := collectMemo.counters[key]; ok {
-		collectMemo.Unlock()
-		return cs, nil
-	}
-	collectMemo.Unlock()
-	_, col := harness()
-	cs, err := col.Counters(ctx, app, p, target, opt)
-	if err != nil {
-		return nil, err
-	}
-	collectMemo.Lock()
-	collectMemo.counters[key] = cs
-	collectMemo.Unlock()
-	return cs, nil
+	cs, _, err := counterMemo.Do(ctx, memoKey(app, p, target, opt, nil), func() ([]pebil.BlockCounters, error) {
+		_, col := harness()
+		return col.Counters(ctx, app, p, target, opt)
+	})
+	return cs, err
 }
 
 // buildProfile returns the machine's MultiMAPS profile, memoized by the

@@ -8,7 +8,7 @@ import (
 // This file holds the serving-path additions to the metrics layer: a
 // latency-oriented bucket layout fine enough for tail quantiles, quantile
 // estimation over histogram buckets, and an atomic exponentially weighted
-// moving average used by the server's admission auto-tuner.
+// moving average that tracks each fleet peer's error rate.
 
 // DefLatencyBuckets is the histogram layout for client- and server-side
 // request latencies in seconds: geometric ~1.25× steps from 50µs to 60s

@@ -5,9 +5,7 @@
 //
 //   - admission control — a bounded in-flight limit plus a bounded wait
 //     queue; requests beyond both bounds are answered 429 with a jittered
-//     Retry-After header instead of piling onto the worker pool. With
-//     AutoTune the in-flight limit follows the observed service-time EWMA
-//     between a floor and MaxInFlight;
+//     Retry-After header instead of piling onto the worker pool;
 //   - request coalescing — identical in-flight /v1/predict and /v1/study
 //     requests (keyed by tracex.CanonicalRequestKey over the decoded body)
 //     share one computation and one marshalled response, on top of the
@@ -45,7 +43,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -106,8 +103,8 @@ type Config struct {
 	// separate store-read path. Default: GOMAXPROCS.
 	MaxInFlight int
 	// MaxQueue bounds requests waiting for an in-flight slot; arrivals
-	// beyond the current limit plus MaxQueue are rejected immediately with
-	// 429. Default: 4×MaxInFlight.
+	// beyond MaxInFlight plus MaxQueue are rejected immediately with 429.
+	// Default: 4×MaxInFlight.
 	MaxQueue int
 	// QueueWait bounds how long a queued request waits for an in-flight
 	// slot before giving up with 429. Default: 2s.
@@ -136,17 +133,6 @@ type Config struct {
 	// /v1/study and /v1/extrapolate when a request omits the tri-state
 	// "intervals" knob. A request carrying the knob always wins.
 	DefaultIntervals bool
-	// AutoTune lets the server adjust the effective in-flight limit from
-	// the observed service-time EWMA: sustained degradation shrinks the
-	// limit (never below AutoTuneFloor), recovery grows it back toward
-	// MaxInFlight. Off by default.
-	AutoTune bool
-	// AutoTuneFloor is the smallest limit AutoTune may shrink to.
-	// Default: max(1, MaxInFlight/4).
-	AutoTuneFloor int
-	// TuneInterval is the minimum spacing between AutoTune adjustments.
-	// Default: 250ms.
-	TuneInterval time.Duration
 	// StoreReadCache sizes the marshalled-body LRU on the signature-GET
 	// fast path (entries are keyed by content hash, so a hit is always
 	// byte-exact). 0 selects the default of 256; negative disables the
@@ -173,18 +159,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.AutoTuneFloor <= 0 {
-		c.AutoTuneFloor = c.MaxInFlight / 4
-		if c.AutoTuneFloor < 1 {
-			c.AutoTuneFloor = 1
-		}
-	}
-	if c.AutoTuneFloor > c.MaxInFlight {
-		c.AutoTuneFloor = c.MaxInFlight
-	}
-	if c.TuneInterval <= 0 {
-		c.TuneInterval = 250 * time.Millisecond
 	}
 	if c.StoreReadCache == 0 {
 		c.StoreReadCache = 256
@@ -216,23 +190,13 @@ type Server struct {
 	sampling tracex.SamplingPolicy // resolved DefaultSampling (zero: library default)
 	ready    atomic.Bool
 
-	// Admission state. The compute limit is an atomic (not a channel
-	// capacity) so AutoTune can move it at runtime; running tracks
-	// currently executing compute requests and slotFreed (capacity 1)
-	// wakes one queued waiter per release, with waiters re-signalling
-	// while capacity remains (a short poll backstops lost wakeups when
-	// the limit grows).
-	limit     atomic.Int64  // current in-flight limit, in [AutoTuneFloor, MaxInFlight]
-	running   atomic.Int64  // executing compute requests
-	slotFreed chan struct{} // release/retune wakeup, cap 1
+	// Admission state: one token per executing compute request in
+	// inflight, one per waiting request in queue. A queued request blocks
+	// sending on inflight, so the channel's own wait queue hands each freed
+	// slot to the longest waiter.
+	inflight  chan struct{} // in-flight slots; cap MaxInFlight
 	queue     chan struct{} // wait-queue slots; cap MaxQueue
 	releaseFn func()        // bound once so admit's happy path does not allocate
-
-	// Auto-tuning state (AutoTune only).
-	svcEWMA  *obs.EWMA // service seconds, alpha 0.2
-	tuneMu   sync.Mutex
-	lastTune time.Time
-	tunePrev float64 // EWMA at the previous tune decision
 
 	// jitter draws the Retry-After factor in [0, 1); tests pin it.
 	jitter func() float64
@@ -248,8 +212,6 @@ type Server struct {
 	requests   *obs.Counter
 	coalesced  *obs.Counter
 	rejected   *obs.Counter
-	tuneUp     *obs.Counter
-	tuneDown   *obs.Counter
 	readHits   *obs.Counter
 	readMisses *obs.Counter
 }
@@ -271,17 +233,15 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:       cfg,
-		eng:       cfg.Engine,
-		reg:       cfg.Engine.Registry(),
-		model:     defaultModel,
-		sampling:  defaultSampling,
-		mux:       http.NewServeMux(),
-		slotFreed: make(chan struct{}, 1),
-		queue:     make(chan struct{}, cfg.MaxQueue),
-		svcEWMA:   obs.NewEWMA(0.2),
-		tunePrev:  math.NaN(),
-		jitter:    rand.Float64,
+		cfg:      cfg,
+		eng:      cfg.Engine,
+		reg:      cfg.Engine.Registry(),
+		model:    defaultModel,
+		sampling: defaultSampling,
+		mux:      http.NewServeMux(),
+		inflight: make(chan struct{}, cfg.MaxInFlight),
+		queue:    make(chan struct{}, cfg.MaxQueue),
+		jitter:   rand.Float64,
 		// Capacity 0: pure singleflight — responses are deduplicated while
 		// in flight and never retained (the engine's caches already hold
 		// the expensive artifacts; retaining marshalled bodies would buy
@@ -289,21 +249,18 @@ func New(cfg Config) (*Server, error) {
 		flights:    memo.New[string, *flightOut](0),
 		storeReads: make(chan struct{}, maxInt(2, runtime.GOMAXPROCS(0))),
 	}
-	s.limit.Store(int64(cfg.MaxInFlight))
-	s.releaseFn = s.releaseSlot
+	s.releaseFn = func() { <-s.inflight }
 	if cfg.StoreReadCache > 0 {
 		s.bodyCache = memo.New[string, []byte](cfg.StoreReadCache)
 	}
 	s.requests = s.reg.Counter("server.requests")
 	s.coalesced = s.reg.Counter("server.coalesced")
 	s.rejected = s.reg.Counter("server.rejected")
-	s.tuneUp = s.reg.Counter("server.tune.up")
-	s.tuneDown = s.reg.Counter("server.tune.down")
 	s.readHits = s.reg.Counter("server.store.read_hits")
 	s.readMisses = s.reg.Counter("server.store.read_misses")
-	s.reg.GaugeFunc("server.in_flight", func() float64 { return float64(s.running.Load()) })
+	s.reg.GaugeFunc("server.in_flight", func() float64 { return float64(len(s.inflight)) })
 	s.reg.GaugeFunc("server.queue.depth", func() float64 { return float64(len(s.queue)) })
-	s.reg.GaugeFunc("server.admit.limit", func() float64 { return float64(s.limit.Load()) })
+	s.reg.GaugeFunc("server.admit.limit", func() float64 { return float64(cap(s.inflight)) })
 
 	s.routes()
 	s.hs = &http.Server{Handler: s.instrument(s.mux), ErrorLog: cfg.ErrorLog}
@@ -479,138 +436,33 @@ func (s *Server) instrument(h http.Handler) http.Handler {
 	})
 }
 
-// tryAcquire claims an in-flight slot if the current limit allows it.
-func (s *Server) tryAcquire() bool {
-	for {
-		cur := s.running.Load()
-		if cur >= s.limit.Load() {
-			return false
-		}
-		if s.running.CompareAndSwap(cur, cur+1) {
-			return true
-		}
-	}
-}
-
-// releaseSlot returns an in-flight slot and wakes one queued waiter.
-func (s *Server) releaseSlot() {
-	s.running.Add(-1)
-	s.wakeWaiter()
-}
-
-// wakeWaiter nudges one queued admit, if any is listening.
-func (s *Server) wakeWaiter() {
-	select {
-	case s.slotFreed <- struct{}{}:
-	default:
-	}
-}
-
-// admitPollInterval backstops slot wakeups: a waiter that misses a signal
-// (or is waiting out a limit increase) re-checks at this cadence.
-const admitPollInterval = 10 * time.Millisecond
-
 // admit acquires an in-flight slot, queueing within the configured bounds.
 // The returned release must be called when the work completes. Arrivals
-// beyond limit+MaxQueue, and queued requests that outwait QueueWait, fail
-// with errOverloaded (→ 429); a ctx that ends while queued fails with its
-// error without ever holding an in-flight slot.
+// that find every in-flight and queue slot taken, and queued requests that
+// outwait QueueWait, fail with errOverloaded (→ 429); a ctx that ends while
+// queued fails with its error without ever holding an in-flight slot.
 func (s *Server) admit(ctx context.Context) (release func(), err error) {
-	if s.tryAcquire() {
+	select {
+	case s.inflight <- struct{}{}:
 		return s.releaseFn, nil
+	default:
 	}
 	select {
 	case s.queue <- struct{}{}:
 	default:
 		return nil, fmt.Errorf("server: %w: %d in-flight and %d queued requests",
-			errOverloaded, s.limit.Load(), cap(s.queue))
+			errOverloaded, cap(s.inflight), cap(s.queue))
 	}
 	defer func() { <-s.queue }()
 	timer := time.NewTimer(s.cfg.QueueWait)
 	defer timer.Stop()
-	poll := time.NewTicker(admitPollInterval)
-	defer poll.Stop()
-	for {
-		if s.tryAcquire() {
-			// Chain the wakeup: if capacity remains (several slots freed at
-			// once, or the limit grew), the next waiter should run too.
-			if s.running.Load() < s.limit.Load() {
-				s.wakeWaiter()
-			}
-			return s.releaseFn, nil
-		}
-		select {
-		case <-s.slotFreed:
-		case <-poll.C:
-		case <-timer.C:
-			return nil, fmt.Errorf("server: %w: no free slot within %s", errOverloaded, s.cfg.QueueWait)
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// observeService folds one compute request's service time into the
-// auto-tuner.
-func (s *Server) observeService(d time.Duration) {
-	if !s.cfg.AutoTune {
-		return
-	}
-	s.svcEWMA.Observe(d.Seconds())
-	s.maybeTune(time.Now())
-}
-
-// maybeTune applies at most one retune decision per TuneInterval. It
-// compares the service-time EWMA against its value at the previous
-// decision: sustained degradation shrinks the in-flight limit toward the
-// floor, recovery grows it back one slot at a time (AIMD).
-func (s *Server) maybeTune(now time.Time) {
-	if !s.tuneMu.TryLock() {
-		return
-	}
-	defer s.tuneMu.Unlock()
-	if now.Sub(s.lastTune) < s.cfg.TuneInterval {
-		return
-	}
-	s.lastTune = now
-	ewma := s.svcEWMA.Value()
-	prev := s.tunePrev
-	s.tunePrev = ewma
-	if math.IsNaN(ewma) || math.IsNaN(prev) {
-		return
-	}
-	cur := s.limit.Load()
-	next := retune(cur, int64(s.cfg.AutoTuneFloor), int64(s.cfg.MaxInFlight), prev, ewma)
-	if next == cur {
-		return
-	}
-	s.limit.Store(next)
-	if next > cur {
-		s.tuneUp.Inc()
-		// New capacity: wake a queued waiter that would otherwise sit out
-		// a poll interval.
-		s.wakeWaiter()
-	} else {
-		s.tuneDown.Inc()
-	}
-}
-
-// retune is the pure AIMD policy: multiplicative decrease (×4/5, floored)
-// when the service-time EWMA degraded by more than 25% since the last
-// decision, additive increase (+1, capped) when it is within 5% of — or
-// better than — the previous value. In the 5–25% band the limit holds.
-func retune(cur, floor, ceil int64, prev, ewma float64) int64 {
-	switch {
-	case ewma > prev*1.25:
-		next := cur * 4 / 5
-		if next < floor {
-			next = floor
-		}
-		return next
-	case ewma <= prev*1.05 && cur < ceil:
-		return cur + 1
-	default:
-		return cur
+	select {
+	case s.inflight <- struct{}{}:
+		return s.releaseFn, nil
+	case <-timer.C:
+		return nil, fmt.Errorf("server: %w: no free slot within %s", errOverloaded, s.cfg.QueueWait)
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 }
 
@@ -653,9 +505,7 @@ func handleJSON[Req any](s *Server, route string, coalesce bool, impl func(ctx c
 				return nil, err
 			}
 			defer release()
-			start := time.Now()
 			v, err := impl(ctx, req)
-			s.observeService(time.Since(start))
 			if err != nil {
 				return nil, err
 			}

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race fuzz bench bench-cachemodel bench-collect bench-engine bench-fleet bench-obs bench-sampling bench-sampling-smoke bench-serve bench-serve-smoke bench-server bench-store bench-smoke bench-uncert bench-uncert-smoke fleet-smoke serve experiments examples csv clean
+.PHONY: all build vet test test-short test-race fuzz bench bench-cachemodel bench-collect bench-engine bench-predict bench-fleet bench-obs bench-sampling bench-sampling-smoke bench-serve bench-serve-smoke bench-server bench-store bench-smoke bench-uncert bench-uncert-smoke fleet-smoke serve experiments examples csv clean
 
 all: build vet test
 
@@ -26,11 +26,13 @@ test-race:
 	$(GO) test -race ./...
 
 # Short fuzz passes over the signature codec, the wire strict decoder, the
-# program validator and the cache simulator (CI runs the same smoke).
+# program validator, the two program compile routes and the cache
+# simulator (CI runs the same smoke).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSignatureDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStrict -fuzztime 10s ./wire
 	$(GO) test -run '^$$' -fuzz FuzzProgramValidate -fuzztime 10s ./internal/mpi
+	$(GO) test -run '^$$' -fuzz FuzzCompileRoutesAgree -fuzztime 10s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz FuzzSimulatorMatchesReference -fuzztime 10s ./internal/cache
 
 # One iteration of every exhibit benchmark (Table/Figure regeneration).
@@ -61,6 +63,14 @@ bench-cachemodel:
 # Serial vs Engine-parallel CollectInputs plus the cache-hit fast path.
 bench-engine:
 	$(GO) test -run '^$$' -bench 'BenchmarkCollectInputs|BenchmarkCollectSignatureCached' -benchtime=3x .
+
+# Warm predicts from cached signatures and profile: stencil3d at 1008..1038
+# ranks (the perfbench predict-warm identities) and the paper's target
+# scales (specfem3d@6144, uh3d@8192, stencil3d@8192), with the bytes,
+# allocations and replayed events per predict. Results recorded in
+# BENCH_predict.json.
+bench-predict:
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictWarm|BenchmarkPredictPaperScale' -benchmem -count 5 .
 
 # Observability micro-benchmarks: per-update cost of counters, gauges,
 # histograms and spans, instrumented vs disabled (nil-registry) paths.

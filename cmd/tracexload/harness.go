@@ -274,7 +274,9 @@ type Report struct {
 
 	// Outcomes over the measurement window.
 	Requests      uint64              `json:"requests"`
-	Dropped       uint64              `json:"dropped"` // open loop: arrivals shed at the outstanding bound
+	Dropped       uint64              `json:"dropped"`               // open loop: arrivals shed at the outstanding bound
+	Late          uint64              `json:"late,omitempty"`        // open loop: arrivals reached after their due time
+	MaxLateMs     float64             `json:"max_late_ms,omitempty"` // open loop: the largest delay past a due time
 	Status        map[string]uint64   `json:"status"`
 	ThroughputRPS float64             `json:"throughput_rps"`
 	Overall       OpReport            `json:"overall"`
@@ -485,6 +487,57 @@ func (w *workload) issue(ctx context.Context, cl *client.Client, r *rand.Rand, p
 	return op, time.Since(start), err
 }
 
+// pacer releases open-loop arrivals at absolute due times. Each gap is
+// added to the previous arrival's due time, not to the moment the
+// generator woke, so a sleep that overshoots delays one arrival instead of
+// every later one. An arrival whose due time has passed before the
+// generator reaches it goes out at once and counts as late.
+type pacer struct {
+	now     func() time.Time
+	sleep   func(context.Context, time.Duration) bool
+	due     time.Time
+	late    uint64        // recorded arrivals reached after their due time
+	maxLate time.Duration // the largest delay of a recorded arrival past its due time
+}
+
+func newPacer(now func() time.Time, sleep func(context.Context, time.Duration) bool) *pacer {
+	return &pacer{now: now, sleep: sleep, due: now()}
+}
+
+// wait blocks until the next arrival, due gap after the previous one, and
+// reports false once ctx is done. With record set, the arrival counts in
+// late and maxLate.
+func (p *pacer) wait(ctx context.Context, gap time.Duration, record bool) bool {
+	p.due = p.due.Add(gap)
+	ahead := p.due.Sub(p.now())
+	if ahead > 0 {
+		if !p.sleep(ctx, ahead) {
+			return false
+		}
+	} else if ctx.Err() != nil {
+		return false
+	}
+	if record {
+		if ahead <= 0 {
+			p.late++
+		}
+		p.maxLate = max(p.maxLate, p.now().Sub(p.due))
+	}
+	return true
+}
+
+// sleepCtx sleeps for d and reports false if ctx ends first.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+		return true
+	}
+}
+
 // runLoad executes one configured run against a live daemon and summarizes
 // the measurement window.
 func runLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
@@ -514,6 +567,7 @@ func runLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 		}
 	}
 
+	pace := newPacer(time.Now, sleepCtx)
 	if cfg.Rate == 0 {
 		// Closed loop: Workers requesters issue back-to-back.
 		for i := 0; i < cfg.Workers; i++ {
@@ -534,11 +588,9 @@ func runLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 			var inner sync.WaitGroup
 			defer inner.Wait()
 			for seq := uint64(0); ; seq++ {
-				wait := time.Duration(arr.ExpFloat64() / cfg.Rate * float64(time.Second))
-				select {
-				case <-runCtx.Done():
+				gap := time.Duration(arr.ExpFloat64() / cfg.Rate * float64(time.Second))
+				if !pace.wait(runCtx, gap, st.measuring.Load()) {
 					return
-				case <-time.After(wait):
 				}
 				select {
 				case sem <- struct{}{}:
@@ -596,6 +648,7 @@ func runLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 		Deadline: cfg.Deadline.String(), Seed: cfg.Seed,
 		WarmupSeconds: cfg.Warmup.Seconds(), MeasuredSeconds: measured,
 		Requests: st.requests.Load(), Dropped: st.dropped.Load(),
+		Late: pace.late, MaxLateMs: float64(pace.maxLate) / float64(time.Millisecond),
 		Status: map[string]uint64{
 			"2xx": st.s2xx.Load(), "429": st.s429.Load(),
 			"4xx": st.s4xx.Load(), "5xx": st.s5xx.Load(),

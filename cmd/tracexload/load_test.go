@@ -113,6 +113,53 @@ func TestKeyPickerZipf(t *testing.T) {
 	}
 }
 
+// TestPacerHoldsOfferedRate drives the open-loop pacer on a fake clock
+// whose every sleep overshoots by 300 µs, at 800 arrivals per second (a
+// mean gap of 1.25 ms). Paced against absolute due times, the arrivals
+// offered in a 10 s window all go out within it, and no arrival is later
+// than one overshoot. Waiting each gap from the previous wake-up instead
+// adds the overshoot to every gap and needs ~12.4 s.
+func TestPacerHoldsOfferedRate(t *testing.T) {
+	const (
+		rate      = 800.0
+		window    = 10 * time.Second
+		overshoot = 300 * time.Microsecond
+	)
+	arr := rand.New(rand.NewPCG(7, 9))
+	var gaps []time.Duration
+	for sum := time.Duration(0); ; {
+		gap := time.Duration(arr.ExpFloat64() / rate * float64(time.Second))
+		if sum += gap; sum > window {
+			break
+		}
+		gaps = append(gaps, gap)
+	}
+	clock := time.Unix(0, 0)
+	p := newPacer(
+		func() time.Time { return clock },
+		func(_ context.Context, d time.Duration) bool { clock = clock.Add(d + overshoot); return true },
+	)
+	for _, gap := range gaps {
+		if !p.wait(context.Background(), gap, true) {
+			t.Fatal("pacer stopped with its context live")
+		}
+	}
+	if took := clock.Sub(time.Unix(0, 0)); took > window+overshoot {
+		t.Errorf("%d arrivals offered in %v took %v to dispatch", len(gaps), window, took)
+	}
+	if p.maxLate != overshoot {
+		t.Errorf("worst lateness %v, want the %v overshoot", p.maxLate, overshoot)
+	}
+	if p.late == 0 || p.late >= uint64(len(gaps)) {
+		t.Errorf("%d of %d arrivals late, want some but not all", p.late, len(gaps))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if p.wait(ctx, 0, true) {
+		t.Error("pacer went on after its context ended")
+	}
+}
+
 func TestLoadConfigValidate(t *testing.T) {
 	good := LoadConfig{
 		Targets: []string{"http://x"}, Duration: 2 * time.Second, Warmup: time.Second,

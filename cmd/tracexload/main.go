@@ -179,6 +179,9 @@ func printSummary(out *os.File, label string, rep *Report) {
 		label, loop, rep.Mix, rep.Keys, rep.Zipf, rep.MeasuredSeconds)
 	fmt.Fprintf(out, "  %d requests, %.1f req/s; status %v; dropped %d\n",
 		rep.Requests, rep.ThroughputRPS, rep.Status, rep.Dropped)
+	if rep.RateRPS > 0 {
+		fmt.Fprintf(out, "  %d arrivals late, worst by %.2fms\n", rep.Late, rep.MaxLateMs)
+	}
 	fmt.Fprintf(out, "  overall p50 %.2fms  p99 %.2fms  p999 %.2fms\n",
 		rep.Overall.P50Ms, rep.Overall.P99Ms, rep.Overall.P999Ms)
 	for _, name := range opNames {

@@ -1172,11 +1172,11 @@ func predict(ctx context.Context, sig *Signature, prof *Profile, app *App, detai
 	if err != nil {
 		return nil, err
 	}
-	prog, err := app.Program(sig.CoreCount)
+	build, err := app.Build(sig.CoreCount)
 	if err != nil {
 		return nil, err
 	}
-	sched, err := psins.Compile(prog)
+	sched, err := psins.CompileBuild(app.Name(), sig.CoreCount, build)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ package tracex_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"tracex"
@@ -111,6 +112,8 @@ func BenchmarkPredictWarm(b *testing.B) {
 	if _, err := eng.Profile(ctx, target); err != nil {
 		b.Fatal(err)
 	}
+	events := eng.Registry().Counter("psins.events")
+	before := events.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -123,7 +126,52 @@ func BenchmarkPredictWarm(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(events.Value()-before)/float64(b.N), "events/op")
 	if st := eng.Stats(); st.Collections != uint64(len(cores)) {
 		b.Fatalf("warm benchmark ran %d collections, want %d", st.Collections, len(cores))
+	}
+}
+
+// BenchmarkPredictPaperScale measures one warm predict at each of the
+// paper's target scales on bluewaters: specfem3d@6144, uh3d@8192 and
+// stencil3d@8192. The machine profile and the three signatures are built
+// before the timer starts, so each op is the convolution, the compile of
+// the application's communication program and its replay.
+func BenchmarkPredictPaperScale(b *testing.B) {
+	target, err := tracex.LoadMachine("bluewaters")
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := tracex.NewEngine()
+	defer eng.Close()
+	ctx := context.Background()
+	if _, err := eng.Profile(ctx, target); err != nil {
+		b.Fatal(err)
+	}
+	opt := tracex.CollectOptions{Sampling: tracex.FixedSampling(20_000, 20_000)}
+	events := eng.Registry().Counter("psins.events")
+	for _, c := range []struct {
+		app   string
+		cores int
+	}{{"specfem3d", 6144}, {"uh3d", 8192}, {"stencil3d", 8192}} {
+		app, err := tracex.LoadApp(c.app)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sig, err := eng.CollectSignature(ctx, app, c.cores, target, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := tracex.PredictRequest{Signature: sig, App: app, Machine: &target}
+		b.Run(fmt.Sprintf("%s@%d", c.app, c.cores), func(b *testing.B) {
+			before := events.Value()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Predict(ctx, req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(events.Value()-before)/float64(b.N), "events/op")
+		})
 	}
 }

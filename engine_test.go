@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -714,10 +715,11 @@ func TestPredictRequestVariants(t *testing.T) {
 }
 
 // TestPredictWarmAllocs gates the warm predict path deterministically: a
-// stencil3d@1024 predict from a cached signature and profile builds the
-// program, compiles it and replays it in a bounded number of allocations,
-// none per rank, event or message. It measures ~120; a program whose rank
-// traces grew by append made ~5,500.
+// stencil3d@1024 predict from a cached signature and profile compiles the
+// communication program and replays it in a bounded number of allocations,
+// none per rank, event or message, and in at most 2 MB. It measures ~95
+// allocations and ~1.4 MB; a program whose rank traces grew by append made
+// ~5,500 allocations, and compiling a materialized []mpi.Event took 4.2 MB.
 func TestPredictWarmAllocs(t *testing.T) {
 	app := testApp(t, "stencil3d")
 	target, err := LoadMachine("bluewaters")
@@ -733,12 +735,22 @@ func TestPredictWarmAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := PredictRequest{Signature: sig, App: app, Machine: &target}
-	allocs := testing.AllocsPerRun(3, func() {
+	predict := func() {
 		if _, err := eng.Predict(ctx, req); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	allocs := testing.AllocsPerRun(3, predict)
 	if allocs > 600 {
 		t.Errorf("warm stencil3d@1024 predict made %.0f allocations, want ≤ 600", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 3; i++ {
+		predict()
+	}
+	runtime.ReadMemStats(&after)
+	if perPredict := (after.TotalAlloc - before.TotalAlloc) / 3; perPredict > 2_000_000 {
+		t.Errorf("warm stencil3d@1024 predict allocated %d bytes, want ≤ 2 MB", perPredict)
 	}
 }

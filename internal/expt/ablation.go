@@ -254,12 +254,12 @@ func AblationClustering(cfg Config) ([]ClusteringAblationRow, error) {
 			}
 			classComp[c] = comp
 		}
-		prog, err := app.Program(spec.TargetCount)
+		build, err := app.Build(spec.TargetCount)
 		if err != nil {
 			return nil, err
 		}
 		// Both pricing strategies replay the same compiled program.
-		sched, err := psins.Compile(prog)
+		sched, err := psins.CompileBuild(app.Name(), spec.TargetCount, build)
 		if err != nil {
 			return nil, err
 		}

@@ -11,22 +11,25 @@ import (
 // the matching sends exist somewhere in the program). Every event is
 // checked as it is appended and every pattern appends matched sends and
 // receives, waited requests and collectives on all ranks, so a program
-// built without error always passes Program.Validate. BuildProgram drives
-// a Builder twice to size every rank's trace exactly.
+// built without error always passes Program.Validate. BuildProgram and
+// Compile drive a Builder twice, first to size every rank's trace exactly.
 type Builder struct {
-	prog Program
-	err  error
-	// counts, while non-nil, makes the builder a dry run for BuildProgram:
-	// add checks each event and counts it against its rank instead of
-	// appending it.
-	counts []int
+	app   string
+	n     int
+	ranks [][]Event
+	err   error
+	// c, while non-nil, takes the events instead of ranks: its dry run
+	// counts each event, and once sized it compiles each one.
+	c *compiler
 }
 
 // NewBuilder returns a Builder for an application with n ranks.
 func NewBuilder(app string, n int) *Builder {
-	b := &Builder{prog: Program{App: app, Ranks: make([][]Event, n)}}
+	b := &Builder{app: app, n: n}
 	if n <= 0 {
 		b.err = fmt.Errorf("mpi: builder needs ≥1 rank, got %d", n)
+	} else {
+		b.ranks = make([][]Event, n)
 	}
 	return b
 }
@@ -41,46 +44,40 @@ func (b *Builder) fail(format string, args ...any) {
 }
 
 // add appends e to rank r's trace after checking it as Program.Validate
-// does; an invalid event becomes the sticky error. In a dry run it only
-// counts the event.
+// does; an invalid event becomes the sticky error. A dry run only counts
+// the event, unchecked, and a compiling builder compiles it instead.
 func (b *Builder) add(r int, e Event) {
-	if b.err != nil {
-		return
+	switch {
+	case b.err != nil:
+	case b.c == nil:
+		if err := e.Validate(r, b.n); err != nil {
+			b.fail("mpi: rank %d event %d: %w", r, len(b.ranks[r]), err)
+			return
+		}
+		b.ranks[r] = append(b.ranks[r], e)
+	case !b.c.sized:
+		b.c.count(r, e.Kind, e.Peer)
+	default:
+		b.err = b.c.event(r, &e)
 	}
-	if err := e.Validate(r, len(b.prog.Ranks)); err != nil {
-		b.fail("mpi: rank %d event %d: %w", r, b.events(r), err)
-		return
-	}
-	if b.counts != nil {
-		b.counts[r]++
-		return
-	}
-	b.prog.Ranks[r] = append(b.prog.Ranks[r], e)
-}
-
-// events returns the number of events rank r holds so far.
-func (b *Builder) events(r int) int {
-	if b.counts != nil {
-		return b.counts[r]
-	}
-	return len(b.prog.Ranks[r])
 }
 
 // BuildProgram builds the n-rank program that build describes through the
 // Builder's patterns, with every rank's events in one exactly sized array.
-// It calls build twice: a dry run that checks and counts each rank's
-// events, then a fill into the array, so no rank's trace grows by append.
-// build must describe the same program on both calls; a fill that departs
-// from its dry run's counts is an error.
+// It calls build twice: a dry run that counts each rank's events, then a
+// fill that checks each event and appends it into the array, so no rank's
+// trace grows by append. build must describe the same program on both
+// calls; a fill that departs from its dry run's counts is an error.
+// Compile compiles the same description without materializing the events.
 func BuildProgram(app string, n int, build func(*Builder)) (*Program, error) {
 	b := NewBuilder(app, n)
 	if b.err != nil {
 		return nil, b.err
 	}
-	counts := make([]int, n)
-	b.counts = counts
+	b.c = newCompiler(app, n)
 	build(b)
-	b.counts = nil
+	counts := b.c.out.Off[1:]
+	b.c = nil
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -90,14 +87,14 @@ func BuildProgram(app string, n int, build func(*Builder)) (*Program, error) {
 	}
 	events := make([]Event, total)
 	for r, c := range counts {
-		b.prog.Ranks[r], events = events[:0:c], events[c:]
+		b.ranks[r], events = events[:0:c], events[c:]
 	}
 	build(b)
 	if b.err != nil {
 		return nil, b.err
 	}
 	for r, c := range counts {
-		if got := len(b.prog.Ranks[r]); got != c {
+		if got := len(b.ranks[r]); got != c {
 			return nil, fmt.Errorf("mpi: building %s: rank %d has %d events, its dry run counted %d", app, r, got, c)
 		}
 	}
@@ -110,8 +107,8 @@ func (b *Builder) Compute(r int, blockID uint64, share float64) *Builder {
 	if b.err != nil {
 		return b
 	}
-	if r < 0 || r >= len(b.prog.Ranks) {
-		b.fail("mpi: compute on rank %d of %d", r, len(b.prog.Ranks))
+	if r < 0 || r >= b.n {
+		b.fail("mpi: compute on rank %d of %d", r, b.n)
 		return b
 	}
 	b.add(r, Event{Kind: Compute, BlockID: blockID, Share: share})
@@ -120,7 +117,7 @@ func (b *Builder) Compute(r int, blockID uint64, share float64) *Builder {
 
 // ComputeAll appends the same compute segment on every rank.
 func (b *Builder) ComputeAll(blockID uint64, share float64) *Builder {
-	for r := range b.prog.Ranks {
+	for r := 0; r < b.n; r++ {
 		b.Compute(r, blockID, share)
 	}
 	return b
@@ -131,7 +128,7 @@ func (b *Builder) SendRecv(src, dst, tag int, bytes uint64) *Builder {
 	if b.err != nil {
 		return b
 	}
-	n := len(b.prog.Ranks)
+	n := b.n
 	if src < 0 || src >= n || dst < 0 || dst >= n || src == dst {
 		b.fail("mpi: bad message %d→%d in %d ranks", src, dst, n)
 		return b
@@ -150,7 +147,7 @@ func (b *Builder) Collective(kind EventKind, root int, bytes uint64) *Builder {
 		b.fail("mpi: %s is not a collective", kind)
 		return b
 	}
-	for r := range b.prog.Ranks {
+	for r := 0; r < b.n; r++ {
 		b.add(r, Event{Kind: kind, Peer: root, Bytes: bytes})
 	}
 	return b
@@ -239,9 +236,9 @@ func (g Grid3D) faceNeighbors(r int) (peers [6]int) {
 
 // checkGrid records a sticky error when g does not cover the program.
 func (b *Builder) checkGrid(g Grid3D) bool {
-	if g.Size() != len(b.prog.Ranks) {
+	if g.Size() != b.n {
 		b.fail("mpi: grid %dx%dx%d covers %d ranks, program has %d",
-			g.Px, g.Py, g.Pz, g.Size(), len(b.prog.Ranks))
+			g.Px, g.Py, g.Pz, g.Size(), b.n)
 		return false
 	}
 	return true
@@ -303,7 +300,7 @@ func (b *Builder) Ring(bytes uint64, tag int) *Builder {
 	if b.err != nil {
 		return b
 	}
-	n := len(b.prog.Ranks)
+	n := b.n
 	if n < 2 {
 		return b // a 1-rank ring is a no-op
 	}
@@ -321,6 +318,5 @@ func (b *Builder) Build() (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	p := b.prog
-	return &p, nil
+	return &Program{App: b.app, Ranks: b.ranks}, nil
 }

@@ -62,6 +62,41 @@ func TestBuildProgramErrors(t *testing.T) {
 	}
 }
 
+// TestCompileRejectsDeparture: a build that describes another program on
+// its second call is refused by Compile whether the second call emits more
+// events on a rank, fewer, or as many but with its messages between other
+// ranks.
+func TestCompileRejectsDeparture(t *testing.T) {
+	for name, build := range map[string]func(int) func(*Builder){
+		"more": func(call int) func(*Builder) {
+			return func(b *Builder) {
+				for i := 0; i < call; i++ {
+					b.Allreduce(8)
+				}
+			}
+		},
+		"fewer": func(call int) func(*Builder) {
+			return func(b *Builder) {
+				for i := call; i < 3; i++ {
+					b.Allreduce(8)
+				}
+			}
+		},
+		"rerouted": func(call int) func(*Builder) {
+			return func(b *Builder) { b.SendRecv(call-1, 2-call, 0, 8) }
+		},
+	} {
+		calls := 0
+		_, err := Compile("x", 2, func(b *Builder) {
+			calls++
+			build(calls)(b)
+		})
+		if err == nil || !strings.Contains(err.Error(), "departs from its dry run") {
+			t.Errorf("%s: Compile error %v", name, err)
+		}
+	}
+}
+
 // TestBuildProgramAllocationsFlat: the events live in one array, so the
 // allocation count of a build does not grow with the program.
 func TestBuildProgramAllocationsFlat(t *testing.T) {

@@ -9,7 +9,7 @@ package mpi
 import "fmt"
 
 // EventKind enumerates the event types a rank's trace may contain.
-type EventKind int
+type EventKind uint8
 
 // Event kinds. Compute segments carry a basic-block reference; Send/Recv
 // are blocking eager point-to-point operations; Isend/Irecv post
@@ -47,7 +47,7 @@ var kindNames = [...]string{
 
 // String returns the kind's name.
 func (k EventKind) String() string {
-	if k >= 0 && int(k) < len(kindNames) {
+	if int(k) < len(kindNames) {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("EventKind(%d)", int(k))
@@ -85,7 +85,7 @@ type Event struct {
 
 // Validate checks an event in the context of a program with n ranks, from
 // the perspective of rank self.
-func (e Event) Validate(self, n int) error {
+func (e *Event) Validate(self, n int) error {
 	switch e.Kind {
 	case Compute:
 		if e.Share <= 0 || e.Share > 1 {
@@ -102,7 +102,7 @@ func (e Event) Validate(self, n int) error {
 			return fmt.Errorf("mpi: zero-byte %s", e.Kind)
 		}
 	case Wait:
-		// Request pairing is checked program-wide in Program.Validate.
+		// Request pairing is checked program-wide by the compiler.
 	case Bcast, Reduce:
 		if e.Peer < 0 || e.Peer >= n {
 			return fmt.Errorf("mpi: %s root %d out of range", e.Kind, e.Peer)

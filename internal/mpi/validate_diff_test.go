@@ -9,7 +9,7 @@ import (
 	"unicode"
 )
 
-// referenceValidate is the map-based validator Program.Match replaced,
+// referenceValidate is the map-based validator the compiler replaced,
 // kept as the oracle for the differential tests below: it hashes every
 // (src, dst, tag) channel into maps and tracks requests in a per-rank map.
 func referenceValidate(p *Program) error {
@@ -96,10 +96,13 @@ func (c *byteChooser) Intn(n int) int {
 	return v % n
 }
 
+// composeRanks are the rank counts composeProgram draws from.
+var composeRanks = []int{1, 2, 3, 4, 8, 12, 27}
+
 // composeProgram builds a program from random Builder calls with valid
 // arguments.
 func composeProgram(c chooser) (*Program, error) {
-	n := []int{1, 2, 3, 4, 8, 12, 27}[c.Intn(7)]
+	n := composeRanks[c.Intn(len(composeRanks))]
 	b := NewBuilder("diff", n)
 	composeOn(b, c)
 	return b.Build()
@@ -107,7 +110,7 @@ func composeProgram(c chooser) (*Program, error) {
 
 // composeOn appends random pattern calls with valid arguments to b.
 func composeOn(b *Builder, c chooser) {
-	n := len(b.prog.Ranks)
+	n := b.n
 	g, err := NewGrid3D(n)
 	if err != nil {
 		b.fail("%v", err)
@@ -222,18 +225,18 @@ func errClass(err error) string {
 	}, err.Error())
 }
 
-// checkMatch reports where Match disagrees with the reference validator,
-// or where an accepted program's slots do not pair the k-th send and the
-// k-th receive of every channel.
+// checkMatch reports where Program.Compile disagrees with the reference
+// validator, or where an accepted program's slots do not pair the k-th send
+// and the k-th receive of every channel.
 func checkMatch(p *Program) error {
-	m, err := p.Match()
+	m, err := p.Compile()
 	ref := referenceValidate(p)
 	switch {
 	case (err == nil) != (ref == nil):
-		return fmt.Errorf("Match error %v, reference %v", err, ref)
+		return fmt.Errorf("Compile error %v, reference %v", err, ref)
 	case err != nil:
 		if errClass(err) != errClass(ref) {
-			return fmt.Errorf("Match rejects with %q, reference with %q", err, ref)
+			return fmt.Errorf("Compile rejects with %q, reference with %q", err, ref)
 		}
 		return nil
 	}
@@ -246,7 +249,10 @@ func checkMatch(p *Program) error {
 	for r, evs := range p.Ranks {
 		posted := map[int]int32{} // request → slot (-1 for an Isend)
 		for _, e := range evs {
-			s := m.Slot[ev]
+			if !opHolds(m, m.Ops[ev], e) {
+				return fmt.Errorf("rank %d op %d %+v does not hold its event %+v", r, ev, m.Ops[ev], e)
+			}
+			s := m.Ops[ev].Slot
 			ev++
 			if s < -1 || s >= int32(m.Messages) {
 				return fmt.Errorf("rank %d %s: slot %d outside [-1,%d)", r, e.Kind, s, m.Messages)
@@ -284,8 +290,8 @@ func checkMatch(p *Program) error {
 			}
 		}
 	}
-	if ev != len(m.Slot) {
-		return fmt.Errorf("%d slot entries for %d events", len(m.Slot), ev)
+	if ev != len(m.Ops) {
+		return fmt.Errorf("%d ops for %d events", len(m.Ops), ev)
 	}
 	for s := range writers {
 		if writers[s] != 1 || readers[s] != 1 {
@@ -306,10 +312,22 @@ func checkMatch(p *Program) error {
 	return nil
 }
 
+// opHolds reports whether op keeps what a replay reads of e: its kind, and
+// its payload or its (block, share) pair.
+func opHolds(m *Compiled, op Op, e Event) bool {
+	if op.Kind != e.Kind {
+		return false
+	}
+	if e.Kind == Compute {
+		return op.Arg < uint64(len(m.Computes)) && m.Computes[op.Arg] == BlockShare{BlockID: e.BlockID, Share: e.Share}
+	}
+	return op.Arg == e.Bytes
+}
+
 // TestMatchAgreesWithReference: on Builder programs with one to three
-// random mutations, Match accepts and rejects exactly the programs the
-// map-based reference does, and on accepted programs its slots pair the
-// k-th send with the k-th receive of every channel.
+// random mutations, the compiler accepts and rejects exactly the programs
+// the map-based reference does, and on accepted programs its slots pair
+// the k-th send with the k-th receive of every channel.
 func TestMatchAgreesWithReference(t *testing.T) {
 	var rejected int
 	f := func(seed int64) bool {
@@ -341,7 +359,7 @@ func TestMatchAgreesWithReference(t *testing.T) {
 }
 
 // FuzzProgramValidate drives composeProgram and mutate from the fuzzer's
-// bytes and checks Match against the reference validator.
+// bytes and checks the compiler against the reference validator.
 func FuzzProgramValidate(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{6, 0, 5, 3, 200, 1, 4, 7, 9}, uint8(1))

@@ -2,9 +2,9 @@
 // framework: it replays a parallel application's event trace against a
 // target machine model to produce a predicted runtime. The package provides
 // three pieces: a LogGP-style network model, a discrete-event replay engine
-// for mpi.Program event traces, and the convolution that maps an
-// application signature onto a machine profile (Equation 1 of the paper)
-// to obtain per-basic-block computation times.
+// for MPI event traces compiled into schedules, and the convolution that
+// maps an application signature onto a machine profile (Equation 1 of the
+// paper) to obtain per-basic-block computation times.
 package psins
 
 import (

@@ -72,31 +72,37 @@ func (tl *Timeline) add(rank int, kind mpi.EventKind, start, end float64, blockI
 	})
 }
 
-// Schedule is a program compiled for replay: the program's events, read in
-// place, plus its static point-to-point matching, which gives every message
-// a slot shared by its send and its receive (and the receive's Wait). A
-// Schedule is immutable, so one compiled program can be replayed any number
-// of times, concurrently, under different costs and networks; the program
-// must not change after Compile.
+// Schedule is a program compiled for replay (mpi.Compiled): every event as
+// a 16-byte op, with its point-to-point matching resolved into message
+// slots, each shared by a message's send and its receive (and the
+// receive's Wait). A Schedule is immutable, so one compiled program can be
+// replayed any number of times, concurrently, under different costs and
+// networks.
 type Schedule struct {
-	prog  *mpi.Program
-	off   []int // off[r] is the index of rank r's first event in match.Slot
-	match *mpi.Matching
+	prog *mpi.Compiled
 }
 
-// Compile validates prog (every check of mpi.Program.Validate) and resolves
-// its point-to-point matching into message slots. It is the only validation
-// a replay needs.
+// Compile checks prog (every check of mpi.Program.Validate) and compiles
+// it for replay, streaming its events rank by rank through the compiler
+// CompileBuild runs. It is the only validation a replay needs.
 func Compile(prog *mpi.Program) (*Schedule, error) {
-	m, err := prog.Match()
+	c, err := prog.Compile()
 	if err != nil {
 		return nil, err
 	}
-	off := make([]int, len(prog.Ranks)+1)
-	for r, evs := range prog.Ranks {
-		off[r+1] = off[r] + len(evs)
+	return &Schedule{prog: c}, nil
+}
+
+// CompileBuild compiles the n-rank program that build describes straight
+// from the Builder's patterns (mpi.Compile), without materializing its
+// events. The schedule is the one Compile makes of mpi.BuildProgram's
+// program for the same description.
+func CompileBuild(app string, n int, build func(*mpi.Builder)) (*Schedule, error) {
+	c, err := mpi.Compile(app, n, build)
+	if err != nil {
+		return nil, err
 	}
-	return &Schedule{prog: prog, off: off, match: m}, nil
+	return &Schedule{prog: c}, nil
 }
 
 // Replay compiles prog and replays it once; see Schedule.Replay. Callers
@@ -128,8 +134,8 @@ func (s *Schedule) Replay(ctx context.Context, net Network, cost ComputeCost, tl
 	if cost == nil {
 		return nil, fmt.Errorf("psins: nil compute cost")
 	}
-	ranks := s.prog.Ranks
-	n := len(ranks)
+	ops, off, computes := s.prog.Ops, s.prog.Off, s.prog.Computes
+	n := len(off) - 1
 	// The label is built without fmt, whose printer pool a garbage
 	// collection may empty, so a replay's allocations do not depend on
 	// when the collector runs.
@@ -141,16 +147,16 @@ func (s *Schedule) Replay(ctx context.Context, net Network, cost ComputeCost, tl
 		RankEnd:     make([]float64, n),
 		ComputeTime: make([]float64, n),
 		CommTime:    make([]float64, n),
-		Messages:    s.match.Messages,
+		Messages:    s.prog.Messages,
 	}
 	clock := make([]float64, n)
-	pc := make([]int, n)
+	pc := make([]int, n)      // index in ops of each rank's next op
 	collIdx := make([]int, n) // next collective occurrence index per rank
 	collReg := make([]int, n) // collectives rank r has registered arrival at
 	// arrivals[slot] is when the message in slot reaches its receiver, valid
 	// once ready[slot] (its send has executed).
-	arrivals := make([]float64, s.match.Messages)
-	ready := make([]bool, s.match.Messages)
+	arrivals := make([]float64, s.prog.Messages)
+	ready := make([]bool, s.prog.Messages)
 	// nicFree[r] is when rank r's NIC finishes injecting its previous
 	// message: consecutive sends from one rank serialize at the NIC even
 	// though the CPU only pays the per-message overhead.
@@ -177,10 +183,11 @@ func (s *Schedule) Replay(ctx context.Context, net Network, cost ComputeCost, tl
 		res.CommTime[r] += end - start
 		clock[r] = end
 	}
-	colls := make([]collState, 0, s.match.Collectives)
+	colls := make([]collState, 0, s.prog.Collectives)
 	unfinished := 0
-	for _, evs := range ranks {
-		if len(evs) > 0 {
+	for r := 0; r < n; r++ {
+		pc[r] = off[r]
+		if off[r+1] > off[r] {
 			unfinished++
 		}
 	}
@@ -192,41 +199,41 @@ func (s *Schedule) Replay(ctx context.Context, net Network, cost ComputeCost, tl
 		}
 		progress := false
 		for r := 0; r < n; r++ {
-			evs := ranks[r]
-			slots := s.match.Slot[s.off[r]:s.off[r+1]]
-			if pc[r] == len(evs) {
+			end := off[r+1]
+			if pc[r] == end {
 				continue
 			}
 			// Drain as many events as possible for this rank before moving
 			// on; only a blocked receive, Wait or collective stops it.
 		rankLoop:
-			for pc[r] < len(evs) {
+			for pc[r] < end {
 				if replayed++; replayed&ctxCheckMask == 0 {
 					if err := ctx.Err(); err != nil {
 						return nil, err
 					}
 				}
-				e := &evs[pc[r]]
-				slot := slots[pc[r]]
-				switch e.Kind {
+				op := &ops[pc[r]]
+				slot := op.Slot
+				switch op.Kind {
 				case mpi.Compute:
-					dt, err := cost(r, e.BlockID, e.Share)
+					w := computes[op.Arg]
+					dt, err := cost(r, w.BlockID, w.Share)
 					if err != nil {
-						return nil, fmt.Errorf("psins: rank %d block %d: %w", r, e.BlockID, err)
+						return nil, fmt.Errorf("psins: rank %d block %d: %w", r, w.BlockID, err)
 					}
 					if dt < 0 {
-						return nil, fmt.Errorf("psins: negative compute cost %g for block %d", dt, e.BlockID)
+						return nil, fmt.Errorf("psins: negative compute cost %g for block %d", dt, w.BlockID)
 					}
-					tl.add(r, mpi.Compute, clock[r], clock[r]+dt, e.BlockID)
+					tl.add(r, mpi.Compute, clock[r], clock[r]+dt, w.BlockID)
 					clock[r] += dt
 					res.ComputeTime[r] += dt
 				case mpi.Send, mpi.Isend:
 					// Sends are eager: the CPU pays the injection overhead
 					// at post time, and an Isend's Wait is then free.
-					o := net.SendOverhead(e.Bytes)
-					arrivals[slot] = inject(r, clock[r]+o, e.Bytes)
+					o := net.SendOverhead(op.Arg)
+					arrivals[slot] = inject(r, clock[r]+o, op.Arg)
 					ready[slot] = true
-					tl.add(r, e.Kind, clock[r], clock[r]+o, 0)
+					tl.add(r, op.Kind, clock[r], clock[r]+o, 0)
 					clock[r] += o
 					res.CommTime[r] += o
 				case mpi.Recv:
@@ -247,12 +254,12 @@ func (s *Schedule) Replay(ctx context.Context, net Network, cost ComputeCost, tl
 				default: // collective
 					idx := collIdx[r]
 					for len(colls) <= idx {
-						colls = append(colls, collState{kind: e.Kind, bytes: e.Bytes})
+						colls = append(colls, collState{kind: op.Kind, bytes: op.Arg})
 					}
 					st := &colls[idx]
-					if st.kind != e.Kind || st.bytes != e.Bytes {
+					if st.kind != op.Kind || st.bytes != op.Arg {
 						return nil, fmt.Errorf("psins: rank %d collective %d is %s/%dB, others ran %s/%dB",
-							r, idx, e.Kind, e.Bytes, st.kind, st.bytes)
+							r, idx, op.Kind, op.Arg, st.kind, st.bytes)
 					}
 					if collReg[r] == idx {
 						// First visit by this rank: register arrival.
@@ -274,7 +281,7 @@ func (s *Schedule) Replay(ctx context.Context, net Network, cost ComputeCost, tl
 					if !st.done {
 						break rankLoop // wait for the other ranks
 					}
-					tl.add(r, e.Kind, clock[r], st.endT, 0)
+					tl.add(r, op.Kind, clock[r], st.endT, 0)
 					res.CommTime[r] += st.endT - clock[r]
 					clock[r] = st.endT
 					collIdx[r]++
@@ -282,7 +289,7 @@ func (s *Schedule) Replay(ctx context.Context, net Network, cost ComputeCost, tl
 				pc[r]++
 				progress = true
 			}
-			if pc[r] == len(evs) {
+			if pc[r] == end {
 				unfinished--
 			}
 		}
@@ -307,7 +314,7 @@ func (s *Schedule) Replay(ctx context.Context, net Network, cost ComputeCost, tl
 	}
 	m := obs.From(ctx)
 	m.Counter("psins.replays").Inc()
-	m.Counter("psins.events").Add(uint64(s.off[n]))
+	m.Counter("psins.events").Add(uint64(len(ops)))
 	m.Counter("psins.messages").Add(uint64(res.Messages))
 	m.Gauge("psins.compute_seconds").Add(compute)
 	m.Gauge("psins.comm_seconds").Add(comm)

@@ -501,7 +501,9 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 // TestQueueWaitTimeout verifies a queued request gives up with 429 once
-// QueueWait elapses.
+// QueueWait elapses. The queued request goes out under a client timeout,
+// and the blocked handler is released on cleanup, so an admission that
+// lets it run instead fails the test within seconds rather than hanging.
 func TestQueueWaitTimeout(t *testing.T) {
 	real := tracex.NewEngine()
 	bp := newBlockingPredict()
@@ -510,15 +512,22 @@ func TestQueueWaitTimeout(t *testing.T) {
 		Engine: shim, MaxInFlight: 1, MaxQueue: 1,
 		QueueWait: 50 * time.Millisecond, DisableCoalescing: true,
 	})
+	release := sync.OnceFunc(func() { close(bp.release) })
+	t.Cleanup(release)
 	done := make(chan int, 1)
 	bodyA := inlinePredictBody(t, 4)
 	go func() { done <- postStatus(base+"/v1/predict", bodyA) }()
 	<-bp.started
-	resp, _ := post(t, base+"/v1/predict", inlinePredictBody(t, 8))
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Post(base+"/v1/predict", "application/json", bytes.NewReader([]byte(inlinePredictBody(t, 8))))
+	if err != nil {
+		t.Fatalf("queued request got no answer: %v", err)
+	}
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Errorf("queued request after QueueWait: %d, want 429", resp.StatusCode)
 	}
-	close(bp.release)
+	release()
 	if got := <-done; got != 200 {
 		t.Errorf("request A finished %d", got)
 	}

@@ -176,10 +176,11 @@ func (a *App) Work(p int) ([]Work, error) {
 	return out, nil
 }
 
-// Program builds the replayable MPI event trace at core count p: steps
-// timesteps, each computing every block on every rank followed by a 3D halo
-// exchange and an allreduce.
-func (a *App) Program(p int) (*mpi.Program, error) {
+// Build returns the description of the app's MPI event trace at core
+// count p, the Builder calls that emit it, for mpi.BuildProgram or
+// psins.CompileBuild: steps timesteps, each computing every block on every
+// rank followed by a 3D halo exchange and an allreduce.
+func (a *App) Build(p int) (func(*mpi.Builder), error) {
 	if err := a.checkCores(p); err != nil {
 		return nil, err
 	}
@@ -188,7 +189,7 @@ func (a *App) Program(p int) (*mpi.Program, error) {
 		return nil, err
 	}
 	share := 1.0 / float64(a.steps)
-	return mpi.BuildProgram(a.name, p, func(b *mpi.Builder) {
+	return func(b *mpi.Builder) {
 		for step := 0; step < a.steps; step++ {
 			for i := range a.blocks {
 				b.ComputeAll(a.blocks[i].spec.ID, share)
@@ -202,7 +203,17 @@ func (a *App) Program(p int) (*mpi.Program, error) {
 			}
 			b.Allreduce(a.allreduceBytes)
 		}
-	})
+	}, nil
+}
+
+// Program builds the replayable MPI event trace at core count p that Build
+// describes.
+func (a *App) Program(p int) (*mpi.Program, error) {
+	build, err := a.Build(p)
+	if err != nil {
+		return nil, err
+	}
+	return mpi.BuildProgram(a.name, p, build)
 }
 
 // jitter is a small deterministic multiplicative perturbation applied to

@@ -56,11 +56,11 @@ func measure(ctx context.Context, col *pebil.Collector, app *App, cores int, tar
 		memTotal += model.Seconds(memCycles)
 		fpTotal += model.Seconds(fpCycles)
 	}
-	prog, err := app.Program(cores)
+	build, err := app.Build(cores)
 	if err != nil {
 		return nil, err
 	}
-	sched, err := psins.Compile(prog)
+	sched, err := psins.CompileBuild(app.Name(), cores, build)
 	if err != nil {
 		return nil, err
 	}

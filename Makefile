@@ -26,26 +26,27 @@ test-race:
 	$(GO) test -race ./...
 
 # Short fuzz passes over the signature codec, the wire strict decoder, the
-# program validator, the two program compile routes and the cache
-# simulator (CI runs the same smoke).
+# program validator, the two program compile routes, the cache simulator
+# and the address generators' batch paths (CI runs the same smoke).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSignatureDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStrict -fuzztime 10s ./wire
 	$(GO) test -run '^$$' -fuzz FuzzProgramValidate -fuzztime 10s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz FuzzCompileRoutesAgree -fuzztime 10s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz FuzzSimulatorMatchesReference -fuzztime 10s ./internal/cache
+	$(GO) test -run '^$$' -fuzz FuzzNextBatchMatchesNext -fuzztime 10s ./internal/addrgen
 
 # One iteration of every exhibit benchmark (Table/Figure regeneration).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 
-# Serial vs batched vs arena-parallel signature collection, plus the
-# batched hot loops underneath it (address generation and cache
-# AccessBatch) and the MultiMAPS probe sweep that runs the same simulator.
-# Allocation counts should be 0 in steady state.
+# Serial vs batched vs arena-parallel signature collection, plus the hot
+# loops underneath it (batched address generation, cache AccessBatch and
+# scalar Access) and the MultiMAPS probe sweep that runs the same
+# simulator. Allocation counts should be 0 in steady state.
 bench-collect:
 	$(GO) test -run '^$$' -bench 'BenchmarkCollect/' -benchmem -benchtime=3x ./internal/pebil
-	$(GO) test -run '^$$' -bench 'BenchmarkAccessBatch|BenchmarkStrideNextBatch|BenchmarkRandomNextBatch' -benchmem ./internal/cache ./internal/addrgen
+	$(GO) test -run '^$$' -bench 'BenchmarkAccess|BenchmarkStrideNextBatch|BenchmarkStencilNextBatch|BenchmarkRandomNextBatch' -benchmem ./internal/cache ./internal/addrgen
 	$(GO) test -run '^$$' -bench 'BenchmarkProbeSweep' -benchmem ./internal/multimaps
 
 # One iteration of every benchmark in the tree: a cheap CI smoke that

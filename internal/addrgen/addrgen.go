@@ -11,6 +11,7 @@ package addrgen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -78,6 +79,9 @@ func NewStride(base, stride, ws uint64) (*Stride, error) {
 		return nil, fmt.Errorf("addrgen: zero working set")
 	}
 	if rem := ws % stride; rem != 0 {
+		if ws > math.MaxUint64-(stride-rem) {
+			return nil, fmt.Errorf("addrgen: working set %d overflows when rounded up to stride %d", ws, stride)
+		}
 		ws += stride - rem
 	}
 	return &Stride{base: base, stride: stride, ws: ws}, nil
@@ -99,16 +103,26 @@ func (s *Stride) Next() uint64 {
 	return a
 }
 
-// NextBatch implements BatchGenerator with pure register arithmetic: the
-// stream position is carried in a local and written back once per batch.
+// NextBatch implements BatchGenerator. The working set is a whole number
+// of strides, so the addresses up to the next wrap form a run that needs
+// no per-address wrap test; the position is written back once per batch.
 func (s *Stride) NextBatch(dst []uint64) {
-	base, stride, ws, cur := s.base, s.stride, s.ws, s.cur
-	for i := range dst {
-		dst[i] = base + cur
-		cur += stride
+	stride, ws, cur := s.stride, s.ws, s.cur
+	for len(dst) > 0 {
+		run := dst
+		if left := (ws - cur) / stride; left < uint64(len(run)) {
+			run = run[:left]
+		}
+		a := s.base + cur
+		for i := range run {
+			run[i] = a
+			a += stride
+		}
+		cur += uint64(len(run)) * stride
 		if cur >= ws {
 			cur = 0
 		}
+		dst = dst[len(run):]
 	}
 	s.cur = cur
 }
@@ -255,12 +269,72 @@ func (s *Stencil3D) Next() uint64 {
 	return a
 }
 
-// NextBatch implements BatchGenerator. The per-point switch stays, but the
-// calls devirtualize to the concrete method so the batch loop avoids one
-// interface dispatch per reference.
+// NextBatch implements BatchGenerator by emitting whole cells. Cells run in
+// row-major order, so a cell's center is the previous center plus one
+// element, and each neighbor is the center plus or minus an element, a row
+// or a plane, or the center itself at a grid boundary. A cell that Next
+// began, or that the end of dst cuts, is emitted through Next.
 func (s *Stencil3D) NextBatch(dst []uint64) {
-	for i := range dst {
-		dst[i] = s.Next()
+	for s.point != 0 && len(dst) > 0 {
+		dst[0] = s.Next()
+		dst = dst[1:]
+	}
+	nx, ny, nz, elem := s.nx, s.ny, s.nz, s.elem
+	row := nx * elem
+	plane := ny * row
+	i, j, k := s.i, s.j, s.k
+	c := s.addr(i, j, k)
+	for len(dst) >= 7 {
+		// The row and plane steps hold for the rest of the row.
+		var north, south, down, up uint64
+		if j > 0 {
+			north = row
+		}
+		if j+1 < ny {
+			south = row
+		}
+		if k > 0 {
+			down = plane
+		}
+		if k+1 < nz {
+			up = plane
+		}
+		cells := nx - i
+		if whole := uint64(len(dst) / 7); whole < cells {
+			cells = whole
+		}
+		for ; cells > 0; cells-- {
+			var west, east uint64
+			if i > 0 {
+				west = elem
+			}
+			if i+1 < nx {
+				east = elem
+			}
+			cell := dst[:7]
+			cell[0], cell[1], cell[2] = c, c-west, c+east
+			cell[3], cell[4], cell[5], cell[6] = c-north, c+south, c-down, c+up
+			dst = dst[7:]
+			c += elem
+			i++
+		}
+		if i == nx {
+			i = 0
+			j++
+			if j == ny {
+				j = 0
+				k++
+				if k == nz {
+					k = 0
+					c = s.base
+				}
+			}
+		}
+	}
+	s.i, s.j, s.k = i, j, k
+	for len(dst) > 0 {
+		dst[0] = s.Next()
+		dst = dst[1:]
 	}
 }
 

@@ -36,6 +36,11 @@ func TestStrideErrors(t *testing.T) {
 	if _, err := NewStride(0, 8, 0); err == nil {
 		t.Error("zero working set accepted")
 	}
+	// Rounding 2^64-3 up to a multiple of 4 wraps to 0, a stream that
+	// would never advance.
+	if _, err := NewStride(0, 4, ^uint64(0)-2); err == nil {
+		t.Error("working set that overflows when rounded accepted")
+	}
 }
 
 func TestStrideReset(t *testing.T) {

@@ -183,24 +183,34 @@ func (s *Simulator) Levels() []LevelConfig {
 	return out
 }
 
+// front locates line blk: it returns the index of its set's first way and
+// its tag, and reports whether the line is already the most recent of its
+// set, where a hit changes nothing. It is small enough to inline into both
+// lookupFill and AccessBatch. (setBits is below 64, so masking it only
+// spares the shift its over-width check.)
+func (lv *level) front(blk uint64) (base int, tag uint64, hit bool) {
+	var set uint64
+	if lv.pow2 {
+		set, tag = blk&lv.setMask, blk>>(lv.setBits&63)
+	} else {
+		tag = blk / lv.sets64
+		set = blk - tag*lv.sets64
+	}
+	base = int(set) * lv.assoc
+	return base, tag, lv.ways[base] == tag && (tag != noLine || lv.filled > 0)
+}
+
 // lookupFill probes the level for line blk and reports whether it hit. A
 // hit moves the line to the front of its set; a miss shifts the set down
 // one way, evicting the least recent line (or an unused way), and inserts
 // the line at the front.
 func (lv *level) lookupFill(blk uint64) bool {
-	var set, tag uint64
-	if lv.pow2 {
-		set, tag = blk&lv.setMask, blk>>lv.setBits
-	} else {
-		tag = blk / lv.sets64
-		set = blk - tag*lv.sets64
-	}
-	base := int(set) * lv.assoc
-	ways := lv.ways[base : base+lv.assoc]
-	prev := ways[0]
-	if prev == tag && (tag != noLine || lv.filled > 0) {
+	base, tag, hit := lv.front(blk)
+	if hit {
 		return true
 	}
+	ways := lv.ways[base : base+lv.assoc]
+	prev := ways[0]
 	// Scan and shift in one pass: each way takes its predecessor's tag
 	// until the line turns up, which leaves ways[0] free for it.
 	for k := 1; k < len(ways); k++ {
@@ -283,11 +293,25 @@ func (s *Simulator) prefetchLine(blk uint64) {
 	}
 }
 
-// AccessBatch simulates every address in addrs in order.
+// AccessBatch simulates every address in addrs in order, with the effect
+// of one Access per address. A reference whose line is already the most
+// recent of its L1 set, and carries no prefetch mark, changes only the
+// reference and L1 hit counts: it is counted locally, and the counts are
+// added once per batch. Every other reference goes through Access.
 func (s *Simulator) AccessBatch(addrs []uint64) {
+	l1 := &s.levels[0]
+	shift := s.shift & 63 // below 64 already; the mask drops the shift's check
+	var front uint64
 	for _, a := range addrs {
+		blk := a >> shift
+		if _, _, hit := l1.front(blk); hit && (len(s.pfLines) == 0 || !s.pfLines[blk]) {
+			front++
+			continue
+		}
 		s.Access(a)
 	}
+	s.totalRefs += front
+	l1.hits += front
 }
 
 // PrefetchFillCount returns the number of prefetch fills since the last

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -110,13 +111,64 @@ func checkAgainstReference(t *testing.T, levels []LevelConfig, pf bool, addrs []
 			t.Fatalf("levels %+v pf=%v: ref %d addr %#x: Access = %d, reference %d", levels, pf, i, a, got, want)
 		}
 	}
-	got, want := sim.Counters(), ref.Counters()
+	checkCounters(t, levels, pf, "end of stream", sim.Counters(), ref.Counters())
+}
+
+// checkBatchAgainstReference streams addrs through a new Simulator's
+// AccessBatch in chunks of 1 to 4096 addresses drawn from chunks, and
+// through the reference one Access at a time, comparing the counters after
+// every chunk. It resets the counters at the quarter and flushes at the
+// midpoint, as checkAgainstReference does. It ends by replaying addrs
+// through Access on both, comparing every return, so a cache or prefetcher
+// state that the batch left different shows even where its counters
+// agreed.
+func checkBatchAgainstReference(t *testing.T, chunks *rand.Rand, levels []LevelConfig, pf bool, addrs []uint64) {
+	t.Helper()
+	opts := Options{NextLinePrefetch: pf}
+	sim, err := NewSimulatorOpts(levels, opts)
+	if err != nil {
+		t.Fatalf("%+v: %v", levels, err)
+	}
+	ref := newReferenceSimulator(levels, opts)
+	quarter, half := len(addrs)/4, len(addrs)/2
+	for i := 0; i < len(addrs); {
+		if i == half {
+			sim.Flush()
+			ref = newReferenceSimulator(levels, opts)
+		}
+		if i == quarter {
+			sim.ResetCounters()
+			ref.ResetCounters()
+		}
+		end := i + 1 + chunks.Intn(1<<chunks.Intn(13))
+		for _, stop := range []int{quarter, half, len(addrs)} {
+			if i < stop && stop < end {
+				end = stop
+			}
+		}
+		sim.AccessBatch(addrs[i:end])
+		for _, a := range addrs[i:end] {
+			ref.Access(a)
+		}
+		checkCounters(t, levels, pf, fmt.Sprintf("batch [%d,%d)", i, end), sim.Counters(), ref.Counters())
+		i = end
+	}
+	for i, a := range addrs {
+		if got, want := sim.Access(a), ref.Access(a); got != want {
+			t.Fatalf("levels %+v pf=%v: replay ref %d addr %#x after AccessBatch: Access = %d, reference %d", levels, pf, i, a, got, want)
+		}
+	}
+}
+
+// checkCounters fails unless got equals the reference's counters want.
+func checkCounters(t *testing.T, levels []LevelConfig, pf bool, where string, got, want Counters) {
+	t.Helper()
 	if got.Refs != want.Refs || got.MemAccesses != want.MemAccesses || got.PrefetchFills != want.PrefetchFills {
-		t.Fatalf("levels %+v pf=%v: counters %+v, reference %+v", levels, pf, got, want)
+		t.Fatalf("levels %+v pf=%v, %s: counters %+v, reference %+v", levels, pf, where, got, want)
 	}
 	for i := range want.LevelHits {
 		if got.LevelHits[i] != want.LevelHits[i] {
-			t.Fatalf("levels %+v pf=%v: level %d hits %d, reference %d", levels, pf, i, got.LevelHits[i], want.LevelHits[i])
+			t.Fatalf("levels %+v pf=%v, %s: level %d hits %d, reference %d", levels, pf, where, i, got.LevelHits[i], want.LevelHits[i])
 		}
 	}
 }
@@ -125,8 +177,10 @@ func checkAgainstReference(t *testing.T, levels []LevelConfig, pf bool, addrs []
 // return what the age-stamped reference returns on every access, and to end
 // with the same counters, across power-of-two and divided set counts,
 // associativity 1–48, line sizes 1–128, the prefetcher on and off, and
-// stride, random, hot-set, same-line and top-of-memory streams. One-set
-// levels run without the prefetcher only (see
+// stride, random, hot-set, same-line and top-of-memory streams. Every
+// stream also runs through AccessBatch in random chunks, whose front-of-set
+// path must leave the same counters and state as one Access per address.
+// One-set levels run without the prefetcher only (see
 // TestOneSetPrefetchedLineIsMoreRecent).
 func TestSimulatorMatchesReference(t *testing.T) {
 	fixed := [][]LevelConfig{
@@ -141,6 +195,7 @@ func TestSimulatorMatchesReference(t *testing.T) {
 		{{Name: "L1", SizeBytes: 16 * 64, Assoc: 16, LineSize: 64}, {Name: "L2", SizeBytes: 4 * 48 * 64, Assoc: 48, LineSize: 64}},
 	}
 	rng := rand.New(rand.NewSource(15))
+	chunks := rand.New(rand.NewSource(16))
 	n := 6000
 	if testing.Short() {
 		n = 1500
@@ -159,7 +214,9 @@ func TestSimulatorMatchesReference(t *testing.T) {
 		}
 		for _, levels := range cases {
 			for _, kind := range streamKinds {
-				checkAgainstReference(t, levels, pf, diffStream(rng, kind, levels, n))
+				addrs := diffStream(rng, kind, levels, n)
+				checkAgainstReference(t, levels, pf, addrs)
+				checkBatchAgainstReference(t, chunks, levels, pf, addrs)
 			}
 		}
 	}
@@ -170,6 +227,7 @@ func TestSimulatorMatchesReference(t *testing.T) {
 	addrs := diffStream(rng, "top", byteLines, n)
 	addrs[0], addrs[1], addrs[n/2] = ^uint64(0)-3, ^uint64(0), ^uint64(0)
 	checkAgainstReference(t, byteLines, false, addrs)
+	checkBatchAgainstReference(t, chunks, byteLines, false, addrs)
 }
 
 // TestOneSetPrefetchedLineIsMoreRecent pins the one place the recency
@@ -203,8 +261,9 @@ func TestOneSetPrefetchedLineIsMoreRecent(t *testing.T) {
 	}
 }
 
-// FuzzSimulatorMatchesReference drives the differential check from fuzzed
-// seeds: the seed picks the hierarchy and the stream, pf the prefetcher.
+// FuzzSimulatorMatchesReference drives the differential checks, per Access
+// and per AccessBatch chunk, from fuzzed seeds: the seed picks the
+// hierarchy, the stream and the chunk lengths, pf the prefetcher.
 func FuzzSimulatorMatchesReference(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(seed), seed%2 == 0)
@@ -217,6 +276,8 @@ func FuzzSimulatorMatchesReference(f *testing.F) {
 		}
 		levels := randomHierarchy(rng, minSets)
 		k := streamKinds[int(kind)%len(streamKinds)]
-		checkAgainstReference(t, levels, pf, diffStream(rng, k, levels, 2000))
+		addrs := diffStream(rng, k, levels, 2000)
+		checkAgainstReference(t, levels, pf, addrs)
+		checkBatchAgainstReference(t, rng, levels, pf, addrs)
 	})
 }

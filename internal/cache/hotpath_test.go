@@ -88,6 +88,39 @@ func BenchmarkAccessBatchStride(b *testing.B) {
 	}
 }
 
+// benchmarkUnitStride streams 8-byte unit-stride references over a 1 MiB
+// array through the bluewaters hierarchy, so seven of every eight
+// references hit the line at the front of its L1 set.
+func benchmarkUnitStride(b *testing.B, opts Options) {
+	sim, _ := NewSimulatorOpts([]LevelConfig{
+		{Name: "L1", SizeBytes: 32 << 10, Assoc: 8, LineSize: 64},
+		{Name: "L2", SizeBytes: 256 << 10, Assoc: 8, LineSize: 64},
+		{Name: "L3", SizeBytes: 4 << 20, Assoc: 8, LineSize: 64},
+	}, opts)
+	batch := make([]uint64, 4096)
+	var next uint64
+	b.ReportAllocs()
+	b.SetBytes(int64(len(batch) * 8))
+	for i := 0; i < b.N; i++ {
+		for j := range batch {
+			batch[j] = next
+			next = (next + 8) & (1<<20 - 1)
+		}
+		sim.AccessBatch(batch)
+	}
+}
+
+// BenchmarkAccessBatchUnitStride measures the front-of-set path of
+// AccessBatch on the unit-stride pattern that dominates collection.
+func BenchmarkAccessBatchUnitStride(b *testing.B) { benchmarkUnitStride(b, Options{}) }
+
+// BenchmarkAccessBatchUnitStridePrefetch is BenchmarkAccessBatchUnitStride
+// with the prefetcher on, where a front hit must also rule out a prefetch
+// mark.
+func BenchmarkAccessBatchUnitStridePrefetch(b *testing.B) {
+	benchmarkUnitStride(b, Options{NextLinePrefetch: true})
+}
+
 // BenchmarkAccessBatchRandom measures the batched hot loop on a random
 // stream, including the non-power-of-two set-index path.
 func BenchmarkAccessBatchRandom(b *testing.B) {

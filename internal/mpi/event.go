@@ -88,7 +88,7 @@ type Event struct {
 func (e *Event) Validate(self, n int) error {
 	switch e.Kind {
 	case Compute:
-		if e.Share <= 0 || e.Share > 1 {
+		if !(e.Share > 0 && e.Share <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("mpi: compute share %g outside (0,1]", e.Share)
 		}
 	case Send, Recv, Isend, Irecv:

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -410,6 +411,7 @@ func TestMatchErrorText(t *testing.T) {
 func TestBuilderRejectsInvalidEvents(t *testing.T) {
 	for name, b := range map[string]*Builder{
 		"share":     NewBuilder("x", 2).Compute(0, 1, 1.5),
+		"nan share": NewBuilder("x", 2).ComputeAll(1, math.NaN()),
 		"bytes":     NewBuilder("x", 2).SendRecv(0, 1, 0, 0),
 		"root":      NewBuilder("x", 2).Collective(Bcast, 5, 8),
 		"zero coll": NewBuilder("x", 2).Allreduce(0),

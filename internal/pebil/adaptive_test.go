@@ -59,7 +59,7 @@ func TestParseSamplingPolicy(t *testing.T) {
 
 	bad := []string{
 		"bogus", "fixed:0", "fixed:-5", "fixed:x", "fixed,warm", "fixed,warm=0",
-		"fixed,pilot=5", "adaptive:0", "adaptive:2", "adaptive:x",
+		"fixed,pilot=5", "adaptive:0", "adaptive:2", "adaptive:x", "adaptive:NaN", "adaptive:nan,pilot=20000",
 		"adaptive,cluster=maybe", "adaptive,warm=5",
 		"adaptive,min=100000,max=50000", "adaptive,pilot=60000,max=50000",
 	}
@@ -79,6 +79,7 @@ func TestSamplingPolicyValidate(t *testing.T) {
 		{Mode: SamplingModeAdaptive, SampleRefs: 1}, // fixed field in adaptive mode
 		{Mode: SamplingModeAdaptive, TargetRelErr: -0.1},
 		{Mode: SamplingModeAdaptive, TargetRelErr: 1.5},
+		{Mode: SamplingModeAdaptive, TargetRelErr: math.NaN()},
 		{Mode: SamplingModeAdaptive, MinRefs: 500_000},   // exceeds default MaxRefs
 		{Mode: SamplingModeAdaptive, PilotRefs: 500_000}, // exceeds default MaxRefs
 		{Mode: "stratified"},

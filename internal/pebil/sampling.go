@@ -127,7 +127,7 @@ func (p SamplingPolicy) Validate() error {
 		if p.SampleRefs != 0 || p.MaxWarmRefs != 0 {
 			return fmt.Errorf("pebil: adaptive sampling policy sets fixed fields (SampleRefs/MaxWarmRefs)")
 		}
-		if p.TargetRelErr < 0 || p.TargetRelErr > 1 {
+		if !(p.TargetRelErr >= 0 && p.TargetRelErr <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("pebil: TargetRelErr %g outside (0, 1]", p.TargetRelErr)
 		}
 		if p.PilotRefs < 0 || p.MinRefs < 0 || p.MaxRefs < 0 {
@@ -241,7 +241,7 @@ func ParseSamplingPolicy(s string) (SamplingPolicy, error) {
 		p.ClusterBlocks = true
 		if hasArg {
 			r, err := strconv.ParseFloat(arg, 64)
-			if err != nil || r <= 0 || r > 1 {
+			if err != nil || !(r > 0 && r <= 1) { // NaN fails both comparisons
 				return SamplingPolicy{}, fmt.Errorf("pebil: sampling %q: bad relative error target %q", s, arg)
 			}
 			p.TargetRelErr = r

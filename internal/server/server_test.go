@@ -256,6 +256,25 @@ func TestRequestValidation(t *testing.T) {
 		}
 	}
 
+	// A NaN error target parses as a float but targets nothing: it is a 400
+	// on every collecting route, not a collection whose policy, and so
+	// whose memo key, equals nothing, not even itself.
+	const nanSampling = `"sampling":"adaptive:NaN,pilot=1000,min=1000,max=1000"`
+	for path, req := range map[string]string{
+		"/v1/predict":    `{"app":"stencil3d","cores":8,"machine":"bluewaters",` + nanSampling + `}`,
+		"/v1/signatures": `{"app":"stencil3d","cores":8,"machine":"bluewaters",` + nanSampling + `}`,
+		"/v1/study":      `{"app":"stencil3d","machine":"bluewaters","input_counts":[8,16,32],"target_cores":64,` + nanSampling + `}`,
+	} {
+		resp, body := post(t, base+path, req)
+		var eb wire.ErrorBody
+		if err := json.Unmarshal(body, &eb); err != nil {
+			t.Fatalf("%s NaN sampling: unstructured error body %s", path, body)
+		}
+		if resp.StatusCode != 400 || eb.Error.Code != "bad_request" {
+			t.Errorf("%s NaN sampling: got %d/%s, want 400/bad_request", path, resp.StatusCode, eb.Error.Code)
+		}
+	}
+
 	// Sentinel mapping: an inline signature with no traces → no_traces.
 	resp, body := post(t, base+"/v1/predict",
 		`{"signature":{"app":"stencil3d","core_count":4,"machine":"bluewaters","traces":[]}}`)

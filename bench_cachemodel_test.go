@@ -51,10 +51,7 @@ func sweepCandidates(tb testing.TB) []MachineConfig {
 func BenchmarkGeometrySweepExact(b *testing.B) {
 	app := testApp(b, "specfem3d")
 	candidates := sweepCandidates(b)
-	col, err := pebil.NewCollector()
-	if err != nil {
-		b.Fatal(err)
-	}
+	col := pebil.NewCollector(0)
 	defer col.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -74,10 +71,7 @@ func BenchmarkGeometrySweepExact(b *testing.B) {
 func BenchmarkGeometrySweepAnalytical(b *testing.B) {
 	app := testApp(b, "specfem3d")
 	candidates := sweepCandidates(b)
-	col, err := pebil.NewCollector()
-	if err != nil {
-		b.Fatal(err)
-	}
+	col := pebil.NewCollector(0)
 	defer col.Close()
 	rs, err := col.CollectReuse(context.Background(), app, benchSweepCores, benchSweepOpt)
 	if err != nil {
@@ -98,10 +92,7 @@ func BenchmarkGeometrySweepAnalytical(b *testing.B) {
 // analytical sweep amortizes; comparable to a single exact collection.
 func BenchmarkReuseCollection(b *testing.B) {
 	app := testApp(b, "specfem3d")
-	col, err := pebil.NewCollector()
-	if err != nil {
-		b.Fatal(err)
-	}
+	col := pebil.NewCollector(0)
 	defer col.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -124,10 +115,7 @@ func TestGeometrySweepSpeedup(t *testing.T) {
 	}
 	app := testApp(t, "specfem3d")
 	candidates := sweepCandidates(t)
-	col, err := pebil.NewCollector()
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := pebil.NewCollector(0)
 	defer col.Close()
 
 	// The one-time recording producing the stored profile. It is timed the

@@ -43,14 +43,10 @@ func CalibrateMachine(cfg MachineConfig, obs []Observation, params []MachinePara
 // cache accounting paired with its detailed-model execution time. In a
 // real deployment the times would come from hardware measurement; here the
 // detailed simulator plays that role. The counters come from the engine's
-// collector arena; a zero opt selects the engine's default collection
-// options.
+// collector arena.
 func (e *Engine) ObserveBlocks(ctx context.Context, app *App, cores int, cfg MachineConfig, opt CollectOptions) ([]Observation, error) {
 	if err := e.usable(); err != nil {
 		return nil, err
-	}
-	if opt == (CollectOptions{}) {
-		opt = e.collectOpt
 	}
 	counters, err := e.collector.Counters(e.obsCtx(ctx), app, cores, cfg, opt)
 	if err != nil {

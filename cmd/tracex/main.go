@@ -62,10 +62,6 @@ func run() int {
 		"serve the engine's metrics snapshot as JSON on this address (host:port) while the command runs")
 	storeDir := gfs.String("store-dir", "",
 		"persistent signature store directory (default: $XDG_CACHE_HOME/tracex/store, else $HOME/.cache/tracex/store; \"off\" disables persistence)")
-	gfs.IntVar(&collectWorkers, "collect-workers", 0,
-		"worker goroutines per signature collection (0 = one per CPU); results are identical for any value")
-	gfs.IntVar(&collectBatch, "collect-batch", 0,
-		"addresses simulated per batch during collection (0 = default); results are identical for any value")
 	gfs.StringVar(&collectModel, "cache-model", "",
 		"cache model for signature collection: \"exact\" (default; simulates the target hierarchy) or \"analytical\" (derives hit rates from a machine-independent reuse-distance signature)")
 	gfs.StringVar(&collectSampling, "sampling", "",
@@ -126,19 +122,14 @@ func run() int {
 	return 0
 }
 
-// Global collection tuning, shared by every subcommand that simulates:
-// -collect-workers and -collect-batch schedule the same collection
-// differently without changing any result (pebil.CollectorConfig zeroes both
-// out of cache and store identities); -cache-model selects how hit rates are
-// produced.
-var (
-	collectWorkers, collectBatch  int
-	collectModel, collectSampling string
-)
+// Global collection options, shared by every subcommand that simulates:
+// -cache-model selects how hit rates are produced, -sampling how the
+// address stream is sampled.
+var collectModel, collectSampling string
 
 // collectOptions builds a subcommand's collection options from the global
-// tuning flags. The model and sampling-policy names are validated here so
-// a typo fails before any simulation.
+// collection flags. The model and sampling-policy names are validated here
+// so a typo fails before any simulation.
 func collectOptions() (tracex.CollectOptions, error) {
 	m, err := pebil.ParseCacheModel(collectModel)
 	if err != nil {
@@ -148,7 +139,7 @@ func collectOptions() (tracex.CollectOptions, error) {
 	if err != nil {
 		return tracex.CollectOptions{}, err
 	}
-	opt := tracex.CollectOptions{Workers: collectWorkers, BatchSize: collectBatch, Model: m, Sampling: pol}
+	opt := tracex.CollectOptions{Model: m, Sampling: pol}
 	if err := opt.Validate(); err != nil {
 		return tracex.CollectOptions{}, err
 	}
@@ -217,7 +208,6 @@ func serveMetrics(eng *tracex.Engine, addr string) (*server.Server, string, erro
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: tracex [-metrics-addr host:port] [-store-dir dir|off]
-              [-collect-workers n] [-collect-batch n]
               [-cache-model exact|analytical]
               [-sampling fixed:N|adaptive:RELERR] <command> [flags]
 

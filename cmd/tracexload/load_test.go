@@ -201,7 +201,11 @@ func TestWriteBenchFileMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bf benchFile
+	var bf struct {
+		Benchmark   string             `json:"benchmark"`
+		UpdatedUnix int64              `json:"updated_unix"`
+		Runs        map[string]*Report `json:"runs"`
+	}
 	if err := json.Unmarshal(raw, &bf); err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -31,6 +30,7 @@ import (
 	"time"
 
 	"tracex"
+	"tracex/internal/benchfile"
 	"tracex/internal/server"
 )
 
@@ -192,31 +192,8 @@ func printSummary(out *os.File, label string, rep *Report) {
 	}
 }
 
-// benchFile is the BENCH_serve.json layout: one file accumulating labeled
-// runs, so uniform and Zipf sweeps land side by side.
-type benchFile struct {
-	Benchmark   string             `json:"benchmark"`
-	UpdatedUnix int64              `json:"updated_unix"`
-	Runs        map[string]*Report `json:"runs"`
-}
-
-// writeBenchFile merges one labeled report into path, preserving runs
-// recorded under other labels.
+// writeBenchFile merges one labeled report into the BENCH_serve.json at
+// path, so uniform and Zipf sweeps land side by side.
 func writeBenchFile(path, label string, rep *Report) error {
-	bf := &benchFile{Benchmark: "tracexd-serving", Runs: map[string]*Report{}}
-	if raw, err := os.ReadFile(path); err == nil {
-		// A corrupt or foreign file is replaced rather than appended to.
-		_ = json.Unmarshal(raw, bf)
-		if bf.Runs == nil {
-			bf.Runs = map[string]*Report{}
-		}
-	}
-	bf.Benchmark = "tracexd-serving"
-	bf.UpdatedUnix = time.Now().Unix()
-	bf.Runs[label] = rep
-	b, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return benchfile.Merge(path, "", "tracexd-serving", label, rep)
 }

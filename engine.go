@@ -45,8 +45,6 @@ import (
 // it.
 type Engine struct {
 	parallelism int
-	collectOpt  CollectOptions
-	model       CacheModel
 	confErr     error // first configuration error; poisons every method
 	sem         chan struct{}
 	collector   *pebil.Collector
@@ -67,8 +65,7 @@ type Engine struct {
 }
 
 // sigKey identifies one signature collection. The collect options are
-// normalized (defaults filled, execution-only knobs cleared) so equivalent
-// requests share an entry.
+// normalized (defaults filled) so equivalent requests share an entry.
 type sigKey struct {
 	app     string
 	cores   int
@@ -325,9 +322,7 @@ func (e *Engine) usable() error {
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		e.closed.Store(true)
-		if e.collector != nil {
-			e.collector.Close()
-		}
+		e.collector.Close()
 		if e.disk != nil {
 			e.closeErr = e.disk.Close()
 		}
@@ -339,8 +334,6 @@ func (e *Engine) Close() error {
 type engineConfig struct {
 	parallelism int
 	cacheSize   int
-	collectOpt  CollectOptions
-	model       CacheModel
 	storeDir    string
 	remote      RemoteTier
 	registry    *obs.Registry
@@ -357,8 +350,7 @@ type EngineOption func(*engineConfig)
 // constructed but inert, with every method (and Err) returning an error
 // wrapping ErrBadParallelism. Omit the option for the default of one worker
 // per available CPU. The same bound sizes the engine's collection worker
-// arena; CollectOptions.Workers further restricts how many of those workers
-// a single collection may occupy.
+// arena, and every collection runs on up to all of its workers.
 func WithParallelism(n int) EngineOption {
 	return func(c *engineConfig) {
 		if n < 1 {
@@ -377,30 +369,6 @@ func WithParallelism(n int) EngineOption {
 // work; negative means unbounded. The default is 64.
 func WithCacheSize(n int) EngineOption {
 	return func(c *engineConfig) { c.cacheSize = n }
-}
-
-// WithCollectOptions sets the collection options used when a caller passes
-// the zero CollectOptions.
-func WithCollectOptions(opt CollectOptions) EngineOption {
-	return func(c *engineConfig) { c.collectOpt = opt }
-}
-
-// WithCacheModel sets the cache model used when a caller's collect options
-// leave Model empty: ModelExact simulates the target hierarchy reference by
-// reference, ModelAnalytical collects a machine-independent reuse-distance
-// signature once and derives per-geometry hit rates from it analytically.
-// An unknown model name leaves the engine inert with Err reporting it.
-// Explicit CollectOptions.Model values always win over this default.
-func WithCacheModel(m CacheModel) EngineOption {
-	return func(c *engineConfig) {
-		if _, err := pebil.ParseCacheModel(string(m)); err != nil {
-			if c.err == nil {
-				c.err = fmt.Errorf("tracex: %w", err)
-			}
-			return
-		}
-		c.model = m
-	}
 }
 
 // WithStore attaches a persistent signature store rooted at dir (created
@@ -472,8 +440,6 @@ func NewEngine(opts ...EngineOption) *Engine {
 	}
 	e := &Engine{
 		parallelism: cfg.parallelism,
-		collectOpt:  cfg.collectOpt,
-		model:       cfg.model,
 		confErr:     cfg.err,
 		sem:         make(chan struct{}, cfg.parallelism),
 		profiles:    memo.New[string, *Profile](cfg.cacheSize),
@@ -490,11 +456,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 	// The collection arena is shared by every collection the engine runs;
 	// sizing it by the pool bound keeps total simulation concurrency at
 	// parallelism even when several collections are in flight.
-	col, err := pebil.NewCollector(pebil.WithWorkers(cfg.parallelism))
-	if err != nil && e.confErr == nil {
-		e.confErr = fmt.Errorf("tracex: %w", err)
-	}
-	e.collector = col
+	e.collector = pebil.NewCollector(cfg.parallelism)
 	if cfg.storeDir != "" {
 		st, err := store.Open(cfg.storeDir, cfg.registry)
 		if err != nil && e.confErr == nil {
@@ -576,7 +538,7 @@ func (e *Engine) Profile(ctx context.Context, cfg MachineConfig) (*Profile, erro
 // CollectSignature traces the application at the given core count against
 // the target machine, memoizing the result: a second identical request is
 // served from cache with zero new simulation. A zero opt selects the
-// engine's default collection options (WithCollectOptions).
+// library defaults (CollectOptions.Normalized).
 func (e *Engine) CollectSignature(ctx context.Context, app *App, cores int, target MachineConfig, opt CollectOptions) (*Signature, error) {
 	sig, _, err := e.CollectSignatureFrom(ctx, app, cores, target, opt)
 	return sig, err
@@ -596,12 +558,6 @@ func (e *Engine) CollectSignatureFrom(ctx context.Context, app *App, cores int, 
 	}
 	if app == nil {
 		return nil, "", fmt.Errorf("tracex: nil application")
-	}
-	if opt == (CollectOptions{}) {
-		opt = e.collectOpt
-	}
-	if opt.Model == "" {
-		opt.Model = e.model
 	}
 	ctx = e.obsCtx(ctx)
 	sp := e.reg.StartSpan("engine.collect", fmt.Sprintf("%s@%d", app.Name(), cores))
@@ -680,18 +636,14 @@ func (e *Engine) CollectSignatureFrom(ctx context.Context, app *App, cores int, 
 // CollectSignatureFrom: in-memory memo, then the persistent store (the
 // profile is keyed without any machine component — see ReuseStoreKey), then
 // a fresh recording written through both tiers. The provenance reports the
-// tier that satisfied the request. A zero opt selects the engine's default
-// collection options; the options' Model and execution knobs do not affect
-// the profile's identity.
+// tier that satisfied the request. The options' Model does not affect the
+// profile's identity.
 func (e *Engine) CollectReuse(ctx context.Context, app *App, cores int, opt CollectOptions) (*ReuseSignature, Provenance, error) {
 	if err := e.usable(); err != nil {
 		return nil, "", err
 	}
 	if app == nil {
 		return nil, "", fmt.Errorf("tracex: nil application")
-	}
-	if opt == (CollectOptions{}) {
-		opt = e.collectOpt
 	}
 	ctx = e.obsCtx(ctx)
 	sp := e.reg.StartSpan("engine.reuse", fmt.Sprintf("%s@%d", app.Name(), cores))
@@ -872,9 +824,6 @@ func (e *Engine) PredictMany(ctx context.Context, reqs []PredictRequest) ([]*Pre
 func (e *Engine) Measure(ctx context.Context, app *App, cores int, target MachineConfig, opt CollectOptions) (*Prediction, error) {
 	if err := e.usable(); err != nil {
 		return nil, err
-	}
-	if opt == (CollectOptions{}) {
-		opt = e.collectOpt
 	}
 	ctx = e.obsCtx(ctx)
 	sp := e.reg.StartSpan("engine.measure", fmt.Sprintf("%s@%d", appName(app), cores))

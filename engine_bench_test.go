@@ -13,11 +13,8 @@ import (
 
 // benchCollectOpt keeps one collection cheap enough to repeat while leaving
 // enough simulation work for the pool to amortize goroutine overhead.
-// Per-block parallelism is pinned to 1 so the engine's worker pool is the
-// only concurrency under test.
 var benchCollectOpt = tracex.CollectOptions{
 	Sampling: tracex.FixedSampling(60_000, 150_000),
-	Workers:  1,
 }
 
 var benchInputCounts = []int{64, 96, 128, 192, 256}

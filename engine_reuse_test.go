@@ -24,7 +24,7 @@ func TestStoreKeyLegacyOptHash(t *testing.T) {
 		BatchSize       int
 		SharedHierarchy bool
 	}{SampleRefs: 20_000, MaxWarmRefs: 60_000}
-	opt := CollectOptions{Sampling: FixedSampling(20_000, 60_000), Workers: 5, BatchSize: 99}
+	opt := CollectOptions{Sampling: FixedSampling(20_000, 60_000)}
 	if got, want := optIdentity(opt.Normalized()), fmt.Sprintf("%+v", legacy); got != want {
 		t.Errorf("optIdentity(exact) = %q, want legacy rendering %q", got, want)
 	}
@@ -45,8 +45,8 @@ func TestStoreKeyLegacyOptHash(t *testing.T) {
 }
 
 // TestReuseStoreKeyMachineFree pins the redesigned identity: reuse profiles
-// are keyed without any machine component, and neither the cache model nor
-// the execution knobs change which stored profile a request resolves to.
+// are keyed without any machine component, and the cache model does not
+// change which stored profile a request resolves to.
 func TestReuseStoreKeyMachineFree(t *testing.T) {
 	opt := CollectOptions{Sampling: FixedSampling(20_000, 60_000)}
 	k := ReuseStoreKey("uh3d", 256, opt)
@@ -58,10 +58,8 @@ func TestReuseStoreKeyMachineFree(t *testing.T) {
 	}
 	variant := opt
 	variant.Model = ModelAnalytical
-	variant.Workers = 7
-	variant.BatchSize = 512
 	if ReuseStoreKey("uh3d", 256, variant) != k {
-		t.Error("model/scheduling knobs changed the reuse profile key")
+		t.Error("the cache model changed the reuse profile key")
 	}
 	shape := opt
 	shape.Sampling = FixedSampling(40_000, 60_000)
@@ -161,33 +159,5 @@ func TestEngineCollectReuseTiering(t *testing.T) {
 		if rs1.Blocks[i].Hist.Refs != rs2.Blocks[i].Hist.Refs {
 			t.Errorf("block %d histogram changed across restart", rs1.Blocks[i].ID)
 		}
-	}
-}
-
-// TestEngineWithCacheModel: the engine-level default model applies to
-// collections that leave Model unset, and an unknown model is a
-// configuration error surfaced by Err.
-func TestEngineWithCacheModel(t *testing.T) {
-	e := NewEngine(WithCacheModel(ModelAnalytical))
-	if err := e.Err(); err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	_, prov, err := e.CollectSignatureFrom(context.Background(), testApp(t, "stencil3d"), 64, testMachine(t, "bluewaters"), smallOpt)
-	if err != nil {
-		t.Fatalf("CollectSignatureFrom: %v", err)
-	}
-	if prov != FromAnalytical {
-		t.Errorf("provenance %q under engine default analytical model, want %q", prov, FromAnalytical)
-	}
-	// An explicit exact request overrides the engine default.
-	exact := smallOpt
-	exact.Model = ModelExact
-	if _, prov, err = e.CollectSignatureFrom(context.Background(), testApp(t, "stencil3d"), 64, testMachine(t, "bluewaters"), exact); err != nil || prov != FromCollected {
-		t.Errorf("explicit exact: prov=%q err=%v, want %q", prov, err, FromCollected)
-	}
-
-	if err := NewEngine(WithCacheModel("bogus")).Err(); err == nil {
-		t.Error("unknown cache model accepted")
 	}
 }

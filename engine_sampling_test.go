@@ -1,6 +1,9 @@
 package tracex
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // These tests pin the store-key semantics of the sampling policy: a fixed
 // policy renders the frozen identity format stores were written under
@@ -54,5 +57,42 @@ func TestOptIdentityAdaptiveExtendsIdentity(t *testing.T) {
 	noCluster.ClusterBlocks = false
 	if StoreKey("uh3d", 256, m, opt) == StoreKey("uh3d", 256, m, CollectOptions{Sampling: noCluster}) {
 		t.Error("cluster=on and cluster=off share a store key")
+	}
+}
+
+// TestStoreKeyCoversEveryOption: every CollectOptions field shapes the
+// signature, so one non-default valid value of each must move the store
+// key. A field added without an entry here fails, and so does one that
+// optIdentity forgets to render; a knob that only schedules the same
+// simulations has no value that moves the key, so it cannot join them.
+func TestStoreKeyCoversEveryOption(t *testing.T) {
+	nonDefault := map[string]any{
+		"Sampling":        FixedSampling(20_000, 0),
+		"SharedHierarchy": true,
+		"Model":           ModelAnalytical,
+	}
+	m := testMachine(t, "bluewaters")
+	base := StoreKey("uh3d", 256, m, CollectOptions{})
+	typ := reflect.TypeOf(CollectOptions{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		v, ok := nonDefault[name]
+		if !ok {
+			t.Errorf("CollectOptions.%s has no non-default value in this test", name)
+			continue
+		}
+		delete(nonDefault, name)
+		var opt CollectOptions
+		reflect.ValueOf(&opt).Elem().Field(i).Set(reflect.ValueOf(v))
+		if err := opt.Validate(); err != nil {
+			t.Errorf("CollectOptions.%s = %v is invalid: %v", name, v, err)
+			continue
+		}
+		if StoreKey("uh3d", 256, m, opt) == base {
+			t.Errorf("CollectOptions.%s = %v leaves the store key unchanged", name, v)
+		}
+	}
+	for name := range nonDefault {
+		t.Errorf("entry %q names no CollectOptions field", name)
 	}
 }

@@ -36,16 +36,12 @@ func testMachine(t testing.TB, name string) MachineConfig {
 }
 
 func TestEngineOptions(t *testing.T) {
-	opt := CollectOptions{Sampling: FixedSampling(123, 0)}
-	e := NewEngine(WithParallelism(3), WithCacheSize(7), WithCollectOptions(opt))
+	e := NewEngine(WithParallelism(3), WithCacheSize(7))
 	if e.parallelism != 3 {
 		t.Errorf("parallelism %d, want 3", e.parallelism)
 	}
 	if cap(e.sem) != 3 {
 		t.Errorf("sem capacity %d, want 3", cap(e.sem))
-	}
-	if e.collectOpt != opt {
-		t.Errorf("collectOpt %+v", e.collectOpt)
 	}
 	if err := e.Err(); err != nil {
 		t.Errorf("valid options reported configuration error %v", err)
@@ -616,10 +612,7 @@ func TestSentinelErrors(t *testing.T) {
 	}
 
 	// ErrRankOutOfRange: selecting a rank ≥ core count during collection.
-	col, err := pebil.NewCollector()
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := pebil.NewCollector(0)
 	defer col.Close()
 	if _, err := col.Collect(ctx, app, 64, cfg, []int{64},
 		smallOpt); !errors.Is(err, ErrRankOutOfRange) {
@@ -647,30 +640,6 @@ func TestExtrapOptionsValidate(t *testing.T) {
 	e := NewEngine()
 	if _, err := e.Extrapolate(context.Background(), nil, 512, ExtrapOptions{MinInputs: 1}); err == nil {
 		t.Error("Extrapolate with bad options accepted")
-	}
-}
-
-// TestEngineDefaultCollectOptions checks WithCollectOptions: a zero
-// CollectOptions request adopts the engine default, and the two spellings
-// share one cache entry.
-func TestEngineDefaultCollectOptions(t *testing.T) {
-	e := NewEngine(WithCollectOptions(smallOpt))
-	ctx := context.Background()
-	app := testApp(t, "stencil3d")
-	cfg := testMachine(t, "bluewaters")
-	a, err := e.CollectSignature(ctx, app, 64, cfg, CollectOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := e.CollectSignature(ctx, app, 64, cfg, smallOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("zero options and explicit default produced distinct cache entries")
-	}
-	if st := e.Stats(); st.Collections != 1 {
-		t.Errorf("%d collections, want 1", st.Collections)
 	}
 }
 

@@ -32,10 +32,10 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	eng := tracex.NewEngine(
-		tracex.WithCollectOptions(tracex.CollectOptions{Sampling: tracex.FixedSampling(200_000, 0)}),
-	)
+	eng := tracex.NewEngine()
 	defer eng.Close()
+	// A 200k-reference sample per block keeps every collection quick.
+	opt := tracex.CollectOptions{Sampling: tracex.FixedSampling(200_000, 0)}
 
 	app, err := tracex.LoadApp("stencil3d")
 	if err != nil {
@@ -54,7 +54,7 @@ func main() {
 	fmt.Printf("   %d bandwidth surface points for %s\n", len(prof.Surface), target.Name)
 
 	fmt.Println("== 2. collecting signatures at 64, 128 and 256 cores")
-	inputs, err := eng.CollectInputs(ctx, app, []int{64, 128, 256}, target, tracex.CollectOptions{})
+	inputs, err := eng.CollectInputs(ctx, app, []int{64, 128, 256}, target, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func main() {
 	}
 
 	fmt.Println("== 4. predicting the 512-core runtime")
-	collected, err := eng.CollectSignature(ctx, app, 512, target, tracex.CollectOptions{})
+	collected, err := eng.CollectSignature(ctx, app, 512, target, opt)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func main() {
 	predExtrap, predColl := preds[0], preds[1]
 
 	fmt.Println("== 5. ground truth from the detailed execution simulation")
-	measured, err := eng.Measure(ctx, app, 512, target, tracex.CollectOptions{})
+	measured, err := eng.Measure(ctx, app, 512, target, opt)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -69,10 +69,7 @@ func TestClusterRanksValidation(t *testing.T) {
 // newCollector returns a collector that is closed when the test ends.
 func newCollector(t *testing.T) *pebil.Collector {
 	t.Helper()
-	col, err := pebil.NewCollector()
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := pebil.NewCollector(0)
 	t.Cleanup(col.Close)
 	return col
 }

@@ -34,11 +34,7 @@ func testSetup(t *testing.T) (*trace.Trace, *psins.Computation, machine.Config) 
 			setupErr = err
 			return
 		}
-		col, err := pebil.NewCollector()
-		if err != nil {
-			setupErr = err
-			return
-		}
+		col := pebil.NewCollector(0)
 		defer col.Close()
 		app := synthapp.Stencil3D()
 		sig, err := col.Collect(context.Background(), app, 64, setupCfg, []int{0},

@@ -20,8 +20,7 @@ import (
 // Collector runs the rank-selected collections and raw block counters the
 // Engine does not expose, so all experiments share its worker arena.
 var harness = sync.OnceValues(func() (*tracex.Engine, *pebil.Collector) {
-	col, _ := pebil.NewCollector() // the zero configuration is always valid
-	return tracex.NewEngine(), col
+	return tracex.NewEngine(), pebil.NewCollector(0)
 })
 
 // Collection is deterministic — the same (application, core count, machine,

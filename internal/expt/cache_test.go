@@ -32,9 +32,9 @@ func TestMemoKeyCoversIdentity(t *testing.T) {
 		}
 	}
 
-	spelled := pebil.CollectorConfig{Sampling: pebil.FixedSampling(pebil.DefaultSampleRefs, 0), Workers: 3, BatchSize: 99}
+	spelled := pebil.CollectorConfig{Sampling: pebil.FixedSampling(pebil.DefaultSampleRefs, 0), Model: pebil.ModelExact}
 	if memoKey(app, 64, bw, pebil.CollectorConfig{}, nil) != memoKey(app, 64, bw, spelled, nil) {
-		t.Error("the default policy spelled out, with execution knobs, is a different memo entry")
+		t.Error("the default policy and model spelled out are a different memo entry")
 	}
 	prefetch := bw
 	prefetch.Prefetch = true

@@ -240,10 +240,7 @@ func TestEndToEndInfluentialElementError(t *testing.T) {
 		t.Skip("full pipeline in -short mode")
 	}
 	opt := pebil.CollectorConfig{Sampling: pebil.FixedSampling(200_000, 1_000_000)}
-	col, err := pebil.NewCollector()
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := pebil.NewCollector(0)
 	defer col.Close()
 	bw := machine.BlueWatersP1()
 	cases := []struct {

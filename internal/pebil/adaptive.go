@@ -262,7 +262,7 @@ func (st *adaptiveBlock) warmAndPilot(ctx context.Context, w *synthapp.Work, tar
 	}
 	st.sim = sim
 	st.lastCum = make([]uint64, len(target.Caches))
-	buf := s.slab(cfg.BatchSize)
+	buf := s.slab(slabLen)
 	pol := cfg.Sampling
 
 	// Warm-up: stream doubling windows until the hierarchy is filled AND
@@ -386,7 +386,7 @@ func (st *adaptiveBlock) warmAndPilot(ctx context.Context, w *synthapp.Work, tar
 // refine streams addRefs more references (a whole number of batch-means
 // segments) through the block's simulator.
 func (st *adaptiveBlock) refine(ctx context.Context, w *synthapp.Work, cfg CollectorConfig, s *scratch) error {
-	buf := s.slab(cfg.BatchSize)
+	buf := s.slab(slabLen)
 	start := time.Now()
 	segs := st.pendingSegs
 	st.pendingSegs = 0
@@ -563,8 +563,8 @@ func planRefine(states []adaptiveBlock, pol SamplingPolicy) int {
 // (parallel on the arena), cluster-skip assignment (serial), Neyman
 // refinement rounds (planned serially, streamed in parallel), and assembly
 // of per-block counters plus measurement uncertainty. cfg must be resolved
-// (Validate + withDefaults) with an adaptive policy. Results are
-// bit-identical for any Workers/BatchSize: per-block simulator and
+// (Validate + Normalized) with an adaptive policy. Results are
+// bit-identical for any arena size: per-block simulator and
 // generator state lives in block-indexed state, segment boundaries are
 // fixed counts, and all allocation decisions are serial.
 func (c *Collector) adaptiveCollect(ctx context.Context, app *synthapp.App, p int, target machine.Config, cfg CollectorConfig) ([]BlockCounters, *trace.SignatureUncertainty, error) {
@@ -579,20 +579,10 @@ func (c *Collector) adaptiveCollect(ctx context.Context, app *synthapp.App, p in
 	if err != nil {
 		return nil, nil, err
 	}
-	concurrency := cfg.Workers
-	if concurrency > c.arena.Workers() {
-		concurrency = c.arena.Workers()
-	}
-	if concurrency > len(works) {
-		concurrency = len(works)
-	}
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	m.Gauge("pebil.workers").Set(float64(concurrency))
+	m.Gauge("pebil.workers").Set(float64(c.arena.width(len(works))))
 
 	states := make([]adaptiveBlock, len(works))
-	err = c.arena.run(ctx, concurrency, len(works), func(i int, s *scratch) error {
+	err = c.arena.run(ctx, len(works), func(i int, s *scratch) error {
 		return states[i].warmAndPilot(ctx, &works[i], target, cfg, s)
 	})
 	if err != nil {
@@ -626,7 +616,7 @@ func (c *Collector) adaptiveCollect(ctx context.Context, app *synthapp.App, p in
 				refinedTotal += uint64(states[i].pendingSegs * states[i].segL)
 			}
 		}
-		err = c.arena.run(ctx, concurrency, len(active), func(j int, s *scratch) error {
+		err = c.arena.run(ctx, len(active), func(j int, s *scratch) error {
 			i := active[j]
 			return states[i].refine(ctx, &works[i], cfg, s)
 		})

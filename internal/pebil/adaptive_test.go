@@ -106,10 +106,7 @@ func TestSamplingPolicyValidate(t *testing.T) {
 	if !errors.Is(err, cache.ErrModelUnsupported) {
 		t.Errorf("adaptive + analytical: got %v, want ErrModelUnsupported", err)
 	}
-	col, err := NewCollector()
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := NewCollector(0)
 	defer col.Close()
 	if _, err := col.CollectReuse(context.Background(), synthapp.UH3D(), 64,
 		CollectorConfig{Sampling: AdaptiveSampling(0)}); !errors.Is(err, cache.ErrModelUnsupported) {
@@ -117,9 +114,9 @@ func TestSamplingPolicyValidate(t *testing.T) {
 	}
 }
 
-// TestEffectiveSampling pins the truthful wire echo: what a configuration
-// reports must be the policy it actually resolves to.
-func TestEffectiveSampling(t *testing.T) {
+// TestNormalizedSamplingEcho pins the truthful wire echo: what a
+// configuration reports must be the policy it actually resolves to.
+func TestNormalizedSamplingEcho(t *testing.T) {
 	cases := []struct {
 		cfg  CollectorConfig
 		want string
@@ -131,8 +128,8 @@ func TestEffectiveSampling(t *testing.T) {
 		{CollectorConfig{Sampling: AdaptiveSampling(0.1)}, "adaptive:0.1,pilot=20000,min=20000,max=400000,cluster=on"},
 	}
 	for _, tc := range cases {
-		if got := tc.cfg.EffectiveSampling().String(); got != tc.want {
-			t.Errorf("EffectiveSampling of %+v: %q, want %q", tc.cfg, got, tc.want)
+		if got := tc.cfg.Normalized().Sampling.String(); got != tc.want {
+			t.Errorf("normalized sampling of %+v: %q, want %q", tc.cfg, got, tc.want)
 		}
 	}
 }
@@ -142,8 +139,8 @@ func TestEffectiveSampling(t *testing.T) {
 const adaptiveTestPolicy = "adaptive:0.05,pilot=8000,min=8000,max=80000,cluster=on"
 
 // TestAdaptiveDeterministicAcrossScheduling pins the adaptive collection's
-// scheduling independence: Workers and BatchSize must not change a single
-// bit of the signature or its uncertainty.
+// scheduling independence: the arena size must not change a single bit of
+// the signature or its uncertainty.
 func TestAdaptiveDeterministicAcrossScheduling(t *testing.T) {
 	pol, err := ParseSamplingPolicy(adaptiveTestPolicy)
 	if err != nil {
@@ -151,26 +148,20 @@ func TestAdaptiveDeterministicAcrossScheduling(t *testing.T) {
 	}
 	app := synthapp.UH3D()
 	bw := machine.BlueWatersP1()
-	col, err := NewCollector(WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
+	sizes := []int{1, 3, 8}
 	var sigs []*trace.Signature
-	for _, run := range []CollectorConfig{
-		{Sampling: pol, Workers: 8, BatchSize: 4096},
-		{Sampling: pol, Workers: 2, BatchSize: 1009},
-		{Sampling: pol, Workers: 1, BatchSize: 1 << 15},
-	} {
-		sig, err := col.Collect(context.Background(), app, 1024, bw, nil, run)
+	for _, workers := range sizes {
+		col := NewCollector(workers)
+		sig, err := col.Collect(context.Background(), app, 1024, bw, nil, CollectorConfig{Sampling: pol})
+		col.Close()
 		if err != nil {
-			t.Fatalf("workers=%d batch=%d: %v", run.Workers, run.BatchSize, err)
+			t.Fatalf("%d workers: %v", workers, err)
 		}
 		sigs = append(sigs, sig)
 	}
 	for i := 1; i < len(sigs); i++ {
 		if !reflect.DeepEqual(sigs[0], sigs[i]) {
-			t.Errorf("adaptive collection differs between scheduling run 0 and %d", i)
+			t.Errorf("adaptive collection on %d workers differs from %d", sizes[i], sizes[0])
 		}
 	}
 	if sigs[0].Uncertainty == nil {
@@ -189,10 +180,7 @@ func TestAdaptiveAccuracyAndErrorBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col, err := NewCollector(WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := NewCollector(8)
 	defer col.Close()
 	cases := []struct {
 		app   *synthapp.App
@@ -262,10 +250,7 @@ func TestAdaptiveAccuracyAndErrorBounds(t *testing.T) {
 func TestAdaptiveReducesSimulatedRefs(t *testing.T) {
 	app := synthapp.UH3D()
 	bw := machine.BlueWatersP1()
-	col, err := NewCollector(WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := NewCollector(8)
 	defer col.Close()
 
 	simulated := func(cfg CollectorConfig) uint64 {

@@ -3,6 +3,7 @@ package pebil
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -98,8 +99,10 @@ type Arena struct {
 // NewArena starts an arena of the given size; n ≤ 0 means one worker per
 // CPU.
 func NewArena(n int) *Arena {
-	cfg := CollectorConfig{Workers: n}.withDefaults()
-	a := &Arena{workers: cfg.Workers, jobs: make(chan func(*scratch))}
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	a := &Arena{workers: n, jobs: make(chan func(*scratch))}
 	a.wg.Add(a.workers)
 	for i := 0; i < a.workers; i++ {
 		go func() {
@@ -113,8 +116,9 @@ func NewArena(n int) *Arena {
 	return a
 }
 
-// Workers returns the pool size.
-func (a *Arena) Workers() int { return a.workers }
+// width is how many workers run executes n units on: one per unit, up to
+// the pool size.
+func (a *Arena) width(n int) int { return max(1, min(n, a.workers)) }
 
 // Close stops accepting work, waits for in-flight jobs to finish and
 // releases the worker goroutines. It is idempotent.
@@ -144,25 +148,16 @@ func (a *Arena) submit(ctx context.Context, job func(*scratch)) error {
 	}
 }
 
-// run executes n work units on the arena with at most concurrency of them
-// in flight, calling unit(i, s) for every i in [0, n). Units are handed out
+// run executes n work units on up to a.width(n) of the arena's workers,
+// calling unit(i, s) for every i in [0, n). Units are handed out
 // through a shared index counter to long-lived runner jobs, so one worker
 // processes many units back to back and its scratch amortizes across them.
 // Results must be written into caller-owned slots indexed by unit, which
 // keeps the reduction order-independent. The returned error prefers a real
 // unit failure over the cancellations it may have triggered in siblings.
-func (a *Arena) run(ctx context.Context, concurrency, n int, unit func(i int, s *scratch) error) error {
+func (a *Arena) run(ctx context.Context, n int, unit func(i int, s *scratch) error) error {
 	if n == 0 {
 		return ctx.Err()
-	}
-	if concurrency > n {
-		concurrency = n
-	}
-	if concurrency > a.workers {
-		concurrency = a.workers
-	}
-	if concurrency < 1 {
-		concurrency = 1
 	}
 	var next atomic.Int64
 	errs := make([]error, n)
@@ -183,7 +178,7 @@ func (a *Arena) run(ctx context.Context, concurrency, n int, unit func(i int, s 
 	}
 	var submitErr error
 	submitted := 0
-	for w := 0; w < concurrency; w++ {
+	for w := a.width(n); w > 0; w-- {
 		wg.Add(1)
 		if err := a.submit(ctx, runner); err != nil {
 			wg.Done()

@@ -18,8 +18,8 @@ func TestCollectorConfigValidate(t *testing.T) {
 	good := []CollectorConfig{
 		{},
 		fastCfg,
-		{Workers: 4, BatchSize: 1},
 		{SharedHierarchy: true},
+		{Model: ModelAnalytical},
 	}
 	for _, c := range good {
 		if err := c.Validate(); err != nil {
@@ -29,9 +29,8 @@ func TestCollectorConfigValidate(t *testing.T) {
 	bad := []CollectorConfig{
 		{Sampling: FixedSampling(-1, 0)},
 		{Sampling: FixedSampling(0, -1)},
-		{Workers: -1},
-		{BatchSize: -1},
-		{BatchSize: maxBatchSize + 1},
+		{Model: "bogus"},
+		{Model: ModelAnalytical, SharedHierarchy: true},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -41,66 +40,40 @@ func TestCollectorConfigValidate(t *testing.T) {
 }
 
 func TestCollectorConfigNormalized(t *testing.T) {
-	a := CollectorConfig{Workers: 3, BatchSize: 17}.Normalized()
-	b := CollectorConfig{Workers: 11, BatchSize: 4096}.Normalized()
-	if a != b {
-		t.Errorf("Normalized forms differ for execution-only knobs: %+v vs %+v", a, b)
-	}
-	if a.Sampling != FixedSampling(DefaultSampleRefs, DefaultMaxWarmRefs) {
-		t.Errorf("Normalized did not resolve the default fixed policy: %+v", a)
+	a := CollectorConfig{}.Normalized()
+	want := CollectorConfig{Sampling: FixedSampling(DefaultSampleRefs, DefaultMaxWarmRefs), Model: ModelExact}
+	if a != want {
+		t.Errorf("zero config normalized to %+v, want %+v", a, want)
 	}
 	if f := (CollectorConfig{Sampling: FixedSampling(0, 0)}).Normalized(); f != a {
 		t.Errorf("zero config and zero Fixed policy normalize differently: %+v vs %+v", a, f)
 	}
-	if a.Workers != 0 || a.BatchSize != 0 {
-		t.Errorf("Normalized kept execution knobs: %+v", a)
-	}
-}
-
-func TestNewCollectorConfigOptions(t *testing.T) {
-	c, err := NewCollectorConfig(
-		WithSamplingPolicy(FixedSampling(123, 456)),
-		WithWorkers(2), WithBatchSize(64), WithSharedHierarchy(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := CollectorConfig{Sampling: FixedSampling(123, 456), Workers: 2, BatchSize: 64, SharedHierarchy: true}
-	if c != want {
-		t.Errorf("NewCollectorConfig = %+v, want %+v", c, want)
-	}
-	if _, err := NewCollectorConfig(WithWorkers(-3)); err == nil {
-		t.Error("invalid option accepted")
+	if n := a.Normalized(); n != a {
+		t.Errorf("Normalized is not idempotent: %+v vs %+v", n, a)
 	}
 }
 
 // TestCountersDeterministicAcrossWorkersAndBatch is the tentpole
-// determinism guarantee: workers and batch size are execution-only knobs.
+// determinism guarantee for the batched path: how many arena workers a
+// collection runs on changes no bit of its counters.
 func TestCountersDeterministicAcrossWorkersAndBatch(t *testing.T) {
 	app := synthapp.UH3D()
 	bw := machine.BlueWatersP1()
-	ctx := context.Background()
-	col, err := NewCollector(WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
+	cfg := CollectorConfig{Sampling: FixedSampling(40_000, 80_000)}
 	var base []BlockCounters
-	for _, cfg := range []CollectorConfig{
-		{Sampling: FixedSampling(40_000, 80_000), Workers: 1, BatchSize: 1},
-		{Sampling: FixedSampling(40_000, 80_000), Workers: 1, BatchSize: 257},
-		{Sampling: FixedSampling(40_000, 80_000), Workers: 8, BatchSize: 4096},
-		{Sampling: FixedSampling(40_000, 80_000), Workers: 3, BatchSize: 1 << 15},
-	} {
-		got, err := col.Counters(ctx, app, 2048, bw, cfg)
+	for _, workers := range []int{1, 3, 8} {
+		col := NewCollector(workers)
+		got, err := col.Counters(context.Background(), app, 2048, bw, cfg)
+		col.Close()
 		if err != nil {
-			t.Fatalf("Counters(%+v): %v", cfg, err)
+			t.Fatalf("Counters on %d workers: %v", workers, err)
 		}
 		if base == nil {
 			base = got
 			continue
 		}
 		if !reflect.DeepEqual(base, got) {
-			t.Errorf("counters differ for %+v", cfg)
+			t.Errorf("counters on %d workers differ from 1 worker", workers)
 		}
 	}
 }
@@ -108,26 +81,17 @@ func TestCountersDeterministicAcrossWorkersAndBatch(t *testing.T) {
 func TestCollectorRejectsInvalidConfig(t *testing.T) {
 	app := synthapp.Stencil3D()
 	bw := machine.BlueWatersP1()
-	col, err := NewCollector()
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := NewCollector(0)
 	defer col.Close()
 	if _, err := col.Counters(context.Background(), app, 64, bw, CollectorConfig{Sampling: FixedSampling(-5, 0)}); err == nil {
 		t.Error("negative sample length accepted")
-	}
-	if _, err := NewCollector(WithBatchSize(-1)); err == nil {
-		t.Error("NewCollector accepted invalid option")
 	}
 }
 
 func TestCollectorCloseSemantics(t *testing.T) {
 	app := synthapp.Stencil3D()
 	bw := machine.BlueWatersP1()
-	col, err := NewCollector(WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := NewCollector(2)
 	if _, err := col.Counters(context.Background(), app, 64, bw, fastCfg); err != nil {
 		t.Fatalf("Counters before Close: %v", err)
 	}
@@ -148,10 +112,7 @@ func TestCancellationPromptNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	app := synthapp.UH3D()
 	bw := machine.BlueWatersP1()
-	col, err := NewCollector(WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	col := NewCollector(4)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// A sample far larger than any test budget: only cancellation ends it.
@@ -194,7 +155,7 @@ func TestArenaRunOrderIndependentReduction(t *testing.T) {
 	a := NewArena(4)
 	defer a.Close()
 	out := make([]int, 100)
-	err := a.run(context.Background(), 4, len(out), func(i int, _ *scratch) error {
+	err := a.run(context.Background(), len(out), func(i int, _ *scratch) error {
 		out[i] = i * i
 		return nil
 	})
@@ -214,7 +175,7 @@ func TestArenaRunPrefersRealErrorOverCancellation(t *testing.T) {
 	boom := errors.New("boom")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	err := a.run(ctx, 2, 8, func(i int, _ *scratch) error {
+	err := a.run(ctx, 8, func(i int, _ *scratch) error {
 		if i == 3 {
 			cancel()
 			return boom
@@ -241,7 +202,7 @@ func TestStreamRefsAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := s.slab(DefaultBatchSize)
+	buf := s.slab(slabLen)
 	ctx := context.Background()
 	for i := range works {
 		gen := works[i].Gen

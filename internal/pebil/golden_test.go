@@ -14,8 +14,8 @@ import (
 // simulator per block, one Access per generated address, no batching and no
 // worker pool. It reimplements the pre-arena code path verbatim so the
 // golden equivalence test fails if the parallel batched pipeline ever
-// drifts from it.
-func referenceCounters(t *testing.T, app *synthapp.App, p int, target machine.Config, cfg CollectorConfig) []BlockCounters {
+// drifts from it, and BenchmarkCollect times it as the serial baseline.
+func referenceCounters(t testing.TB, app *synthapp.App, p int, target machine.Config, cfg CollectorConfig) []BlockCounters {
 	t.Helper()
 	works, err := app.Work(p)
 	if err != nil {
@@ -49,7 +49,7 @@ func referenceCounters(t *testing.T, app *synthapp.App, p int, target machine.Co
 // TestGoldenEquivalenceWithSerialPath is the acceptance gate for the
 // parallel batched pipeline: on the Table-1 applications, every field of
 // every block's counters must be bit-identical to the serial reference —
-// across worker counts, batch sizes, and with the prefetcher on.
+// across arena sizes, and with the prefetcher on.
 func TestGoldenEquivalenceWithSerialPath(t *testing.T) {
 	cfg := CollectorConfig{Sampling: FixedSampling(50_000, 150_000)}
 	cases := []struct {
@@ -61,69 +61,68 @@ func TestGoldenEquivalenceWithSerialPath(t *testing.T) {
 		{synthapp.UH3D(), 1024, machine.BlueWatersP1()},
 		{synthapp.SPECFEM3D(), 384, machine.WithPrefetch(machine.SandyBridge())},
 	}
-	col, err := NewCollector(WithWorkers(8))
-	if err != nil {
-		t.Fatal(err)
+	sizes := []int{1, 3, 8}
+	cols := make([]*Collector, len(sizes))
+	for i, n := range sizes {
+		cols[i] = NewCollector(n)
+		defer cols[i].Close()
 	}
-	defer col.Close()
 	for _, tc := range cases {
 		want := referenceCounters(t, tc.app, tc.cores, tc.target, cfg)
-		for _, run := range []CollectorConfig{
-			{Sampling: cfg.Sampling, Workers: 8, BatchSize: 4096},
-			{Sampling: cfg.Sampling, Workers: 2, BatchSize: 1009},
-		} {
-			got, err := col.Counters(context.Background(), tc.app, tc.cores, tc.target, run)
+		for i, col := range cols {
+			got, err := col.Counters(context.Background(), tc.app, tc.cores, tc.target, cfg)
 			if err != nil {
 				t.Fatalf("%s@%d on %s: %v", tc.app.Name(), tc.cores, tc.target.Name, err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s@%d on %s: parallel path (workers=%d batch=%d) diverges from serial reference",
-					tc.app.Name(), tc.cores, tc.target.Name, run.Workers, run.BatchSize)
+				t.Errorf("%s@%d on %s: batched path on %d workers diverges from serial reference",
+					tc.app.Name(), tc.cores, tc.target.Name, sizes[i])
 			}
 		}
 	}
 }
 
-// BenchmarkCollect contrasts the serial unbatched configuration with the
-// batched and parallel ones on a Table-1 workload. The serial sub-benchmark
-// is the pre-redesign cost model (one worker, one address per call);
-// batched isolates the slab win; parallel adds the arena sharding
-// (wall-clock gains require GOMAXPROCS > 1).
+// BenchmarkCollect contrasts the serial reference path with the batched
+// and parallel collectors on a Table-1 workload. serial is
+// referenceCounters (a fresh simulator per block, one Access per address,
+// no arena); batched runs the slab path on a one-worker arena; parallel
+// adds the arena sharding on one worker per CPU (wall-clock gains require
+// GOMAXPROCS > 1).
 func BenchmarkCollect(b *testing.B) {
 	app := synthapp.UH3D()
 	bw := machine.BlueWatersP1()
-	base := CollectorConfig{Sampling: FixedSampling(100_000, 200_000)}
-	runs := []struct {
-		name string
-		cfg  CollectorConfig
-	}{
-		{"serial", CollectorConfig{Sampling: base.Sampling, Workers: 1, BatchSize: 1}},
-		{"batched", CollectorConfig{Sampling: base.Sampling, Workers: 1}},
-		{"parallel", CollectorConfig{Sampling: base.Sampling}},
-	}
-	for _, run := range runs {
-		b.Run(run.name, func(b *testing.B) {
-			col, err := NewCollector()
-			if err != nil {
-				b.Fatal(err)
+	cfg := CollectorConfig{Sampling: FixedSampling(100_000, 200_000)}
+	bench := func(b *testing.B, counters func() []BlockCounters) {
+		var refs int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, c := range counters() {
+				refs += int64(c.Counters.Refs)
 			}
+		}
+		b.StopTimer()
+		if b.N > 0 {
+			b.ReportMetric(float64(refs)/float64(b.N), "sample-refs/op")
+		}
+	}
+	b.Run("serial", func(b *testing.B) {
+		bench(b, func() []BlockCounters { return referenceCounters(b, app, 2048, bw, cfg) })
+	})
+	for _, run := range []struct {
+		name    string
+		workers int
+	}{{"batched", 1}, {"parallel", 0}} {
+		b.Run(run.name, func(b *testing.B) {
+			col := NewCollector(run.workers)
 			defer col.Close()
-			var refs int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cs, err := col.Counters(context.Background(), app, 2048, bw, run.cfg)
+			bench(b, func() []BlockCounters {
+				cs, err := col.Counters(context.Background(), app, 2048, bw, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				for _, c := range cs {
-					refs += int64(c.Counters.Refs)
-				}
-			}
-			b.StopTimer()
-			if b.N > 0 {
-				b.ReportMetric(float64(refs)/float64(b.N), "sample-refs/op")
-			}
+				return cs
+			})
 		})
 	}
 }

@@ -14,10 +14,10 @@
 //
 // Collection is parallel and batch-oriented: a Collector shards the
 // per-block simulations across a reusable worker Arena, and each worker
-// streams addresses in slabs (CollectorConfig.BatchSize) from the
-// generators into cache.Simulator.AccessBatch through a per-worker
-// reusable buffer, so the steady state allocates nothing and pays one
-// interface dispatch per slab rather than per reference.
+// streams addresses in 4096-address slabs from the generators into
+// cache.Simulator.AccessBatch through a per-worker reusable buffer, so the
+// steady state allocates nothing and pays one interface dispatch per slab
+// rather than per reference.
 package pebil
 
 import (
@@ -62,43 +62,29 @@ type BlockCounters struct {
 // Close the Collector when done to release the workers.
 type Collector struct {
 	arena *Arena
-	base  CollectorConfig
 }
 
-// NewCollector builds a Collector whose arena is sized by WithWorkers
-// (default: one worker per CPU). The remaining options become the
-// collector's base configuration, used whenever a collection is invoked
-// with a zero CollectorConfig.
-func NewCollector(opts ...CollectorOption) (*Collector, error) {
-	cfg, err := NewCollectorConfig(opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Collector{arena: NewArena(cfg.Workers), base: cfg}, nil
+// NewCollector builds a Collector on an arena of the given number of
+// workers; workers ≤ 0 means one per CPU. A collection runs on up to all of
+// them, and its result does not depend on how many there are: every block
+// draws from its own generator seeded by the block identity, and results
+// land in slots indexed by block, so any worker interleaving produces
+// bit-identical output.
+func NewCollector(workers int) *Collector {
+	return &Collector{arena: NewArena(workers)}
 }
-
-// Config returns the collector's base configuration as given (without
-// defaults filled).
-func (c *Collector) Config() CollectorConfig { return c.base }
-
-// Workers returns the size of the collector's arena.
-func (c *Collector) Workers() int { return c.arena.Workers() }
 
 // Close drains the arena: it waits for in-flight work units and releases
 // the worker goroutines. Collections submitted after Close fail with
 // ErrArenaClosed. Close is idempotent.
 func (c *Collector) Close() { c.arena.Close() }
 
-// resolve merges a per-call configuration with the collector base and
-// validates it: a zero cfg selects the collector's base configuration.
-func (c *Collector) resolve(cfg CollectorConfig) (CollectorConfig, error) {
-	if cfg == (CollectorConfig{}) {
-		cfg = c.base
-	}
+// resolve validates a per-call configuration and fills its defaults.
+func resolve(cfg CollectorConfig) (CollectorConfig, error) {
 	if err := cfg.Validate(); err != nil {
 		return CollectorConfig{}, err
 	}
-	return cfg.withDefaults(), nil
+	return cfg.Normalized(), nil
 }
 
 // Counters simulates the dominant rank's workload of app at core count p
@@ -117,7 +103,7 @@ func (c *Collector) Counters(ctx context.Context, app *synthapp.App, p int, targ
 	if err := target.Validate(); err != nil {
 		return nil, err
 	}
-	cfg, err := c.resolve(cfg)
+	cfg, err := resolve(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -135,19 +121,9 @@ func (c *Collector) Counters(ctx context.Context, app *synthapp.App, p int, targ
 		obs.From(ctx).Gauge("pebil.workers").Set(1)
 		return collectShared(ctx, works, target, cfg)
 	}
-	concurrency := cfg.Workers
-	if concurrency > c.arena.Workers() {
-		concurrency = c.arena.Workers()
-	}
-	if concurrency > len(works) {
-		concurrency = len(works)
-	}
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	obs.From(ctx).Gauge("pebil.workers").Set(float64(concurrency))
+	obs.From(ctx).Gauge("pebil.workers").Set(float64(c.arena.width(len(works))))
 	out := make([]BlockCounters, len(works))
-	err = c.arena.run(ctx, concurrency, len(works), func(i int, s *scratch) error {
+	err = c.arena.run(ctx, len(works), func(i int, s *scratch) error {
 		bc, err := simulateBlock(ctx, &works[i], target, cfg, s)
 		if err != nil {
 			return err
@@ -191,7 +167,7 @@ func simulateBlock(ctx context.Context, w *synthapp.Work, target machine.Config,
 	if err != nil {
 		return BlockCounters{}, err
 	}
-	buf := s.slab(cfg.BatchSize)
+	buf := s.slab(slabLen)
 	// Warm-up: touch the working set once (capped). For working sets far
 	// beyond the hierarchy the cap is harmless — steady state is
 	// miss-dominated and reached as soon as the caches fill.
@@ -265,7 +241,7 @@ func featureVector(bc *BlockCounters, loadFactor float64) trace.FeatureVector {
 // measurement variances of the sampled elements (hit rates and prefetch
 // fills per reference), which Predict's interval machinery consumes.
 func (c *Collector) Collect(ctx context.Context, app *synthapp.App, p int, target machine.Config, ranks []int, cfg CollectorConfig) (*trace.Signature, error) {
-	rcfg, err := c.resolve(cfg)
+	rcfg, err := resolve(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +281,7 @@ func (c *Collector) Collect(ctx context.Context, app *synthapp.App, p int, targe
 		seen[r] = true
 	}
 	traces := make([]trace.Trace, len(ranks))
-	err = c.arena.run(ctx, rcfg.Workers, len(ranks), func(i int, _ *scratch) error {
+	err = c.arena.run(ctx, len(ranks), func(i int, _ *scratch) error {
 		r := ranks[i]
 		tr := trace.Trace{
 			App:       app.Name(),

@@ -17,19 +17,13 @@ var fastOpt = CollectorConfig{Sampling: FixedSampling(60_000, 120_000)}
 // collectCounters and collect run one collection on a throwaway collector,
 // standing in for the removed package-level convenience functions.
 func collectCounters(ctx context.Context, app *synthapp.App, p int, m machine.Config, cfg CollectorConfig) ([]BlockCounters, error) {
-	c, err := NewCollector()
-	if err != nil {
-		return nil, err
-	}
+	c := NewCollector(0)
 	defer c.Close()
 	return c.Counters(ctx, app, p, m, cfg)
 }
 
 func collect(ctx context.Context, app *synthapp.App, p int, m machine.Config, ranks []int, cfg CollectorConfig) (*trace.Signature, error) {
-	c, err := NewCollector()
-	if err != nil {
-		return nil, err
-	}
+	c := NewCollector(0)
 	defer c.Close()
 	return c.Collect(ctx, app, p, m, ranks, cfg)
 }
@@ -63,18 +57,16 @@ func TestCollectCountersBasics(t *testing.T) {
 func TestCollectCountersDeterministicAcrossParallelism(t *testing.T) {
 	app := synthapp.Stencil3D()
 	bw := machine.BlueWatersP1()
-	o1 := fastOpt
-	o1.Workers = 1
-	o2 := fastOpt
-	o2.Workers = 8
-	a, err := collectCounters(context.Background(), app, 64, bw, o1)
-	if err != nil {
-		t.Fatal(err)
+	on := func(workers int) []BlockCounters {
+		c := NewCollector(workers)
+		defer c.Close()
+		cs, err := c.Counters(context.Background(), app, 64, bw, fastOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cs
 	}
-	b, err := collectCounters(context.Background(), app, 64, bw, o2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := on(1), on(8)
 	for i := range a {
 		if a[i].Counters.Refs != b[i].Counters.Refs ||
 			a[i].Counters.MemAccesses != b[i].Counters.MemAccesses {

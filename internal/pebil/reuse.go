@@ -29,7 +29,7 @@ const ReuseLineSize = 64
 // exactly like Counters units. Cancelling ctx stops the recording promptly
 // and returns ctx.Err().
 func (c *Collector) CollectReuse(ctx context.Context, app *synthapp.App, p int, cfg CollectorConfig) (*trace.ReuseSignature, error) {
-	cfg, err := c.resolve(cfg)
+	cfg, err := resolve(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -47,19 +47,9 @@ func (c *Collector) CollectReuse(ctx context.Context, app *synthapp.App, p int, 
 	if err != nil {
 		return nil, err
 	}
-	concurrency := cfg.Workers
-	if concurrency > c.arena.Workers() {
-		concurrency = c.arena.Workers()
-	}
-	if concurrency > len(works) {
-		concurrency = len(works)
-	}
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	obs.From(ctx).Gauge("pebil.workers").Set(float64(concurrency))
+	obs.From(ctx).Gauge("pebil.workers").Set(float64(c.arena.width(len(works))))
 	blocks := make([]trace.ReuseBlock, len(works))
-	err = c.arena.run(ctx, concurrency, len(works), func(i int, s *scratch) error {
+	err = c.arena.run(ctx, len(works), func(i int, s *scratch) error {
 		rb, err := recordBlock(ctx, &works[i], cfg, s)
 		if err != nil {
 			return err
@@ -93,7 +83,7 @@ func recordBlock(ctx context.Context, w *synthapp.Work, cfg CollectorConfig, s *
 	if err != nil {
 		return trace.ReuseBlock{}, err
 	}
-	buf := s.slab(cfg.BatchSize)
+	buf := s.slab(slabLen)
 	start := time.Now()
 	hist := trace.ReuseHistogram{LineSize: ReuseLineSize}
 	record := func(n int, into *trace.ReuseHistogram) error {

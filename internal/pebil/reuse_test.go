@@ -14,10 +14,7 @@ import (
 
 // collectReuse runs one reuse collection on a throwaway collector.
 func collectReuse(ctx context.Context, app *synthapp.App, p int, cfg CollectorConfig) (*trace.ReuseSignature, error) {
-	c, err := NewCollector()
-	if err != nil {
-		return nil, err
-	}
+	c := NewCollector(0)
 	defer c.Close()
 	return c.CollectReuse(ctx, app, p, cfg)
 }
@@ -77,18 +74,16 @@ func TestAnalyticalFidelityGolden(t *testing.T) {
 
 func TestCollectReuseDeterministicAcrossWorkers(t *testing.T) {
 	app := synthapp.Stencil3D()
-	o1 := fastOpt
-	o1.Workers = 1
-	o2 := fastOpt
-	o2.Workers = 8
-	a, err := collectReuse(context.Background(), app, 64, o1)
-	if err != nil {
-		t.Fatal(err)
+	on := func(workers int) *trace.ReuseSignature {
+		c := NewCollector(workers)
+		defer c.Close()
+		rs, err := c.CollectReuse(context.Background(), app, 64, fastOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
 	}
-	b, err := collectReuse(context.Background(), app, 64, o2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := on(1), on(8)
 	if len(a.Blocks) != len(b.Blocks) {
 		t.Fatalf("block counts differ: %d vs %d", len(a.Blocks), len(b.Blocks))
 	}

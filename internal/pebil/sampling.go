@@ -304,7 +304,7 @@ func ParseSamplingPolicy(s string) (SamplingPolicy, error) {
 // single definition of the fixed budget, shared by the exact collector,
 // the reuse-distance recorder and the golden-test oracle.
 func (c CollectorConfig) Budget(refs, workingSetBytes float64) (warm, sample int) {
-	pol := c.withDefaults().Sampling
+	pol := c.Normalized().Sampling
 	warm = int(workingSetBytes / 8)
 	if warm > pol.MaxWarmRefs {
 		warm = pol.MaxWarmRefs

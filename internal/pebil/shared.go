@@ -14,7 +14,7 @@ import (
 // sharedLookahead bounds the per-block refill buffers of the shared-
 // hierarchy path. The interleave consumes one address at a time, so the
 // buffers only amortize generator dispatch; a small slab keeps the total
-// lookahead footprint below the batch size of a single private-path worker.
+// lookahead footprint below the slab of a single private-path worker.
 const sharedLookahead = 256
 
 // blockStream feeds one block's addresses through a refill buffer so the
@@ -80,14 +80,10 @@ func collectShared(ctx context.Context, works []synthapp.Work, target machine.Co
 		return best
 	}
 
-	look := cfg.BatchSize
-	if look > sharedLookahead {
-		look = sharedLookahead
-	}
 	streams := make([]blockStream, len(works))
 	for i := range streams {
-		streams[i] = blockStream{gen: works[i].Gen, buf: make([]uint64, look)}
-		streams[i].pos = look // force a fill on first use
+		streams[i] = blockStream{gen: works[i].Gen, buf: make([]uint64, sharedLookahead)}
+		streams[i].pos = sharedLookahead // force a fill on first use
 	}
 
 	// Warm-up: one interleaved pass sized like the per-block warm cap.

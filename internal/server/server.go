@@ -696,7 +696,7 @@ func (s *Server) predict(ctx context.Context, req *wire.PredictRequest) (any, er
 			return nil, err
 		}
 		model = string(opt.Model)
-		sampling = opt.EffectiveSampling().String()
+		sampling = opt.Normalized().Sampling.String()
 		var prov tracex.Provenance
 		sig, prov, err = s.eng.CollectSignatureFrom(ctx, app, req.Cores, cfg, opt)
 		if err != nil {

@@ -30,7 +30,7 @@ var goldenPredictMachines = []string{"bluewaters", "xe6"}
 
 // goldenPredictOpt is a small fixed sampling policy: the golden pins the
 // prediction stage, so collection only needs to be deterministic.
-var goldenPredictOpt = CollectOptions{Sampling: FixedSampling(4_000, 8_000), Workers: 1}
+var goldenPredictOpt = CollectOptions{Sampling: FixedSampling(4_000, 8_000)}
 
 type goldenPrediction struct {
 	App          string `json:"app"`

@@ -17,7 +17,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -28,6 +27,7 @@ import (
 	"time"
 
 	"tracex"
+	"tracex/internal/benchfile"
 	"tracex/internal/expt"
 )
 
@@ -113,7 +113,9 @@ func main() {
 	rec.ElapsedSeconds = time.Since(start).Seconds()
 
 	if *outPath != "" {
-		if err := writeBenchFile(*outPath, *label, rec); err != nil {
+		// The run lands in BENCH_collect.json's "sampling" section; the
+		// file's other sections (the collector microbenchmarks) are kept.
+		if err := benchfile.Merge(*outPath, "sampling", "sampling-policy-collect", *label, rec); err != nil {
 			fmt.Fprintf(os.Stderr, "sampling-bench: writing %s: %v\n", *outPath, err)
 			os.Exit(1)
 		}
@@ -201,45 +203,4 @@ type run struct {
 	Policy         string   `json:"policy"`
 	Rows           []appRow `json:"rows"`
 	ElapsedSeconds float64  `json:"elapsed_seconds"`
-}
-
-// samplingSection is the "sampling" object inside BENCH_collect.json: one
-// section accumulating labeled runs, so the full set and the CI smoke land
-// side by side. The rest of the file (the collection-pipeline microbench
-// results recorded by make bench-collect) is preserved untouched.
-type samplingSection struct {
-	Benchmark   string          `json:"benchmark"`
-	UpdatedUnix int64           `json:"updated_unix"`
-	Runs        map[string]*run `json:"runs"`
-}
-
-// writeBenchFile merges one labeled run into path's "sampling" section,
-// preserving runs recorded under other labels and every other top-level
-// field of the file (BENCH_collect.json also archives the collector
-// microbenchmarks). A corrupt file is replaced, not appended to.
-func writeBenchFile(path, label string, r *run) error {
-	top := map[string]json.RawMessage{}
-	if raw, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(raw, &top)
-	}
-	sec := &samplingSection{Runs: map[string]*run{}}
-	if raw, ok := top["sampling"]; ok {
-		_ = json.Unmarshal(raw, sec)
-		if sec.Runs == nil {
-			sec.Runs = map[string]*run{}
-		}
-	}
-	sec.Benchmark = "sampling-policy-collect"
-	sec.UpdatedUnix = time.Now().Unix()
-	sec.Runs[label] = r
-	secRaw, err := json.Marshal(sec)
-	if err != nil {
-		return err
-	}
-	top["sampling"] = secRaw
-	b, err := json.MarshalIndent(top, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

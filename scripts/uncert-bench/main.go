@@ -14,7 +14,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -24,6 +23,7 @@ import (
 	"time"
 
 	"tracex"
+	"tracex/internal/benchfile"
 )
 
 func main() {
@@ -62,7 +62,7 @@ func main() {
 
 	printReport(rep, *label, elapsed)
 	if *outPath != "" {
-		if err := writeBenchFile(*outPath, *label, &run{
+		if err := benchfile.Merge(*outPath, "", "uncert-calibration", *label, &run{
 			Apps: cfg.Apps, Machines: cfg.Machines, SampleRefs: *sampleRefs,
 			ElapsedSeconds: elapsed.Seconds(), Report: rep,
 		}); err != nil {
@@ -120,32 +120,4 @@ type run struct {
 	SampleRefs     int                       `json:"sample_refs"`
 	ElapsedSeconds float64                   `json:"elapsed_seconds"`
 	Report         *tracex.CalibrationReport `json:"report"`
-}
-
-// benchFile is the BENCH_uncert.json layout: one file accumulating labeled
-// runs, so the full matrix and the CI smoke land side by side.
-type benchFile struct {
-	Benchmark   string          `json:"benchmark"`
-	UpdatedUnix int64           `json:"updated_unix"`
-	Runs        map[string]*run `json:"runs"`
-}
-
-// writeBenchFile merges one labeled run into path, preserving runs recorded
-// under other labels. A corrupt or foreign file is replaced, not appended to.
-func writeBenchFile(path, label string, r *run) error {
-	bf := &benchFile{Runs: map[string]*run{}}
-	if raw, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(raw, bf)
-		if bf.Runs == nil {
-			bf.Runs = map[string]*run{}
-		}
-	}
-	bf.Benchmark = "uncert-calibration"
-	bf.UpdatedUnix = time.Now().Unix()
-	bf.Runs[label] = r
-	b, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

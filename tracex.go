@@ -66,9 +66,9 @@ type (
 	ElementError = extrap.ElementError
 	// ExtrapOptions tunes the extrapolation.
 	ExtrapOptions = extrap.Options
-	// CollectOptions tunes signature collection. It aliases
-	// pebil.CollectorConfig: Sampling/SharedHierarchy/Model shape the
-	// result, Workers/BatchSize only schedule it.
+	// CollectOptions says how a signature is collected. It aliases
+	// pebil.CollectorConfig: Sampling, SharedHierarchy and Model, each of
+	// which shapes the result. The zero value is the library default.
 	CollectOptions = pebil.CollectorConfig
 	// SamplingPolicy is the typed reference-budget policy on
 	// CollectOptions.Sampling: a fixed per-block budget or adaptive
@@ -91,7 +91,7 @@ type (
 	Form = stats.Form
 )
 
-// Cache-model names for CollectOptions.Model and WithCacheModel.
+// Cache-model names for CollectOptions.Model.
 const (
 	// ModelExact simulates every reference against the target hierarchy —
 	// the fidelity oracle. The zero CacheModel means ModelExact.

@@ -25,11 +25,13 @@ test-short:
 test-race:
 	$(GO) test -race ./...
 
-# Short fuzz passes over the signature codec, the wire strict decoder, the
-# program validator, the two program compile routes, the cache simulator
-# and the address generators' batch paths (CI runs the same smoke).
+# Short fuzz passes over the signature and reuse codecs, the wire strict
+# decoder, the program validator, the two program compile routes, the cache
+# simulator and the address generators' batch paths (CI runs the same
+# smoke).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSignatureDecode -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz FuzzReuseDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStrict -fuzztime 10s ./wire
 	$(GO) test -run '^$$' -fuzz FuzzProgramValidate -fuzztime 10s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz FuzzCompileRoutesAgree -fuzztime 10s ./internal/mpi

@@ -7,7 +7,7 @@ import (
 	"sync"
 	"testing"
 
-	"tracex/internal/trace"
+	"tracex/internal/store"
 )
 
 var apiSetup struct {
@@ -225,10 +225,10 @@ func TestSignatureSerializationPreservesPrediction(t *testing.T) {
 	dir := t.TempDir()
 	for _, ext := range []string{"json", "bin"} {
 		path := filepath.Join(dir, "sig."+ext)
-		if err := trace.Save(inputs[0], path); err != nil {
+		if err := store.Save(inputs[0], path); err != nil {
 			t.Fatalf("Save(%s): %v", ext, err)
 		}
-		loaded, err := trace.Load(path)
+		loaded, err := store.Load(path)
 		if err != nil {
 			t.Fatalf("Load(%s): %v", ext, err)
 		}

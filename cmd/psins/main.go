@@ -21,7 +21,7 @@ import (
 	"syscall"
 
 	"tracex"
-	"tracex/internal/trace"
+	"tracex/internal/store"
 )
 
 func main() {
@@ -59,7 +59,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	eng := tracex.NewEngine()
 	var sig *tracex.Signature
 	if *sigPath != "" {
-		sig, err = trace.Load(*sigPath)
+		sig, err = store.Load(*sigPath)
 		if err != nil {
 			return err
 		}

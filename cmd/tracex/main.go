@@ -45,7 +45,7 @@ import (
 	"tracex/internal/machine"
 	"tracex/internal/pebil"
 	"tracex/internal/server"
-	"tracex/internal/trace"
+	"tracex/internal/store"
 	"tracex/wire"
 )
 
@@ -232,10 +232,10 @@ signatures collected by trace/report persist in the signature store
 // loadSignature reads a signature from a file (.json/.bin) or a per-rank
 // signature directory.
 func loadSignature(path string) (*tracex.Signature, error) {
-	if trace.IsSignatureDir(path) {
-		return trace.LoadDir(path)
+	if store.IsSignatureDir(path) {
+		return store.LoadDir(path)
 	}
-	return trace.Load(path)
+	return store.Load(path)
 }
 
 func loadAppMachine(appName, machineName string) (*tracex.App, tracex.MachineConfig, error) {
@@ -257,7 +257,7 @@ func cmdTrace(ctx context.Context, eng *tracex.Engine, args []string) error {
 	machineName := fs.String("machine", "bluewaters", "target machine")
 	out := fs.String("out", "", "output signature path (.json or .bin), or a directory with -perrank")
 	perRank := fs.Bool("perrank", false, "write a signature directory with one trace file per rank (the paper's layout)")
-	binary := fs.Bool("binary", false, "use the compact binary encoding for per-rank files")
+	binary := fs.Bool("binary", false, "encode per-rank files in the store codec (.bin)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -277,9 +277,9 @@ func cmdTrace(ctx context.Context, eng *tracex.Engine, args []string) error {
 		return err
 	}
 	if *perRank {
-		err = trace.SaveDir(sig, *out, *binary)
+		err = store.SaveDir(sig, *out, *binary)
 	} else {
-		err = trace.Save(sig, *out)
+		err = store.Save(sig, *out)
 	}
 	if err != nil {
 		return err
@@ -321,7 +321,7 @@ func cmdExtrap(ctx context.Context, eng *tracex.Engine, args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := trace.Save(res.Signature, *out); err != nil {
+	if err := store.Save(res.Signature, *out); err != nil {
 		return err
 	}
 	note := ""

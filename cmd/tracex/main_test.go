@@ -8,11 +8,12 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"tracex"
-	"tracex/internal/trace"
+	"tracex/internal/store"
 	"tracex/wire"
 )
 
@@ -71,7 +72,7 @@ func TestCmdTraceAndPredictFlow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("extrap: %v", err)
 	}
-	sig, err := trace.Load(out)
+	sig, err := store.Load(out)
 	if err != nil {
 		t.Fatalf("loading extrapolated signature: %v", err)
 	}
@@ -90,7 +91,7 @@ func TestCmdTraceAndPredictFlow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("extrap -intervals: %v", err)
 	}
-	ivSig, err := trace.Load(outIv)
+	ivSig, err := store.Load(outIv)
 	if err != nil {
 		t.Fatalf("loading interval signature: %v", err)
 	}
@@ -116,7 +117,7 @@ func TestCmdTracePerRankDirectory(t *testing.T) {
 	if err := cmdTrace(bg, testEng, collectArgs(dir, 64, "-perrank", "-binary")); err != nil {
 		t.Fatalf("trace -perrank: %v", err)
 	}
-	if !trace.IsSignatureDir(dir) {
+	if !store.IsSignatureDir(dir) {
 		t.Fatal("output is not a signature directory")
 	}
 	sig, err := loadSignature(dir)
@@ -125,6 +126,44 @@ func TestCmdTracePerRankDirectory(t *testing.T) {
 	}
 	if sig.CoreCount != 64 {
 		t.Errorf("core count %d", sig.CoreCount)
+	}
+}
+
+// TestCmdTracePerRankKeepsUncertainty: a per-rank directory of an
+// adaptive collection loads back with the collection's variances.
+func TestCmdTracePerRankKeepsUncertainty(t *testing.T) {
+	prev := collectSampling
+	collectSampling = "adaptive:0.1,pilot=5000,min=5000,max=50000"
+	t.Cleanup(func() { collectSampling = prev })
+	for _, binary := range []bool{false, true} {
+		dir := tmp(t, "sigdir")
+		args := collectArgs(dir, 64, "-perrank")
+		if binary {
+			args = append(args, "-binary")
+		}
+		if err := cmdTrace(bg, testEng, args); err != nil {
+			t.Fatalf("trace -perrank: %v", err)
+		}
+		sig, err := loadSignature(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, err := collectOptions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, cfg, err := loadAppMachine("stencil3d", "bluewaters")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := testEng.CollectSignature(bg, app, 64, cfg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Uncertainty == nil || !reflect.DeepEqual(sig, want) {
+			t.Errorf("binary=%t: the directory does not load back as the collected signature (uncertainty %v)",
+				binary, sig.Uncertainty != nil)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"tracex"
-	"tracex/internal/trace"
+	"tracex/internal/store"
 )
 
 // This file implements the CLI surface of the persistent signature store:
@@ -97,14 +97,15 @@ func cmdExport(eng *tracex.Engine, args []string) error {
 		if err != nil {
 			return err
 		}
-		found := false
-		if sig, _, found, err = st.Latest(app, machineName, cores); err != nil {
-			return err
-		} else if !found {
+		entry, found := st.LatestEntry(app, machineName, cores)
+		if !found {
 			return fmt.Errorf("no stored signature for %s in %s", *key, st.Dir())
 		}
+		if sig, err = st.GetHash(entry.Hash); err != nil {
+			return err
+		}
 	}
-	if err := trace.Save(sig, *out); err != nil {
+	if err := store.Save(sig, *out); err != nil {
 		return err
 	}
 	fmt.Printf("exported %s@%d@%s → %s\n", sig.App, sig.CoreCount, sig.Machine, *out)

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"tracex"
-	"tracex/internal/trace"
+	"tracex/internal/store"
 )
 
 // TestResolveStoreDir pins the XDG resolution chain: explicit flag wins,
@@ -68,7 +68,7 @@ func TestCmdStoreFlow(t *testing.T) {
 	if err := cmdExport(eng, []string{"-key", "stencil3d@64@bluewaters", "-out", out}); err != nil {
 		t.Fatalf("export: %v", err)
 	}
-	exported, err := trace.Load(out)
+	exported, err := store.Load(out)
 	if err != nil {
 		t.Fatalf("loading exported signature: %v", err)
 	}
@@ -94,6 +94,49 @@ func TestCmdStoreFlow(t *testing.T) {
 	}
 	if err := cmdStore(eng2, []string{"gc"}); err != nil {
 		t.Fatalf("store gc: %v", err)
+	}
+}
+
+// TestCmdImportExportKeepsUncertainty: an extrapolated signature with
+// uncertainty survives import into the store and export to .json and .bin.
+func TestCmdImportExportKeepsUncertainty(t *testing.T) {
+	app, err := tracex.LoadApp("stencil3d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := tracex.LoadMachine("bluewaters")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, err := testEng.CollectInputs(bg, app, []int{64, 128, 256}, cfg,
+		tracex.CollectOptions{Sampling: tracex.FixedSampling(30_000, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := testEng.Extrapolate(bg, inputs, 512, tracex.ExtrapOptions{Intervals: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := tmp(t, "sig512.json")
+	if err := store.Save(res.Signature, in); err != nil {
+		t.Fatal(err)
+	}
+	eng, _ := storeEng(t)
+	if err := cmdImport(eng, []string{"-in", in}); err != nil {
+		t.Fatalf("import: %v", err)
+	}
+	for _, name := range []string{"out.json", "out.bin"} {
+		out := tmp(t, name)
+		if err := cmdExport(eng, []string{"-key", "stencil3d@512@bluewaters", "-out", out}); err != nil {
+			t.Fatalf("export %s: %v", name, err)
+		}
+		got, err := store.Load(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Signature.Uncertainty == nil || !reflect.DeepEqual(got, res.Signature) {
+			t.Errorf("%s: exported signature differs from the imported one (uncertainty %v)", name, got.Uncertainty != nil)
+		}
 	}
 }
 

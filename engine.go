@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -546,12 +547,11 @@ func (e *Engine) CollectSignature(ctx context.Context, app *App, cores int, targ
 
 // CollectSignatureFrom is CollectSignature with provenance: it reports
 // which tier satisfied the request — the in-memory cache, the persistent
-// store (WithStore), a fleet peer (WithRemoteTier), or a fresh simulation.
-// The tiers are checked in that order; a simulated signature is written
-// through memory and disk on the way out, so the next identical request in
-// this process is a memory hit and the next one in a restarted process is a
-// disk hit. A peer fetch writes through to disk the same way, and any peer
-// failure silently degrades to a local collection.
+// store (WithStore), a fleet peer (WithRemoteTier), or a fresh simulation,
+// checked in that order (see resolve). A fetched or simulated signature is
+// written through memory and disk, so the next identical request is a
+// memory hit, and a disk hit in a restarted process. Under the analytical
+// model the signature is derived from the reuse profile and only memoized.
 func (e *Engine) CollectSignatureFrom(ctx context.Context, app *App, cores int, target MachineConfig, opt CollectOptions) (*Signature, Provenance, error) {
 	if err := e.usable(); err != nil {
 		return nil, "", err
@@ -564,80 +564,37 @@ func (e *Engine) CollectSignatureFrom(ctx context.Context, app *App, cores int, 
 	defer sp.End()
 	norm := opt.Normalized()
 	key := sigKey{app: app.Name(), cores: cores, machine: target.Fingerprint(), opt: norm}
-	// prov is written only inside the memoized function, which either
-	// runs on this goroutine (miss) or not at all (hit) — never on
-	// another goroutine — so the read below is race-free.
-	prov := FromCollected
-	sig, hit, err := e.sigs.Do(ctx, key, func() (*Signature, error) {
+	return resolve(ctx, e, e.sigs, key, func() tiers[Signature] {
+		target := target // a copy, so that only a miss moves it to the heap
 		if norm.Model == ModelAnalytical {
-			// Analytical path: the expensive, persisted artifact is the
-			// geometry-free reuse profile; the per-geometry signature is
-			// derived from it in microseconds and only memoized, never
-			// written to disk.
-			rs, _, err := e.CollectReuse(ctx, app, cores, opt)
-			if err != nil {
-				return nil, err
-			}
-			prov = FromAnalytical
-			return pebil.SignatureFromReuse(rs, app, target, nil, cache.Analytical{})
+			return tiers[Signature]{from: FromAnalytical, collect: func(ctx context.Context) (*Signature, error) {
+				rs, _, err := e.CollectReuse(ctx, app, cores, opt)
+				if err != nil {
+					return nil, err
+				}
+				return pebil.SignatureFromReuse(rs, app, target, nil, cache.Analytical{})
+			}}
 		}
-		// Adaptive collections carry measurement uncertainty, which the
-		// binary store codec does not persist; a disk round-trip would
-		// silently drop it, so adaptive signatures stay in the memory and
-		// peer tiers (peers exchange JSON, which carries it).
-		useDisk := e.disk != nil && !norm.Sampling.IsAdaptive()
-		if useDisk {
-			if sig, ok, _ := e.disk.Get(StoreKey(app.Name(), cores, target, opt)); ok {
-				prov = FromDisk
-				return sig, nil
-			}
+		t := tiers[Signature]{
+			key: StoreKey(app.Name(), cores, target, opt), get: (*store.Store).Get, put: (*store.Store).Put,
+			from: FromCollected, collect: func(ctx context.Context) (*Signature, error) {
+				return e.collector.Collect(ctx, app, cores, target, nil, opt)
+			},
 		}
 		if e.remote != nil && !remoteTierDisabled(ctx) {
-			e.peerFetches.Inc()
-			if sig, ferr := e.remote.FetchSignature(ctx, app.Name(), cores, target.Name, opt); ferr == nil && sig != nil {
-				e.peerHits.Inc()
-				prov = FromPeer
-				if useDisk {
-					if _, perr := e.disk.Put(sig, StoreKey(app.Name(), cores, target, opt)); perr != nil {
-						e.putErrors.Inc()
-					}
-				}
-				return sig, nil
-			} else if ctx.Err() != nil {
-				// A cancelled request must not mask the cancellation with
-				// a fresh local collection.
-				return nil, ctx.Err()
-			}
-			// Any other fetch failure (peer down, key unowned, not found)
-			// degrades to a local collection below.
-		}
-		sig, err := e.collector.Collect(ctx, app, cores, target, nil, opt)
-		if err == nil && useDisk {
-			if _, perr := e.disk.Put(sig, StoreKey(app.Name(), cores, target, opt)); perr != nil {
-				// A full or read-only disk must not fail the
-				// collection that just succeeded; the lost write is
-				// only a future cold start.
-				e.putErrors.Inc()
+			t.fetch = func(ctx context.Context) (*Signature, error) {
+				return e.remote.FetchSignature(ctx, app.Name(), cores, target.Name, opt)
 			}
 		}
-		return sig, err
+		return t
 	})
-	if err != nil {
-		return nil, "", err
-	}
-	if hit {
-		prov = FromMemory
-	}
-	return sig, prov, nil
 }
 
 // CollectReuse returns the machine-independent reuse-distance signature of
-// the application at the given core count, with the same tiering as
-// CollectSignatureFrom: in-memory memo, then the persistent store (the
-// profile is keyed without any machine component — see ReuseStoreKey), then
-// a fresh recording written through both tiers. The provenance reports the
-// tier that satisfied the request. The options' Model does not affect the
-// profile's identity.
+// the application at the given core count, through the memory and disk
+// tiers as CollectSignatureFrom (the profile is keyed without any machine
+// component, see ReuseStoreKey) and then a fresh recording. The options'
+// Model does not affect the profile's identity.
 func (e *Engine) CollectReuse(ctx context.Context, app *App, cores int, opt CollectOptions) (*ReuseSignature, Provenance, error) {
 	if err := e.usable(); err != nil {
 		return nil, "", err
@@ -649,29 +606,77 @@ func (e *Engine) CollectReuse(ctx context.Context, app *App, cores int, opt Coll
 	sp := e.reg.StartSpan("engine.reuse", fmt.Sprintf("%s@%d", app.Name(), cores))
 	defer sp.End()
 	key := reuseKey{app: app.Name(), cores: cores, opt: reuseOpt(opt)}
-	prov := FromCollected
-	rs, hit, err := e.reuse.Do(ctx, key, func() (*ReuseSignature, error) {
-		if e.disk != nil {
-			if rs, ok, _ := e.disk.GetReuse(ReuseStoreKey(app.Name(), cores, opt)); ok {
+	return resolve(ctx, e, e.reuse, key, func() tiers[ReuseSignature] {
+		return tiers[ReuseSignature]{
+			key: ReuseStoreKey(app.Name(), cores, opt), get: (*store.Store).GetReuse, put: (*store.Store).PutReuse,
+			from: FromCollected, collect: func(ctx context.Context) (*ReuseSignature, error) {
+				return e.collector.CollectReuse(ctx, app, cores, opt)
+			},
+		}
+	})
+}
+
+// tiers are the sources of one artifact after the memo, in the order
+// resolve consults them: get from the disk store under key (if the engine
+// has one), fetch from the remote tier, and collect with provenance from.
+// A nil func is a tier the request does not have.
+type tiers[T any] struct {
+	key     store.Key
+	get     func(*store.Store, store.Key) (*T, bool, error)
+	put     func(*store.Store, *T, store.Key) (store.Entry, error)
+	fetch   func(context.Context) (*T, error)
+	collect func(context.Context) (*T, error)
+	from    Provenance
+}
+
+// resolve serves one artifact from the first tier that holds it: the memo
+// (which also joins an identical in-flight request), then the tiers miss
+// returns. It alone sets provenance, writes fetched and collected
+// artifacts through to disk, and counts put errors and peer fetches and
+// hits. A failed disk read is a miss (the store counts it), and so is a
+// failed fetch unless ctx is done. A failed write only costs a future
+// cold start, so it never fails the request.
+func resolve[K comparable, T any](ctx context.Context, e *Engine, m *memo.Cache[K, *T], key K, miss func() tiers[T]) (*T, Provenance, error) {
+	// Only the memoized function writes prov, and it runs on this
+	// goroutine or not at all.
+	prov := FromMemory
+	v, _, err := m.Do(ctx, key, func() (*T, error) {
+		t := miss()
+		disk := e.disk != nil && t.get != nil
+		if disk {
+			if v, ok, _ := t.get(e.disk, t.key); ok {
 				prov = FromDisk
-				return rs, nil
+				return v, nil
 			}
 		}
-		rs, err := e.collector.CollectReuse(ctx, app, cores, opt)
-		if err == nil && e.disk != nil {
-			if _, perr := e.disk.PutReuse(rs, ReuseStoreKey(app.Name(), cores, opt)); perr != nil {
+		var v *T
+		if t.fetch != nil {
+			e.peerFetches.Inc()
+			if fv, err := t.fetch(ctx); err == nil && fv != nil {
+				e.peerHits.Inc()
+				v, prov = fv, FromPeer
+			} else if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+		}
+		if v == nil {
+			var err error
+			if v, err = t.collect(ctx); err != nil {
+				return nil, err
+			}
+			prov = t.from
+		}
+		if disk {
+			if _, err := t.put(e.disk, v, t.key); err != nil {
 				e.putErrors.Inc()
 			}
 		}
-		return rs, err
+		return v, nil
 	})
 	if err != nil {
 		return nil, "", err
 	}
-	if hit {
-		prov = FromMemory
-	}
-	return rs, prov, nil
+	return v, prov, nil
 }
 
 // Store returns the engine's persistent signature store, or nil when the
@@ -735,9 +740,9 @@ type PredictRequest struct {
 	// small-to-moderate replays.
 	WithTimeline bool
 	// Intervals attaches runtime prediction intervals to the returned
-	// Prediction. It requires the signature to carry extrapolation
-	// uncertainty (produced by ExtrapOptions.Intervals); predictions from
-	// collected signatures have no posterior to propagate and return no
+	// Prediction. It requires the signature to carry uncertainty (from
+	// ExtrapOptions.Intervals or an adaptive collection); predictions from
+	// other signatures have no variance to propagate and return no
 	// intervals.
 	Intervals bool
 	// IntervalLevels are the central interval levels to report; nil
@@ -968,19 +973,12 @@ func (r *StudyResult) Rows() []StudyRow {
 		if t.Collected != nil {
 			row.ActualSeconds = t.Collected.Runtime
 			if row.ActualSeconds != 0 {
-				row.AbsRelErr = abs(row.PredictedSeconds-row.ActualSeconds) / row.ActualSeconds
+				row.AbsRelErr = math.Abs(row.PredictedSeconds-row.ActualSeconds) / row.ActualSeconds
 			}
 		}
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Study runs a full extrapolation study: the machine profile, every input

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -400,7 +401,7 @@ func TestEngineStudy(t *testing.T) {
 	if rows[0].PredictedSeconds != tgt.Extrapolated.Runtime || rows[0].ActualSeconds != tgt.Collected.Runtime {
 		t.Errorf("row %+v disagrees with predictions", rows[0])
 	}
-	if want := abs(rows[0].PredictedSeconds-rows[0].ActualSeconds) / rows[0].ActualSeconds; rows[0].AbsRelErr != want {
+	if want := math.Abs(rows[0].PredictedSeconds-rows[0].ActualSeconds) / rows[0].ActualSeconds; rows[0].AbsRelErr != want {
 		t.Errorf("AbsRelErr %g, want %g", rows[0].AbsRelErr, want)
 	}
 

@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -476,4 +478,50 @@ func TestReplicate(t *testing.T) {
 // writeFile is a tiny helper (os.WriteFile with fixed mode).
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
+}
+
+// TestPullOneKeepsUncertainty: a replicated adaptive signature is filed
+// with its measurement variances intact.
+func TestPullOneKeepsUncertainty(t *testing.T) {
+	app, err := tracex.LoadApp(sigApp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := tracex.LoadMachine(sigMachine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := tracex.CollectOptions{Sampling: tracex.SamplingPolicy{Mode: tracex.SamplingModeAdaptive,
+		TargetRelErr: 0.1, PilotRefs: 5_000, MinRefs: 5_000, MaxRefs: 50_000, ClusterBlocks: true}}
+	sig, err := sigEngine.CollectSignature(bg, app, 16, m, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sig.Uncertainty == nil {
+		t.Fatal("adaptive collection carries no uncertainty")
+	}
+	// The peer answers over JSON, as the HTTP client does.
+	body, err := json.Marshal(&wire.StoredSignatureResponse{App: sigApp, Cores: 16, Machine: sigMachine, Signature: sig})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fake := &fakeRemote{t: t, get: func(string) (*wire.StoredSignatureResponse, error) {
+		var resp wire.StoredSignatureResponse
+		return &resp, json.Unmarshal(body, &resp)
+	}}
+	f, _ := newTestFleet(t, fake)
+	eng := tracex.NewEngine(tracex.WithStore(t.TempDir()))
+	defer eng.Close()
+	key := tracex.StoreKey(sigApp, 16, m, opt)
+	entry := wire.FleetSyncEntry{App: sigApp, Cores: 16, Machine: sigMachine, MachineFP: key.MachineFP, Opt: key.Opt, Hash: "x"}
+	if err := f.pullOne(bg, fake, eng.Store(), entry); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := eng.Store().Get(key)
+	if err != nil || !ok {
+		t.Fatalf("pulled signature not stored: ok=%v err=%v", ok, err)
+	}
+	if !reflect.DeepEqual(got, sig) {
+		t.Errorf("stored signature differs from the peer's (uncertainty %v)", got.Uncertainty != nil)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
@@ -213,5 +214,69 @@ func TestStoreGetPutRoutes(t *testing.T) {
 	badResp.Body.Close()
 	if badResp.StatusCode != http.StatusBadRequest {
 		t.Errorf("PUT with mismatched key: %d", badResp.StatusCode)
+	}
+}
+
+// TestStorePutKeepsUncertainty: an extrapolated signature with intervals
+// on keeps its uncertainty through PUT and a GET by content hash.
+func TestStorePutKeepsUncertainty(t *testing.T) {
+	app, err := tracex.LoadApp("stencil3d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := tracex.LoadMachine("bluewaters")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, err := sharedEng.CollectInputs(context.Background(), app, []int{64, 128, 256}, cfg,
+		tracex.CollectOptions{Sampling: tracex.FixedSampling(testSampleRefs, testSampleRefs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, base := newTestServer(t, Config{Engine: storeEngine(t, t.TempDir())})
+	ereq, err := json.Marshal(&wire.ExtrapolateRequest{Signatures: inputs, TargetCores: 512, Intervals: wire.Bool(true)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := post(t, base+"/v1/extrapolate", string(ereq))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("extrapolate: %d %.300s", resp.StatusCode, body)
+	}
+	var er wire.ExtrapolateResponse
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatal(err)
+	}
+	if er.Signature == nil || er.Signature.Uncertainty == nil {
+		t.Fatal("intervals-on extrapolation returned no uncertainty")
+	}
+
+	sigJSON, err := json.Marshal(er.Signature)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putReq, err := http.NewRequest("PUT", base+"/v1/signatures/stencil3d@512@bluewaters", bytes.NewReader(sigJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	putResp, err := http.DefaultClient.Do(putReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer putResp.Body.Close()
+	var pr wire.StorePutResponse
+	if err := json.NewDecoder(putResp.Body).Decode(&pr); err != nil || putResp.StatusCode != http.StatusOK {
+		t.Fatalf("PUT: %d %+v %v", putResp.StatusCode, pr, err)
+	}
+
+	resp, body = get(t, base+"/v1/signatures/"+pr.Hash)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET by hash: %d %s", resp.StatusCode, body)
+	}
+	var sr wire.StoredSignatureResponse
+	if err := json.Unmarshal(body, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.Signature == nil || !reflect.DeepEqual(sr.Signature.Uncertainty, er.Signature.Uncertainty) {
+		t.Errorf("stored uncertainty differs from the extrapolated one")
 	}
 }

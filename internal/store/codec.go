@@ -43,6 +43,19 @@
 // delta-encoded bucket index, count) pairs. Trace-signature objects encode
 // byte-identically under version 1 and 2 except the version byte, so v1
 // objects written before the bump keep decoding.
+//
+// Version 3 is a trace signature that carries uncertainty
+// (trace.SignatureUncertainty). It adds one record between the last trace
+// and the end record:
+//
+//	'U' dof block_count { id_delta var_count value... } | crc32c
+//
+// Block IDs are zigzag varint deltas as in trace records, and each
+// variance is a tagged value, so a zero variance costs one byte. The
+// version byte follows the content: an object carries the 'U' record
+// exactly when its version is 3, so a signature without uncertainty, and
+// every reuse signature, still encodes to its version-2 bytes and keeps
+// its content hash.
 package store
 
 import (
@@ -61,11 +74,15 @@ import (
 // Magic identifies a tracex signature object file.
 var Magic = [4]byte{'T', 'X', 'S', 'G'}
 
-// Version is the current codec version. Decoders reject later versions and
-// accept every earlier one they can represent: version 1 (trace signatures
-// only) decodes unchanged, since v2 only added the reuse-signature object
-// kind.
+// Version is the version byte of every object without uncertainty: reuse
+// signatures and trace signatures that carry none. Version 1 (trace
+// signatures only) still decodes unchanged, since v2 only added the
+// reuse-signature object kind.
 const Version = 2
+
+// versionUncertainty stamps a trace signature carrying an uncertainty
+// record; it is the newest version Decode accepts.
+const versionUncertainty = 3
 
 // minVersion is the oldest version Decode accepts.
 const minVersion = 1
@@ -88,6 +105,7 @@ const (
 	recEnd        = 'E'
 	recReuse      = 'R'
 	recReuseBlock = 'B'
+	recUncert     = 'U'
 )
 
 // Feature-value tags.
@@ -105,6 +123,8 @@ const (
 	maxCores     = 1 << 26
 	maxBlocks    = 1 << 22
 	maxLineSize  = 1 << 16
+	maxVars      = trace.NumScalarElements + maxLevels
+	maxDof       = math.MaxInt32
 )
 
 // castagnoli is the CRC-32C polynomial table (hardware-accelerated on
@@ -112,84 +132,79 @@ const (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // encoder streams a signature into w, maintaining the running per-record
-// checksum.
+// checksum. Its writes report no error: bufio.Writer's error is sticky
+// (after a failed write it accepts nothing more), so the encoder checks it
+// once, at the final Flush.
 type encoder struct {
 	w   *bufio.Writer
 	rec hash.Hash32
 	buf [binary.MaxVarintLen64]byte
 }
 
+// newEncoder starts an object of the given codec version on w.
+func newEncoder(w io.Writer, version byte) *encoder {
+	e := &encoder{w: bufio.NewWriter(w), rec: crc32.New(castagnoli)}
+	e.w.Write(Magic[:])
+	e.w.WriteByte(version)
+	return e
+}
+
 // write appends b to the output and the current record's checksum.
-func (e *encoder) write(b []byte) error {
+func (e *encoder) write(b []byte) {
 	e.rec.Write(b)
-	_, err := e.w.Write(b)
-	return err
+	e.w.Write(b)
 }
 
-func (e *encoder) writeByte(b byte) error { return e.write([]byte{b}) }
+func (e *encoder) writeByte(b byte) { e.write([]byte{b}) }
 
-func (e *encoder) writeUvarint(v uint64) error {
+func (e *encoder) writeUvarint(v uint64) {
 	n := binary.PutUvarint(e.buf[:], v)
-	return e.write(e.buf[:n])
+	e.write(e.buf[:n])
 }
 
-func (e *encoder) writeVarint(v int64) error {
+func (e *encoder) writeVarint(v int64) {
 	n := binary.PutVarint(e.buf[:], v)
-	return e.write(e.buf[:n])
+	e.write(e.buf[:n])
 }
 
-func (e *encoder) writeString(s string) error {
-	if err := e.writeUvarint(uint64(len(s))); err != nil {
-		return err
-	}
-	return e.write([]byte(s))
+func (e *encoder) writeString(s string) {
+	e.writeUvarint(uint64(len(s)))
+	e.write([]byte(s))
 }
 
 // endRecord emits the current record's CRC and resets it for the next one.
-func (e *encoder) endRecord() error {
-	sum := e.rec.Sum32()
-	binary.LittleEndian.PutUint32(e.buf[:4], sum)
-	if _, err := e.w.Write(e.buf[:4]); err != nil {
-		return err
-	}
+func (e *encoder) endRecord() {
+	binary.LittleEndian.PutUint32(e.buf[:4], e.rec.Sum32())
+	e.w.Write(e.buf[:4])
 	e.rec.Reset()
-	return nil
 }
 
 // intern writes s as a reference into the incremental string table: a
 // known string is a table index; a new one is the index one past the end
 // followed by the literal, and joins the table.
-func (e *encoder) intern(table map[string]uint64, s string) error {
+func (e *encoder) intern(table map[string]uint64, s string) {
 	if idx, ok := table[s]; ok {
-		return e.writeUvarint(idx)
+		e.writeUvarint(idx)
+		return
 	}
 	idx := uint64(len(table))
-	if err := e.writeUvarint(idx); err != nil {
-		return err
-	}
-	if err := e.writeString(s); err != nil {
-		return err
-	}
+	e.writeUvarint(idx)
+	e.writeString(s)
 	table[s] = idx
-	return nil
 }
 
 // writeValue encodes one feature-vector element.
-func (e *encoder) writeValue(v float64) error {
+func (e *encoder) writeValue(v float64) {
 	switch {
 	case v == 0 && !math.Signbit(v):
-		return e.writeByte(tagZero)
+		e.writeByte(tagZero)
 	case v == math.Trunc(v) && v > 0 && v <= 1<<53:
-		if err := e.writeByte(tagUint); err != nil {
-			return err
-		}
-		return e.writeUvarint(uint64(v))
+		e.writeByte(tagUint)
+		e.writeUvarint(uint64(v))
 	default:
-		if err := e.writeByte(tagFloat); err != nil {
-			return err
-		}
+		e.writeByte(tagFloat)
 		binary.LittleEndian.PutUint64(e.buf[:8], math.Float64bits(v))
-		return e.write(e.buf[:8])
+		e.write(e.buf[:8])
 	}
 }
 
@@ -200,33 +215,17 @@ func Encode(w io.Writer, s *trace.Signature) error {
 	if s == nil {
 		return fmt.Errorf("store: encoding nil signature")
 	}
-	e := &encoder{w: bufio.NewWriter(w), rec: crc32.New(castagnoli)}
-	if _, err := e.w.Write(Magic[:]); err != nil {
-		return err
+	version := byte(Version)
+	if s.Uncertainty != nil {
+		version = versionUncertainty
 	}
-	if err := e.w.WriteByte(Version); err != nil {
-		return err
-	}
-	// Header record.
-	if err := e.writeByte(recHeader); err != nil {
-		return err
-	}
-	if err := e.writeString(s.App); err != nil {
-		return err
-	}
-	if err := e.writeString(s.Machine); err != nil {
-		return err
-	}
-	if err := e.writeUvarint(uint64(s.CoreCount)); err != nil {
-		return err
-	}
-	if err := e.writeUvarint(uint64(len(s.Traces))); err != nil {
-		return err
-	}
-	if err := e.endRecord(); err != nil {
-		return err
-	}
-	// Trace records.
+	e := newEncoder(w, version)
+	e.writeByte(recHeader)
+	e.writeString(s.App)
+	e.writeString(s.Machine)
+	e.writeUvarint(uint64(s.CoreCount))
+	e.writeUvarint(uint64(len(s.Traces)))
+	e.endRecord()
 	var totalBlocks uint64
 	for i := range s.Traces {
 		tr := &s.Traces[i]
@@ -235,62 +234,61 @@ func Encode(w io.Writer, s *trace.Signature) error {
 		}
 		totalBlocks += uint64(len(tr.Blocks))
 	}
+	if s.Uncertainty != nil {
+		e.encodeUncertainty(s.Uncertainty)
+	}
 	// End record: a truncated file is missing it, and its block total
 	// cross-checks the per-trace counts.
-	if err := e.writeByte(recEnd); err != nil {
-		return err
-	}
-	if err := e.writeUvarint(totalBlocks); err != nil {
-		return err
-	}
-	if err := e.endRecord(); err != nil {
-		return err
-	}
+	e.writeByte(recEnd)
+	e.writeUvarint(totalBlocks)
+	e.endRecord()
 	return e.w.Flush()
 }
 
-// encodeTrace writes one trace record.
+// encodeTrace writes one trace record. It fails only on a feature vector
+// whose hit rates do not match the trace's level count.
 func (e *encoder) encodeTrace(tr *trace.Trace) error {
-	if err := e.writeByte(recTrace); err != nil {
-		return err
-	}
-	if err := e.writeUvarint(uint64(tr.Rank)); err != nil {
-		return err
-	}
-	if err := e.writeUvarint(uint64(tr.Levels)); err != nil {
-		return err
-	}
-	if err := e.writeUvarint(uint64(len(tr.Blocks))); err != nil {
-		return err
-	}
+	e.writeByte(recTrace)
+	e.writeUvarint(uint64(tr.Rank))
+	e.writeUvarint(uint64(tr.Levels))
+	e.writeUvarint(uint64(len(tr.Blocks)))
 	table := make(map[string]uint64)
 	var prevID uint64
 	for i := range tr.Blocks {
 		b := &tr.Blocks[i]
-		if err := e.writeVarint(int64(b.ID - prevID)); err != nil {
-			return err
-		}
+		e.writeVarint(int64(b.ID - prevID))
 		prevID = b.ID
-		if err := e.intern(table, b.Func); err != nil {
-			return err
-		}
-		if err := e.intern(table, b.File); err != nil {
-			return err
-		}
-		if err := e.writeVarint(int64(b.Line)); err != nil {
-			return err
-		}
+		e.intern(table, b.Func)
+		e.intern(table, b.File)
+		e.writeVarint(int64(b.Line))
 		vals, err := b.FV.Values(tr.Levels)
 		if err != nil {
 			return err
 		}
 		for _, v := range vals {
-			if err := e.writeValue(v); err != nil {
-				return err
-			}
+			e.writeValue(v)
 		}
 	}
-	return e.endRecord()
+	e.endRecord()
+	return nil
+}
+
+// encodeUncertainty writes the uncertainty record.
+func (e *encoder) encodeUncertainty(u *trace.SignatureUncertainty) {
+	e.writeByte(recUncert)
+	e.writeUvarint(uint64(u.Dof))
+	e.writeUvarint(uint64(len(u.Blocks)))
+	var prevID uint64
+	for i := range u.Blocks {
+		b := &u.Blocks[i]
+		e.writeVarint(int64(b.ID - prevID))
+		prevID = b.ID
+		e.writeUvarint(uint64(len(b.Vars)))
+		for _, v := range b.Vars {
+			e.writeValue(v)
+		}
+	}
+	e.endRecord()
 }
 
 // decoder streams a signature out of r, verifying per-record checksums.
@@ -429,30 +427,57 @@ func (d *decoder) readValue() (float64, error) {
 }
 
 // Decode reads one signature in the compact binary format and validates
-// it. Any structural, checksum or semantic failure wraps ErrCorrupt.
+// it. A healthy reuse-signature object fails with ErrWrongKind; every
+// other structural, checksum or semantic failure wraps ErrCorrupt.
 func Decode(r io.Reader) (*trace.Signature, error) {
+	sig, rs, err := decodeObject(r)
+	if rs != nil {
+		return nil, fmt.Errorf("%w: object is a reuse signature, not a trace signature", ErrWrongKind)
+	}
+	return sig, err
+}
+
+// decodeObject reads and validates one object of either kind, returning
+// it as sig or rs. Only an object that decodes in full counts as the
+// other kind, so a corrupt one is always ErrCorrupt and gets quarantined.
+func decodeObject(r io.Reader) (*trace.Signature, *trace.ReuseSignature, error) {
 	d := &decoder{r: bufio.NewReader(r), rec: crc32.New(castagnoli)}
 	var magic [5]byte
 	if _, err := io.ReadFull(d.r, magic[:]); err != nil {
-		return nil, corruptf("reading magic: %v", err)
+		return nil, nil, corruptf("reading magic: %v", err)
 	}
 	if [4]byte(magic[:4]) != Magic {
-		return nil, corruptf("bad magic %q", magic[:4])
+		return nil, nil, corruptf("bad magic %q", magic[:4])
 	}
-	if magic[4] < minVersion || magic[4] > Version {
-		return nil, corruptf("unsupported codec version %d (have %d)", magic[4], Version)
+	version := magic[4]
+	if version < minVersion || version > versionUncertainty {
+		return nil, nil, corruptf("unsupported codec version %d (have %d)", version, versionUncertainty)
 	}
-	// Header record.
 	marker, err := d.readByte()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if marker == recReuse {
-		return nil, fmt.Errorf("%w: object is a reuse signature, not a trace signature", ErrWrongKind)
+	switch marker {
+	case recHeader:
+		sig, err := d.decodeSignature(version)
+		return sig, nil, err
+	case recReuse:
+		// Reuse objects appeared in version 2 and never carry
+		// uncertainty.
+		if version != Version {
+			return nil, nil, corruptf("unsupported codec version %d for reuse signature (have %d)", version, Version)
+		}
+		rs, err := d.decodeReuse()
+		return nil, rs, err
+	default:
+		return nil, nil, corruptf("expected header record, found %q", marker)
 	}
-	if marker != recHeader {
-		return nil, corruptf("expected header record, found %q", marker)
-	}
+}
+
+// decodeSignature reads the rest of a trace-signature object after its
+// header marker.
+func (d *decoder) decodeSignature(version byte) (*trace.Signature, error) {
+	var err error
 	s := &trace.Signature{}
 	if s.App, err = d.readString(); err != nil {
 		return nil, err
@@ -490,10 +515,22 @@ func Decode(r io.Reader) (*trace.Signature, error) {
 		tr.App, tr.Machine = s.App, s.Machine
 		s.Traces = append(s.Traces, *tr)
 	}
-	// End record.
-	if marker, err = d.readByte(); err != nil {
+	marker, err := d.readByte()
+	if err != nil {
 		return nil, err
 	}
+	if (marker == recUncert) != (version == versionUncertainty) {
+		return nil, corruptf("version %d object with record %q after its traces", version, marker)
+	}
+	if marker == recUncert {
+		if s.Uncertainty, err = d.decodeUncertainty(); err != nil {
+			return nil, fmt.Errorf("store: uncertainty: %w", err)
+		}
+		if marker, err = d.readByte(); err != nil {
+			return nil, err
+		}
+	}
+	// End record.
 	if marker != recEnd {
 		return nil, corruptf("expected end record, found %q", marker)
 	}
@@ -583,4 +620,51 @@ func (d *decoder) decodeTrace(coreCount int) (*trace.Trace, error) {
 		return nil, err
 	}
 	return tr, nil
+}
+
+// decodeUncertainty reads the body of an uncertainty record (its marker is
+// already consumed).
+func (d *decoder) decodeUncertainty() (*trace.SignatureUncertainty, error) {
+	dof, err := d.readUvarint()
+	if err != nil {
+		return nil, err
+	}
+	if dof > maxDof {
+		return nil, corruptf("uncertainty dof %d out of range", dof)
+	}
+	nBlocks, err := d.readUvarint()
+	if err != nil {
+		return nil, err
+	}
+	if nBlocks > maxBlocks {
+		return nil, corruptf("uncertainty block count %d exceeds limit", nBlocks)
+	}
+	u := &trace.SignatureUncertainty{Dof: int(dof)}
+	var prevID uint64
+	for i := uint64(0); i < nBlocks; i++ {
+		delta, err := d.readVarint()
+		if err != nil {
+			return nil, err
+		}
+		b := trace.BlockUncertainty{ID: prevID + uint64(delta)}
+		prevID = b.ID
+		n, err := d.readUvarint()
+		if err != nil {
+			return nil, err
+		}
+		if n > maxVars {
+			return nil, corruptf("%d variances for block %d exceed limit", n, b.ID)
+		}
+		b.Vars = make([]float64, n)
+		for j := range b.Vars {
+			if b.Vars[j], err = d.readValue(); err != nil {
+				return nil, err
+			}
+		}
+		u.Blocks = append(u.Blocks, b)
+	}
+	if err := d.endRecord(); err != nil {
+		return nil, err
+	}
+	return u, nil
 }

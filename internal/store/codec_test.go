@@ -86,8 +86,11 @@ func encodeToBytes(t *testing.T, s *trace.Signature) []byte {
 
 func TestCodecRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 200; i++ {
 		want := genSignature(r)
+		if i >= 100 {
+			want = withUncertainty(r, want)
+		}
 		got, err := Decode(bytes.NewReader(encodeToBytes(t, want)))
 		if err != nil {
 			t.Fatalf("iteration %d: Decode: %v", i, err)
@@ -126,33 +129,43 @@ func TestCodecValueTags(t *testing.T) {
 	}
 }
 
-// TestDecodeTruncated checks that every proper prefix of a valid encoding
-// is rejected as corrupt — the torn-write case.
+// TestDecodeTruncated checks that every proper prefix of a valid encoding,
+// with and without the uncertainty record, is rejected as corrupt — the
+// torn-write case.
 func TestDecodeTruncated(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	full := encodeToBytes(t, genSignature(r))
-	for n := 0; n < len(full); n++ {
-		if _, err := Decode(bytes.NewReader(full[:n])); err == nil {
-			t.Fatalf("decode of %d/%d-byte prefix succeeded", n, len(full))
-		} else if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("prefix %d: error does not wrap ErrCorrupt: %v", n, err)
+	for _, full := range [][]byte{
+		encodeToBytes(t, genSignature(r)),
+		encodeToBytes(t, withUncertainty(r, genSignature(r))),
+	} {
+		for n := 0; n < len(full); n++ {
+			if _, err := Decode(bytes.NewReader(full[:n])); err == nil {
+				t.Fatalf("decode of %d/%d-byte prefix succeeded", n, len(full))
+			} else if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("prefix %d: error does not wrap ErrCorrupt: %v", n, err)
+			}
 		}
 	}
 }
 
 // TestDecodeByteFlips checks that corrupting any single byte of a valid
-// encoding is detected (the magic/version are checked structurally; every
-// other byte is either CRC-covered or a CRC byte itself).
+// encoding, with and without the uncertainty record, is detected (the
+// magic/version are checked structurally; every other byte is either
+// CRC-covered or a CRC byte itself).
 func TestDecodeByteFlips(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	full := encodeToBytes(t, genSignature(r))
-	for i := range full {
-		corrupt := append([]byte(nil), full...)
-		corrupt[i] ^= 0xFF
-		if _, err := Decode(bytes.NewReader(corrupt)); err == nil {
-			t.Fatalf("decode with byte %d flipped succeeded", i)
-		} else if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("byte %d: error does not wrap ErrCorrupt: %v", i, err)
+	for _, full := range [][]byte{
+		encodeToBytes(t, genSignature(r)),
+		encodeToBytes(t, withUncertainty(r, genSignature(r))),
+	} {
+		for i := range full {
+			corrupt := append([]byte(nil), full...)
+			corrupt[i] ^= 0xFF
+			if _, err := Decode(bytes.NewReader(corrupt)); err == nil {
+				t.Fatalf("decode with byte %d flipped succeeded", i)
+			} else if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("byte %d: error does not wrap ErrCorrupt: %v", i, err)
+			}
 		}
 	}
 }

@@ -1,9 +1,7 @@
 package store
 
 import (
-	"bufio"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math/bits"
 
@@ -22,140 +20,81 @@ func EncodeReuse(w io.Writer, rs *trace.ReuseSignature) error {
 	if rs == nil {
 		return fmt.Errorf("store: encoding nil reuse signature")
 	}
-	e := &encoder{w: bufio.NewWriter(w), rec: crc32.New(castagnoli)}
-	if _, err := e.w.Write(Magic[:]); err != nil {
-		return err
-	}
-	if err := e.w.WriteByte(Version); err != nil {
-		return err
-	}
+	e := newEncoder(w, Version)
 	// Reuse header record.
-	if err := e.writeByte(recReuse); err != nil {
-		return err
-	}
-	if err := e.writeString(rs.App); err != nil {
-		return err
-	}
-	if err := e.writeUvarint(uint64(rs.CoreCount)); err != nil {
-		return err
-	}
-	if err := e.writeUvarint(uint64(rs.LineSize)); err != nil {
-		return err
-	}
-	if err := e.writeUvarint(uint64(len(rs.Blocks))); err != nil {
-		return err
-	}
-	if err := e.endRecord(); err != nil {
-		return err
-	}
+	e.writeByte(recReuse)
+	e.writeString(rs.App)
+	e.writeUvarint(uint64(rs.CoreCount))
+	e.writeUvarint(uint64(rs.LineSize))
+	e.writeUvarint(uint64(len(rs.Blocks)))
+	e.endRecord()
 	// Block records.
 	table := make(map[string]uint64)
 	var prevID uint64
 	var totalBuckets uint64
 	for i := range rs.Blocks {
 		b := &rs.Blocks[i]
-		n, err := e.encodeReuseBlock(b, table, prevID)
-		if err != nil {
-			return fmt.Errorf("store: encoding reuse block %d: %w", i, err)
-		}
+		totalBuckets += e.encodeReuseBlock(b, table, prevID)
 		prevID = b.ID
-		totalBuckets += n
 	}
 	// End record cross-checks the per-block bucket totals.
-	if err := e.writeByte(recEnd); err != nil {
-		return err
-	}
-	if err := e.writeUvarint(totalBuckets); err != nil {
-		return err
-	}
-	if err := e.endRecord(); err != nil {
-		return err
-	}
+	e.writeByte(recEnd)
+	e.writeUvarint(totalBuckets)
+	e.endRecord()
 	return e.w.Flush()
 }
 
 // encodeReuseBlock writes one block record, returning its non-zero bucket
 // count.
-func (e *encoder) encodeReuseBlock(b *trace.ReuseBlock, table map[string]uint64, prevID uint64) (uint64, error) {
-	if err := e.writeByte(recReuseBlock); err != nil {
-		return 0, err
-	}
-	if err := e.writeVarint(int64(b.ID - prevID)); err != nil {
-		return 0, err
-	}
-	if err := e.intern(table, b.Func); err != nil {
-		return 0, err
-	}
-	if err := e.intern(table, b.File); err != nil {
-		return 0, err
-	}
-	if err := e.writeVarint(int64(b.Line)); err != nil {
-		return 0, err
-	}
+func (e *encoder) encodeReuseBlock(b *trace.ReuseBlock, table map[string]uint64, prevID uint64) uint64 {
+	e.writeByte(recReuseBlock)
+	e.writeVarint(int64(b.ID - prevID))
+	e.intern(table, b.Func)
+	e.intern(table, b.File)
+	e.writeVarint(int64(b.Line))
 	for _, v := range []float64{
 		b.Refs, b.WorkingSetBytes, b.FPPerRef, b.AddFrac, b.MulFrac,
 		b.DivFrac, b.LoadFrac, b.BytesPerRef, b.ILP,
 	} {
-		if err := e.writeValue(v); err != nil {
-			return 0, err
-		}
+		e.writeValue(v)
 	}
-	if err := e.writeUvarint(b.Hist.Cold); err != nil {
-		return 0, err
-	}
-	if err := e.writeUvarint(b.Hist.Refs); err != nil {
-		return 0, err
-	}
+	e.writeUvarint(b.Hist.Cold)
+	e.writeUvarint(b.Hist.Refs)
 	var nonzero uint64
 	for _, c := range b.Hist.Counts {
 		if c != 0 {
 			nonzero++
 		}
 	}
-	if err := e.writeUvarint(nonzero); err != nil {
-		return 0, err
-	}
+	e.writeUvarint(nonzero)
 	prev := -1
 	for bk, c := range b.Hist.Counts {
 		if c == 0 {
 			continue
 		}
-		if err := e.writeUvarint(uint64(bk - prev)); err != nil {
-			return 0, err
-		}
+		e.writeUvarint(uint64(bk - prev))
 		prev = bk
-		if err := e.writeUvarint(c); err != nil {
-			return 0, err
-		}
+		e.writeUvarint(c)
 	}
-	return nonzero, e.endRecord()
+	e.endRecord()
+	return nonzero
 }
 
 // DecodeReuse reads one reuse-distance signature and validates it. A
-// structurally valid trace-signature object fails with ErrWrongKind; every
-// other failure wraps ErrCorrupt.
+// healthy trace-signature object fails with ErrWrongKind; every other
+// failure wraps ErrCorrupt.
 func DecodeReuse(r io.Reader) (*trace.ReuseSignature, error) {
-	d := &decoder{r: bufio.NewReader(r), rec: crc32.New(castagnoli)}
-	var magic [5]byte
-	if _, err := io.ReadFull(d.r, magic[:]); err != nil {
-		return nil, corruptf("reading magic: %v", err)
-	}
-	if [4]byte(magic[:4]) != Magic {
-		return nil, corruptf("bad magic %q", magic[:4])
-	}
-	if magic[4] < 2 || magic[4] > Version {
-		return nil, corruptf("unsupported codec version %d for reuse signature (have %d)", magic[4], Version)
-	}
-	marker, err := d.readByte()
-	if err != nil {
-		return nil, err
-	}
-	if marker == recHeader {
+	sig, rs, err := decodeObject(r)
+	if sig != nil {
 		return nil, fmt.Errorf("%w: object is a trace signature, not a reuse signature", ErrWrongKind)
 	}
-	if marker != recReuse {
-		return nil, corruptf("expected reuse header record, found %q", marker)
-	}
+	return rs, err
+}
+
+// decodeReuse reads the rest of a reuse-signature object after its header
+// marker.
+func (d *decoder) decodeReuse() (*trace.ReuseSignature, error) {
+	var err error
 	rs := &trace.ReuseSignature{}
 	if rs.App, err = d.readString(); err != nil {
 		return nil, err
@@ -198,7 +137,8 @@ func DecodeReuse(r io.Reader) (*trace.ReuseSignature, error) {
 		totalBuckets += n
 		rs.Blocks = append(rs.Blocks, *b)
 	}
-	if marker, err = d.readByte(); err != nil {
+	marker, err := d.readByte()
+	if err != nil {
 		return nil, err
 	}
 	if marker != recEnd {

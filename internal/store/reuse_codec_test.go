@@ -126,6 +126,14 @@ func TestReuseDecodeKindMismatch(t *testing.T) {
 			t.Errorf("kind mismatch also wraps ErrCorrupt (%v): would quarantine a healthy object", err)
 		}
 	}
+	// Only an object that decodes in full is the other kind: a torn one is
+	// corrupt, so the store quarantines it.
+	if _, err := Decode(bytes.NewReader(reuseBytes[:len(reuseBytes)-1])); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Decode(torn reuse object): %v, want ErrCorrupt", err)
+	}
+	if _, err := DecodeReuse(bytes.NewReader(sigBytes[:len(sigBytes)-1])); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("DecodeReuse(torn signature object): %v, want ErrCorrupt", err)
+	}
 }
 
 // TestReuseDecodeTruncated checks every proper prefix of a valid reuse

@@ -135,6 +135,7 @@ type Store struct {
 	bytesWrit   *obs.Counter
 	corruptions *obs.Counter
 	quarantined *obs.Counter
+	readErrors  *obs.Counter
 }
 
 // Open opens (creating if needed, with 0700 permissions) the store rooted
@@ -160,6 +161,7 @@ func Open(dir string, reg *obs.Registry) (*Store, error) {
 		bytesWrit:   reg.Counter("store.bytes_written"),
 		corruptions: reg.Counter("store.corruptions"),
 		quarantined: reg.Counter("store.quarantined"),
+		readErrors:  reg.Counter("store.read_errors"),
 	}
 	reg.GaugeFunc("store.entries", func() float64 { return float64(s.Len()) })
 	if err := s.loadManifest(); err != nil {
@@ -314,32 +316,27 @@ func (s *Store) putObject(key Key, encode func(io.Writer) error) (Entry, error) 
 
 // Get returns the signature stored under key (Kind forced to
 // KindSignature). ok reports whether the key resolved to a readable,
-// uncorrupted object; a corrupt object is quarantined, its manifest entry
-// dropped, and (nil, false, err) returned — callers treat that exactly
-// like a miss and re-collect.
+// uncorrupted object. A failed read drops the key from the index and
+// returns (nil, false, err), which callers treat exactly like a miss: a
+// corrupt object is quarantined and counted in store.corruptions, and any
+// other failure (an object file missing under a live entry, an I/O error)
+// is counted in store.read_errors.
 func (s *Store) Get(key Key) (*trace.Signature, bool, error) {
 	key.Kind = KindSignature
-	s.mu.Lock()
-	e, ok := s.index[key]
-	s.mu.Unlock()
-	if !ok {
-		s.misses.Inc()
-		return nil, false, nil
-	}
-	sig, err := s.readObject(e.Hash)
-	if err != nil {
-		s.dropEntry(key)
-		s.misses.Inc()
-		return nil, false, err
-	}
-	s.hits.Inc()
-	return sig, true, nil
+	return getKeyed(s, key, Decode)
 }
 
 // GetReuse returns the reuse-distance signature stored under key (Kind
-// forced to KindReuse), with Get's miss and quarantine semantics.
+// forced to KindReuse), with Get's miss, quarantine and counting
+// semantics.
 func (s *Store) GetReuse(key Key) (*trace.ReuseSignature, bool, error) {
 	key.Kind = KindReuse
+	return getKeyed(s, key, DecodeReuse)
+}
+
+// getKeyed is the read behind Get and GetReuse: resolve key through the
+// index, then decode its object.
+func getKeyed[T any](s *Store, key Key, decode func(io.Reader) (*T, error)) (*T, bool, error) {
 	s.mu.Lock()
 	e, ok := s.index[key]
 	s.mu.Unlock()
@@ -347,19 +344,17 @@ func (s *Store) GetReuse(key Key) (*trace.ReuseSignature, bool, error) {
 		s.misses.Inc()
 		return nil, false, nil
 	}
-	var rs *trace.ReuseSignature
-	err := s.readInto(e.Hash, func(r io.Reader) error {
-		var err error
-		rs, err = DecodeReuse(r)
-		return err
-	})
+	v, err := readObject(s, e.Hash, decode)
 	if err != nil {
 		s.dropEntry(key)
 		s.misses.Inc()
+		if !errors.Is(err, ErrCorrupt) {
+			s.readErrors.Inc()
+		}
 		return nil, false, err
 	}
 	s.hits.Inc()
-	return rs, true, nil
+	return v, true, nil
 }
 
 // GetHash returns the signature stored under a content hash, regardless of
@@ -368,7 +363,7 @@ func (s *Store) GetHash(hash string) (*trace.Signature, error) {
 	if len(hash) != 2*sha256.Size {
 		return nil, fmt.Errorf("store: malformed content hash %q", hash)
 	}
-	sig, err := s.readObject(hash)
+	sig, err := readObject(s, hash, Decode)
 	if err != nil {
 		return nil, err
 	}
@@ -376,41 +371,26 @@ func (s *Store) GetHash(hash string) (*trace.Signature, error) {
 	return sig, nil
 }
 
-// readObject opens, decodes and checks one trace-signature object file,
-// quarantining it on corruption.
-func (s *Store) readObject(hash string) (*trace.Signature, error) {
-	var sig *trace.Signature
-	err := s.readInto(hash, func(r io.Reader) error {
-		var err error
-		sig, err = Decode(r)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sig, nil
-}
-
-// readInto opens one object file and runs decode over it, quarantining the
-// object when decode reports corruption. An ErrWrongKind failure (a healthy
-// object of the other kind) is an error but never quarantines.
-func (s *Store) readInto(hash string, decode func(io.Reader) error) error {
+// readObject opens one object file and decodes it, quarantining the
+// object when decode reports corruption. An ErrWrongKind failure (a
+// healthy object of the other kind) is an error but never quarantines.
+func readObject[T any](s *Store, hash string, decode func(io.Reader) (*T, error)) (*T, error) {
 	path := s.objectPath(hash)
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("store: opening object %s: %w", path, err)
+		return nil, fmt.Errorf("store: opening object %s: %w", path, err)
 	}
 	defer f.Close()
 	cr := &countReader{r: f}
-	err = decode(cr)
+	v, err := decode(cr)
 	s.bytesRead.Add(uint64(cr.n))
 	if err != nil {
 		if errors.Is(err, ErrCorrupt) {
 			s.quarantine(path)
 		}
-		return fmt.Errorf("store: object %s: %w", path, err)
+		return nil, fmt.Errorf("store: object %s: %w", path, err)
 	}
-	return nil
+	return v, nil
 }
 
 // quarantine moves a corrupt object out of the objects tree so the next
@@ -431,20 +411,13 @@ func (s *Store) dropEntry(key Key) {
 	s.mu.Unlock()
 }
 
-// Lookup returns the manifest entry for key without touching the object.
-func (s *Store) Lookup(key Key) (Entry, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.index[key]
-	return e, ok
-}
-
 // LatestEntry returns the manifest entry of the most recently stored
 // signature matching (app, machine name, cores) across all machine
-// fingerprints and collection options, without reading the object. It is
-// the index half of Latest, split out so the server's read fast path can
-// resolve a triple key to a content hash (its cache key) before deciding
-// whether the object bytes are needed at all.
+// fingerprints and collection options, without reading the object: the
+// human-facing lookup behind the HTTP GET and CLI export, where callers
+// name machines, not fingerprints. GetHash reads the object it names, so
+// the server's read fast path can resolve a triple key to a content hash
+// (its cache key) before deciding whether the object bytes are needed.
 func (s *Store) LatestEntry(app, machine string, cores int) (Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -473,26 +446,6 @@ func (s *Store) FindHash(hash string) (Entry, bool) {
 		}
 	}
 	return Entry{}, false
-}
-
-// Latest returns the most recently stored signature matching (app,
-// machine name, cores) across all machine fingerprints and collection
-// options — the human-facing lookup behind the HTTP GET and CLI export,
-// where callers name machines, not fingerprints.
-func (s *Store) Latest(app, machine string, cores int) (*trace.Signature, Entry, bool, error) {
-	best, found := s.LatestEntry(app, machine, cores)
-	if !found {
-		s.misses.Inc()
-		return nil, Entry{}, false, nil
-	}
-	sig, err := s.readObject(best.Hash)
-	if err != nil {
-		s.dropEntry(best.key())
-		s.misses.Inc()
-		return nil, Entry{}, false, err
-	}
-	s.hits.Inc()
-	return sig, best, true, nil
 }
 
 // Entries returns the live manifest entries sorted by (app, machine,

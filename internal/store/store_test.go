@@ -263,15 +263,19 @@ func TestStoreLatestAndEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sig, entry, ok, err := st.Latest(testKey.App, testKey.Machine, testKey.Cores)
-	if err != nil || !ok {
-		t.Fatalf("Latest: ok=%t err=%v", ok, err)
+	entry, ok := st.LatestEntry(testKey.App, testKey.Machine, testKey.Cores)
+	if !ok {
+		t.Fatal("LatestEntry found nothing")
+	}
+	sig, err := st.GetHash(entry.Hash)
+	if err != nil {
+		t.Fatalf("GetHash(latest): %v", err)
 	}
 	if sig.App != testKey.App || entry.App != testKey.App {
-		t.Errorf("Latest returned %s/%s", sig.App, entry.App)
+		t.Errorf("latest entry resolved to %s/%s", sig.App, entry.App)
 	}
-	if _, _, ok, _ := st.Latest("nope", "nope", 1); ok {
-		t.Error("Latest found a nonexistent identity")
+	if _, ok := st.LatestEntry("nope", "nope", 1); ok {
+		t.Error("LatestEntry found a nonexistent identity")
 	}
 	if got := len(st.Entries()); got != 3 {
 		t.Errorf("Entries: %d", got)

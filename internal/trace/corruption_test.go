@@ -1,10 +1,13 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"tracex/internal/store"
+	"tracex/internal/trace"
 )
 
 // Failure-injection tests: every consumer of on-disk trace data must reject
@@ -13,9 +16,9 @@ import (
 
 func TestLoadTruncatedJSON(t *testing.T) {
 	dir := t.TempDir()
-	s := sampleSignature()
+	s := trace.SampleSignature()
 	path := filepath.Join(dir, "sig.json")
-	if err := Save(s, path); err != nil {
+	if err := store.Save(s, path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -28,7 +31,7 @@ func TestLoadTruncatedJSON(t *testing.T) {
 		if err := os.WriteFile(trunc, data[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(trunc); err == nil {
+		if _, err := store.Load(trunc); err == nil {
 			t.Errorf("truncation at %.0f%% accepted", frac*100)
 		}
 	}
@@ -36,9 +39,9 @@ func TestLoadTruncatedJSON(t *testing.T) {
 
 func TestLoadTruncatedBinary(t *testing.T) {
 	dir := t.TempDir()
-	s := sampleSignature()
+	s := trace.SampleSignature()
 	path := filepath.Join(dir, "sig.bin")
-	if err := Save(s, path); err != nil {
+	if err := store.Save(s, path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -49,16 +52,16 @@ func TestLoadTruncatedBinary(t *testing.T) {
 	if err := os.WriteFile(trunc, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(trunc); err == nil {
-		t.Error("truncated gob accepted")
+	if _, err := store.Load(trunc); err == nil {
+		t.Error("truncated binary signature accepted")
 	}
 }
 
 func TestLoadBitFlippedBinary(t *testing.T) {
 	dir := t.TempDir()
-	s := sampleSignature()
+	s := trace.SampleSignature()
 	path := filepath.Join(dir, "sig.bin")
-	if err := Save(s, path); err != nil {
+	if err := store.Save(s, path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -69,7 +72,7 @@ func TestLoadBitFlippedBinary(t *testing.T) {
 	// catches an implausible value — silent acceptance of different data
 	// is the only failure. (A flip may also land in padding and decode to
 	// the identical signature, which is fine.)
-	orig, err := Load(path)
+	orig, err := store.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +82,7 @@ func TestLoadBitFlippedBinary(t *testing.T) {
 	if err := os.WriteFile(bad, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(bad)
+	got, err := store.Load(bad)
 	if err != nil {
 		return // rejected: good
 	}
@@ -93,15 +96,15 @@ func TestLoadBitFlippedBinary(t *testing.T) {
 
 func TestLoadRejectsPhysicallyImpossibleValues(t *testing.T) {
 	dir := t.TempDir()
-	mutations := []func(*Signature){
-		func(s *Signature) { s.Traces[0].Blocks[0].FV.HitRates[0] = 1.7 },
-		func(s *Signature) { s.Traces[0].Blocks[0].FV.MemOps = -5 },
-		func(s *Signature) { s.Traces[0].Blocks[0].FV.Loads = s.Traces[0].Blocks[0].FV.MemOps * 3 },
-		func(s *Signature) { s.Traces[0].Rank = -1 },
-		func(s *Signature) { s.Traces[0].Blocks[1].ID = s.Traces[0].Blocks[0].ID },
+	mutations := []func(*trace.Signature){
+		func(s *trace.Signature) { s.Traces[0].Blocks[0].FV.HitRates[0] = 1.7 },
+		func(s *trace.Signature) { s.Traces[0].Blocks[0].FV.MemOps = -5 },
+		func(s *trace.Signature) { s.Traces[0].Blocks[0].FV.Loads = s.Traces[0].Blocks[0].FV.MemOps * 3 },
+		func(s *trace.Signature) { s.Traces[0].Rank = -1 },
+		func(s *trace.Signature) { s.Traces[0].Blocks[1].ID = s.Traces[0].Blocks[0].ID },
 	}
 	for i, mut := range mutations {
-		s := sampleSignature()
+		s := trace.SampleSignature()
 		mut(s)
 		// Write the raw JSON bypassing Save's validation.
 		var buf bytes.Buffer
@@ -112,20 +115,20 @@ func TestLoadRejectsPhysicallyImpossibleValues(t *testing.T) {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Load(path); err == nil {
+		if _, err := store.Load(path); err == nil {
 			t.Errorf("mutation %d: impossible signature accepted", i)
 		}
 	}
 }
 
 func TestSaveRefusesInvalidSignature(t *testing.T) {
-	s := sampleSignature()
+	s := trace.SampleSignature()
 	s.Traces[0].Blocks[0].FV.HitRates[0] = 2.0
 	// JSON writer itself does not validate (it is a plain encoder), but
 	// Save-dir does; file Save goes through WriteJSON without validation —
-	// the Load side is the guard. Verify LoadDir's guard too.
+	// the Load side is the guard. Verify store.LoadDir's guard too.
 	dir := t.TempDir()
-	if err := SaveDir(s, filepath.Join(dir, "sig"), false); err == nil {
-		t.Error("SaveDir accepted an invalid signature")
+	if err := store.SaveDir(s, filepath.Join(dir, "sig"), false); err == nil {
+		t.Error("store.SaveDir accepted an invalid signature")
 	}
 }

@@ -1,21 +1,24 @@
-package trace
+package trace_test
 
 import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"tracex/internal/store"
+	"tracex/internal/trace"
 )
 
 func TestSaveDirLoadDirRoundTrip(t *testing.T) {
 	for _, binary := range []bool{false, true} {
 		dir := filepath.Join(t.TempDir(), "sig")
-		s := sampleSignature()
-		if err := SaveDir(s, dir, binary); err != nil {
-			t.Fatalf("SaveDir(binary=%v): %v", binary, err)
+		s := trace.SampleSignature()
+		if err := store.SaveDir(s, dir, binary); err != nil {
+			t.Fatalf("store.SaveDir(binary=%v): %v", binary, err)
 		}
-		got, err := LoadDir(dir)
+		got, err := store.LoadDir(dir)
 		if err != nil {
-			t.Fatalf("LoadDir(binary=%v): %v", binary, err)
+			t.Fatalf("store.LoadDir(binary=%v): %v", binary, err)
 		}
 		if got.App != s.App || got.CoreCount != s.CoreCount || len(got.Traces) != len(s.Traces) {
 			t.Fatalf("round trip mismatch: %+v", got)
@@ -33,8 +36,8 @@ func TestSaveDirLoadDirRoundTrip(t *testing.T) {
 
 func TestSaveDirProducesPerRankFiles(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sig")
-	s := sampleSignature()
-	if err := SaveDir(s, dir, false); err != nil {
+	s := trace.SampleSignature()
+	if err := store.SaveDir(s, dir, false); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)
@@ -45,88 +48,63 @@ func TestSaveDirProducesPerRankFiles(t *testing.T) {
 	if len(entries) != len(s.Traces)+1 {
 		t.Fatalf("directory holds %d entries, want %d", len(entries), len(s.Traces)+1)
 	}
-	if !IsSignatureDir(dir) {
-		t.Error("IsSignatureDir rejects a valid signature dir")
+	if !store.IsSignatureDir(dir) {
+		t.Error("store.IsSignatureDir rejects a valid signature dir")
 	}
-	if IsSignatureDir(filepath.Join(dir, "rank_000000.json")) {
-		t.Error("IsSignatureDir accepts a file")
+	if store.IsSignatureDir(filepath.Join(dir, "rank_000000.json")) {
+		t.Error("store.IsSignatureDir accepts a file")
 	}
-	if IsSignatureDir(t.TempDir()) {
-		t.Error("IsSignatureDir accepts a dir without meta.json")
-	}
-}
-
-func TestListRanksAndLoadRank(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "sig")
-	s := sampleSignature()
-	if err := SaveDir(s, dir, true); err != nil {
-		t.Fatal(err)
-	}
-	ranks, err := ListRanks(dir)
-	if err != nil {
-		t.Fatalf("ListRanks: %v", err)
-	}
-	if len(ranks) != len(s.Traces) {
-		t.Fatalf("ListRanks = %v", ranks)
-	}
-	tr, err := LoadRank(dir, ranks[1])
-	if err != nil {
-		t.Fatalf("LoadRank: %v", err)
-	}
-	if tr.Rank != ranks[1] {
-		t.Errorf("loaded rank %d, want %d", tr.Rank, ranks[1])
-	}
-	if _, err := LoadRank(dir, 999); err == nil {
-		t.Error("missing rank accepted")
+	if store.IsSignatureDir(t.TempDir()) {
+		t.Error("store.IsSignatureDir accepts a dir without meta.json")
 	}
 }
 
 func TestLoadDirRejectsCorruption(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "sig")
-	s := sampleSignature()
-	if err := SaveDir(s, dir, false); err != nil {
+	s := trace.SampleSignature()
+	if err := store.SaveDir(s, dir, false); err != nil {
 		t.Fatal(err)
 	}
 	// Missing rank file.
-	if err := os.Remove(filepath.Join(dir, rankFile(1, false))); err != nil {
+	if err := os.Remove(filepath.Join(dir, "rank_000001.json")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadDir(dir); err == nil {
+	if _, err := store.LoadDir(dir); err == nil {
 		t.Error("missing rank file accepted")
 	}
 	// Corrupt meta.
-	if err := os.WriteFile(filepath.Join(dir, metaFile), []byte("{"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadDir(dir); err == nil {
+	if _, err := store.LoadDir(dir); err == nil {
 		t.Error("corrupt meta accepted")
 	}
 	// Missing directory entirely.
-	if _, err := LoadDir(filepath.Join(dir, "nope")); err == nil {
+	if _, err := store.LoadDir(filepath.Join(dir, "nope")); err == nil {
 		t.Error("missing directory accepted")
 	}
 	// Rank file with mismatched metadata.
 	dir2 := filepath.Join(t.TempDir(), "sig2")
-	if err := SaveDir(s, dir2, false); err != nil {
+	if err := store.SaveDir(s, dir2, false); err != nil {
 		t.Fatal(err)
 	}
-	other := sampleSignature()
+	other := trace.SampleSignature()
 	other.App = "other"
 	for i := range other.Traces {
 		other.Traces[i].App = "other"
 	}
-	one := &Signature{App: "other", CoreCount: other.CoreCount, Machine: other.Machine,
-		Traces: []Trace{other.Traces[0]}}
-	if err := Save(one, filepath.Join(dir2, rankFile(0, false))); err != nil {
+	one := &trace.Signature{App: "other", CoreCount: other.CoreCount, Machine: other.Machine,
+		Traces: []trace.Trace{other.Traces[0]}}
+	if err := store.Save(one, filepath.Join(dir2, "rank_000000.json")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadDir(dir2); err == nil {
+	if _, err := store.LoadDir(dir2); err == nil {
 		t.Error("mismatched rank metadata accepted")
 	}
 }
 
 func TestSaveDirRejectsInvalidSignature(t *testing.T) {
-	if err := SaveDir(&Signature{}, t.TempDir(), false); err == nil {
+	if err := store.SaveDir(&trace.Signature{}, t.TempDir(), false); err == nil {
 		t.Error("invalid signature accepted")
 	}
 }

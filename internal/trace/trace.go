@@ -1,7 +1,8 @@
 // Package trace defines the application-signature data model of the PMaC
 // framework: per-basic-block feature vectors, per-MPI-task trace files, and
-// whole-application signatures, together with JSON and compact binary
-// serialization.
+// whole-application signatures, together with their JSON serialization.
+// The compact binary encoding and the file and per-rank directory formats
+// live in internal/store.
 //
 // An application signature (paper §III-A) is the set of trace files from all
 // MPI ranks of a run at one core count. Each trace file carries, for every
@@ -14,12 +15,10 @@
 package trace
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 )
 
@@ -281,12 +280,13 @@ type Signature struct {
 	CoreCount int     `json:"core_count"`
 	Machine   string  `json:"machine"`
 	Traces    []Trace `json:"traces"`
-	// Uncertainty carries per-element predictive variances when the
-	// signature was synthesized by an uncertainty-aware extrapolation
-	// (extrap.Options.Intervals); nil for collected signatures. It rides
-	// the JSON encoding (omitted when absent, so collected signatures
-	// encode exactly as before) but not the binary store codec: stored
-	// signatures are collected ones, which never carry it.
+	// Uncertainty carries per-element variances when the signature was
+	// synthesized by an uncertainty-aware extrapolation
+	// (extrap.Options.Intervals) or collected under an adaptive sampling
+	// policy (its measurement variances); nil otherwise. Every encoding
+	// carries it: JSON omits it when nil, so other signatures encode
+	// exactly as before, and the store codec writes it as its own record
+	// (codec version 3).
 	Uncertainty *SignatureUncertainty `json:"uncertainty,omitempty"`
 }
 
@@ -309,6 +309,31 @@ type SignatureUncertainty struct {
 	Blocks []BlockUncertainty `json:"blocks"`
 }
 
+// validate checks the uncertainty of a signature whose traces have the
+// given number of cache levels: Dof of at least 1, blocks strictly
+// ascending by ID, and one finite, non-negative variance per element.
+func (u *SignatureUncertainty) validate(levels int) error {
+	if u.Dof < 1 {
+		return fmt.Errorf("trace: uncertainty dof %d below 1", u.Dof)
+	}
+	want := NumScalarElements + levels
+	for i := range u.Blocks {
+		b := &u.Blocks[i]
+		if i > 0 && b.ID <= u.Blocks[i-1].ID {
+			return fmt.Errorf("trace: uncertainty block %d not ascending after %d", b.ID, u.Blocks[i-1].ID)
+		}
+		if len(b.Vars) != want {
+			return fmt.Errorf("trace: uncertainty block %d has %d variances, want %d", b.ID, len(b.Vars), want)
+		}
+		for e, v := range b.Vars {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return fmt.Errorf("trace: uncertainty block %d element %d variance %g", b.ID, e, v)
+			}
+		}
+	}
+	return nil
+}
+
 // VarsFor returns the element variances of one block, or nil when the
 // block is unknown.
 func (u *SignatureUncertainty) VarsFor(id uint64) []float64 {
@@ -323,7 +348,10 @@ func (u *SignatureUncertainty) VarsFor(id uint64) []float64 {
 	return nil
 }
 
-// Validate checks the signature and every contained trace.
+// Validate checks the signature, every contained trace and the
+// uncertainty, if any. Uncertainty needs every trace to have the same
+// number of cache levels, since one variance vector serves a block in
+// every rank.
 func (s *Signature) Validate() error {
 	if len(s.Traces) == 0 {
 		return fmt.Errorf("trace: %w", ErrNoTraces)
@@ -337,6 +365,12 @@ func (s *Signature) Validate() error {
 			return fmt.Errorf("trace: trace %d metadata (%s,%d,%s) disagrees with signature (%s,%d,%s)",
 				i, tr.App, tr.CoreCount, tr.Machine, s.App, s.CoreCount, s.Machine)
 		}
+		if s.Uncertainty != nil && tr.Levels != s.Traces[0].Levels {
+			return fmt.Errorf("trace: trace %d has %d cache levels, trace 0 has %d", i, tr.Levels, s.Traces[0].Levels)
+		}
+	}
+	if s.Uncertainty != nil {
+		return s.Uncertainty.validate(s.Traces[0].Levels)
 	}
 	return nil
 }
@@ -375,59 +409,4 @@ func ReadJSON(r io.Reader) (*Signature, error) {
 		return nil, err
 	}
 	return &s, nil
-}
-
-// WriteBinary serializes the signature in the compact binary (gob) format
-// used for large trace sets.
-func (s *Signature) WriteBinary(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(s)
-}
-
-// ReadBinary deserializes and validates a binary signature.
-func ReadBinary(r io.Reader) (*Signature, error) {
-	var s Signature
-	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("trace: decoding binary signature: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
-// Save writes the signature to path, choosing the binary format when the
-// filename ends in ".bin" and JSON otherwise.
-func Save(s *Signature, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	defer f.Close()
-	if isBinaryPath(path) {
-		err = s.WriteBinary(f)
-	} else {
-		err = s.WriteJSON(f)
-	}
-	if err != nil {
-		return fmt.Errorf("trace: writing %s: %w", path, err)
-	}
-	return f.Close()
-}
-
-// Load reads a signature from path, choosing the format by extension as in
-// Save.
-func Load(path string) (*Signature, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	defer f.Close()
-	if isBinaryPath(path) {
-		return ReadBinary(f)
-	}
-	return ReadJSON(f)
-}
-
-func isBinaryPath(path string) bool {
-	return len(path) > 4 && path[len(path)-4:] == ".bin"
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 )
@@ -232,6 +231,40 @@ func TestSignatureValidate(t *testing.T) {
 	}
 }
 
+// TestSignatureUncertaintyValidate pins the one uncertainty rule that the
+// JSON path, the store codec and PUT all apply through Validate.
+func TestSignatureUncertaintyValidate(t *testing.T) {
+	withUncertainty := func() *Signature {
+		s := sampleSignature()
+		s.Uncertainty = &SignatureUncertainty{Dof: 2}
+		for _, id := range []uint64{1, 3, 5} {
+			s.Uncertainty.Blocks = append(s.Uncertainty.Blocks,
+				BlockUncertainty{ID: id, Vars: make([]float64, NumScalarElements+3)})
+		}
+		s.Uncertainty.Blocks[1].Vars[4] = 0.25
+		return s
+	}
+	if err := withUncertainty().Validate(); err != nil {
+		t.Fatalf("valid uncertainty rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(s *Signature){
+		"dof 0":         func(s *Signature) { s.Uncertainty.Dof = 0 },
+		"negative":      func(s *Signature) { s.Uncertainty.Blocks[0].Vars[0] = -1 },
+		"NaN":           func(s *Signature) { s.Uncertainty.Blocks[0].Vars[1] = math.NaN() },
+		"infinite":      func(s *Signature) { s.Uncertainty.Blocks[0].Vars[2] = math.Inf(1) },
+		"short":         func(s *Signature) { s.Uncertainty.Blocks[2].Vars = s.Uncertainty.Blocks[2].Vars[1:] },
+		"duplicate":     func(s *Signature) { s.Uncertainty.Blocks[1].ID = 1 },
+		"not ascending": func(s *Signature) { s.Uncertainty.Blocks[0].ID = 4 },
+		"mixed levels":  func(s *Signature) { s.Traces[2].Levels = 2; s.Traces[2].Blocks = nil },
+	} {
+		s := withUncertainty()
+		mutate(s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: invalid uncertainty accepted", name)
+		}
+	}
+}
+
 func TestDominantTrace(t *testing.T) {
 	s := sampleSignature()
 	d := s.DominantTrace()
@@ -262,54 +295,12 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	s := sampleSignature()
-	var buf bytes.Buffer
-	if err := s.WriteBinary(&buf); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatalf("ReadBinary: %v", err)
-	}
-	if got.App != s.App || got.Traces[1].Blocks[2].FV.MemOps != s.Traces[1].Blocks[2].FV.MemOps {
-		t.Errorf("binary round trip mismatch")
-	}
-}
-
 func TestReadRejectsInvalid(t *testing.T) {
 	if _, err := ReadJSON(bytes.NewBufferString("{")); err == nil {
 		t.Error("malformed JSON accepted")
 	}
 	if _, err := ReadJSON(bytes.NewBufferString(`{"app":"x","traces":[]}`)); err == nil {
 		t.Error("invalid signature accepted")
-	}
-	if _, err := ReadBinary(bytes.NewBufferString("junk")); err == nil {
-		t.Error("malformed gob accepted")
-	}
-}
-
-func TestSaveLoadBothFormats(t *testing.T) {
-	dir := t.TempDir()
-	s := sampleSignature()
-	for _, name := range []string{"sig.json", "sig.bin"} {
-		path := filepath.Join(dir, name)
-		if err := Save(s, path); err != nil {
-			t.Fatalf("Save(%s): %v", name, err)
-		}
-		got, err := Load(path)
-		if err != nil {
-			t.Fatalf("Load(%s): %v", name, err)
-		}
-		if got.App != s.App || len(got.Traces) != len(s.Traces) {
-			t.Errorf("%s: round trip mismatch", name)
-		}
-	}
-	if err := Save(s, filepath.Join(dir, "no/dir/sig.json")); err == nil {
-		t.Error("bad path accepted")
-	}
-	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing file accepted")
 	}
 }
 

@@ -27,8 +27,8 @@ test-race:
 
 # Short fuzz passes over the signature and reuse codecs, the wire strict
 # decoder, the program validator, the two program compile routes, the cache
-# simulator and the address generators' batch paths (CI runs the same
-# smoke).
+# simulator, the address generators' batch paths and the fit table rules
+# (CI runs the same smoke).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSignatureDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzReuseDecode -fuzztime 10s ./internal/store
@@ -37,6 +37,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCompileRoutesAgree -fuzztime 10s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz FuzzSimulatorMatchesReference -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzNextBatchMatchesNext -fuzztime 10s ./internal/addrgen
+	$(GO) test -run '^$$' -fuzz FuzzFitTableMatchesReference -fuzztime 10s ./internal/uncert
 
 # One iteration of every exhibit benchmark (Table/Figure regeneration).
 bench:

@@ -335,11 +335,20 @@ func cmdExtrap(ctx context.Context, eng *tracex.Engine, args []string) error {
 	}
 	if *verbose {
 		for _, f := range res.Fits {
-			fmt.Printf("  block %-4d %-18s %-12s → %.6g (R²=%.4f)\n",
-				f.BlockID, f.Element, f.Form, f.Extrapolated, f.R2)
+			fmt.Println(fitLine(f))
 		}
 	}
 	return nil
+}
+
+// fitLine renders one element fit for `extrap -v`, naming the rule that
+// produced the value: the selected form and its R² for a point value, the
+// mixture's top-weight form and its weight for a model-averaged one.
+func fitLine(f extrap.ElementFit) string {
+	if form, w := f.TopWeight(); form != "" {
+		return fmt.Sprintf("  block %-4d %-18s %-12s → %.6g (weight=%.4f)", f.BlockID, f.Element, form, f.Extrapolated, w)
+	}
+	return fmt.Sprintf("  block %-4d %-18s %-12s → %.6g (R²=%.4f)", f.BlockID, f.Element, f.Form, f.Extrapolated, f.R2)
 }
 
 func cmdPredict(ctx context.Context, eng *tracex.Engine, args []string) error {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"tracex"
+	"tracex/internal/extrap"
 	"tracex/internal/store"
 	"tracex/wire"
 )
@@ -108,6 +109,22 @@ func TestCmdTraceAndPredictFlow(t *testing.T) {
 	}
 	if err := cmdCompare([]string{"-extrap", out, "-collected", real512}); err != nil {
 		t.Fatalf("compare: %v", err)
+	}
+}
+
+// An `extrap -v` line names the rule that produced the value: the point
+// winner with its R², or the mixture's top-weight form with its weight.
+func TestExtrapFitLineNamesTheRule(t *testing.T) {
+	point := extrap.ElementFit{BlockID: 7, Element: "mem_ops", Form: "logarithmic", Extrapolated: 12.5, R2: 0.99}
+	want := "  block 7    mem_ops            logarithmic  → 12.5 (R²=0.9900)"
+	if got := fitLine(point); got != want {
+		t.Errorf("point line\n got %q\nwant %q", got, want)
+	}
+	mix := point
+	mix.Weights = map[string]float64{"logarithmic": 0.25, "linear": 0.75}
+	want = "  block 7    mem_ops            linear       → 12.5 (weight=0.7500)"
+	if got := fitLine(mix); got != want {
+		t.Errorf("mixture line\n got %q\nwant %q", got, want)
 	}
 }
 

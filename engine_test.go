@@ -724,3 +724,37 @@ func TestPredictWarmAllocs(t *testing.T) {
 		t.Errorf("warm stencil3d@1024 predict allocated %d bytes, want ≤ 2 MB", perPredict)
 	}
 }
+
+// TestExtrapolateAllocs bounds the allocations of an intervals-off
+// extrapolation, the path every pipeline-cold study runs: three stencil3d
+// signatures to 1,728 ranks, 3 blocks of 14 elements each. The bound is
+// the count measured when each element's forms were fitted into a map
+// (1,277); one fit table per element makes 1,116.
+func TestExtrapolateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	app := testApp(t, "stencil3d")
+	cfg, err := LoadMachine("bluewaters")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := testEngine
+	ctx := context.Background()
+	var inputs []*Signature
+	for _, c := range []int{27, 64, 1000} {
+		sig, err := eng.CollectSignature(ctx, app, c, cfg, goldenPredictOpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, sig)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := eng.Extrapolate(ctx, inputs, 1728, ExtrapOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1277 {
+		t.Errorf("intervals-off extrapolation made %.0f allocations, want ≤ 1277", allocs)
+	}
+}

@@ -122,7 +122,6 @@ func Extrapolate(profiles []Profile, targetCores int) (*Extrapolated, error) {
 		{"collective_bytes", func(p Profile) float64 { return p.CollectiveBytes },
 			func(p *Profile, v float64) { p.CollectiveBytes = math.Max(0, v) }},
 	}
-	sel := stats.NewSelector(nil)
 	out := &Extrapolated{
 		Profile: Profile{CoreCount: targetCores},
 		Forms:   map[string]string{},
@@ -132,10 +131,11 @@ func Extrapolate(profiles []Profile, targetCores int) (*Extrapolated, error) {
 		for i, p := range profiles {
 			ys[i] = f.get(p)
 		}
-		fit, err := sel.Select(xs, ys)
+		table, err := stats.FitAll(nil, xs, ys)
 		if err != nil {
 			return nil, fmt.Errorf("commx: fitting %s: %w", f.name, err)
 		}
+		fit := table.Best()
 		f.set(&out.Profile, fit.Model.Eval(float64(targetCores)))
 		out.Forms[f.name] = fit.Model.Name()
 	}

@@ -294,23 +294,18 @@ func fitSeries(appName, blockFunc, element string, counts []int, cfg Config) (*F
 		fs.Counts = append(fs.Counts, float64(p))
 		fs.Measured = append(fs.Measured, vals[elemIdx])
 	}
-	sel := stats.NewSelector(nil)
-	all, err := sel.FitAll(fs.Counts, fs.Measured)
+	table, err := stats.FitAll(nil, fs.Counts, fs.Measured)
 	if err != nil {
 		return nil, err
 	}
-	for form, fr := range all {
+	for _, fr := range table.Fits {
 		vals := make([]float64, len(fs.Counts))
 		for i, x := range fs.Counts {
 			vals[i] = fr.Model.Eval(x)
 		}
-		fs.FitValues[form] = vals
+		fs.FitValues[fr.Form.Name()] = vals
 	}
-	best, err := sel.Select(fs.Counts, fs.Measured)
-	if err != nil {
-		return nil, err
-	}
-	fs.Selected = best.Model.Name()
+	fs.Selected = table.Best().Model.Name()
 	return fs, nil
 }
 

@@ -67,25 +67,43 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// ElementFit records the model selected for one feature-vector element of
-// one basic block.
+// ElementFit records the fits of one feature-vector element of one basic
+// block. Which rule produced Extrapolated is told by Weights: non-nil
+// exactly when the posterior mixture produced it, nil when the selected
+// form did.
 type ElementFit struct {
 	// BlockID and Element identify the fitted series.
 	BlockID uint64
 	Element string
-	// Form is the selected canonical form's name.
+	// Form is the selected canonical form's name: the point rule's winner,
+	// or the leave-one-out winner under Options.CrossValidate.
 	Form string
-	// Params are the fitted parameters.
+	// Params are the selected form's fitted parameters.
 	Params []float64
-	// R2 and RMSE describe the fit quality on the input counts.
+	// R2 and RMSE describe the selected form's fit on the input counts.
 	R2, RMSE float64
-	// Extrapolated is the (clamped) value produced at the target count.
+	// Extrapolated is the (clamped) value produced at the target count:
+	// the mixture mean when Weights is non-nil, the selected form's value
+	// otherwise.
 	Extrapolated float64
 	// Mean and Var are the posterior model-averaged prediction and its
 	// predictive variance at the target count; Weights are the posterior
-	// form weights. All three are populated only when Options.Intervals.
+	// form weights. All three are set only under Options.Intervals, and
+	// only for a series with at least one form finite at the target.
 	Mean, Var float64
 	Weights   map[string]float64
+}
+
+// TopWeight returns the highest-weight form of the mixture and its weight
+// (the name first in order on ties), or "" and 0 when the mixture did not
+// produce the value.
+func (f ElementFit) TopWeight() (form string, weight float64) {
+	for name, w := range f.Weights {
+		if form == "" || w > weight || (w == weight && name < form) {
+			form, weight = name, w
+		}
+	}
+	return form, weight
 }
 
 // Result is the product of an extrapolation.
@@ -205,7 +223,6 @@ func Extrapolate(ctx context.Context, inputs []*trace.Signature, targetCores int
 	m.Counter("extrap.blocks_skipped").Add(uint64(len(skipped)))
 	fits := m.Counter("extrap.fits")
 
-	sel := stats.NewSelector(opt.Forms)
 	names := trace.ElementNames(levels)
 	cons := trace.ElementConstraints(levels)
 	res := &Result{SkippedBlocks: skipped}
@@ -241,15 +258,17 @@ func Extrapolate(ctx context.Context, inputs []*trace.Signature, targetCores int
 			blockVars = make([]float64, len(names))
 		}
 		for e := range names {
-			var fit stats.FitResult
-			var err error
-			if opt.CrossValidate {
-				fit, err = sel.SelectCV(counts, series[e])
-			} else {
-				fit, err = sel.Select(counts, series[e])
-			}
+			// One fit table per element: the selection rule and the model
+			// averaging below both read it.
+			table, err := stats.FitAll(opt.Forms, counts, series[e])
 			if err != nil {
 				return nil, fmt.Errorf("extrap: block %d element %s: %w", id, names[e], err)
+			}
+			var fit stats.FitResult
+			if opt.CrossValidate {
+				fit = table.BestCV()
+			} else {
+				fit = table.Best()
 			}
 			v := fit.Model.Eval(float64(targetCores))
 			ef := ElementFit{
@@ -267,7 +286,7 @@ func Extrapolate(ctx context.Context, inputs []*trace.Signature, targetCores int
 				// form can average (all predictions non-finite at the
 				// target) falls back to the point selection with zero
 				// recorded variance.
-				est, uerr := uncert.Average(opt.Forms, counts, series[e], float64(targetCores))
+				est, uerr := uncert.Average(table, float64(targetCores))
 				if uerr == nil {
 					v = est.Mean
 					ef.Mean, ef.Var = est.Mean, est.Var

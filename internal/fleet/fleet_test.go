@@ -462,11 +462,15 @@ func TestReplicate(t *testing.T) {
 		t.Error("pulled signature filed under the default-options key")
 	}
 
-	// A second pass with the now-populated store advertises the key and
-	// pulls nothing.
+	// A second pass with the now-populated store advertises the pulled
+	// object's content hash and pulls nothing.
+	entries := eng.Store().Entries()
+	if len(entries) != 1 {
+		t.Fatalf("store holds %d entries after one pull", len(entries))
+	}
 	fake.sync = func(req *wire.FleetSyncRequest) (*wire.FleetSyncResponse, error) {
-		if len(req.Have) != 1 || req.Have[0] != key {
-			t.Errorf("second sync advertised %v, want [%s]", req.Have, key)
+		if len(req.Have) != 1 || req.Have[0] != entries[0].Hash {
+			t.Errorf("second sync advertised %v, want [%s] (%s)", req.Have, entries[0].Hash, key)
 		}
 		return &wire.FleetSyncResponse{}, nil
 	}
@@ -514,7 +518,7 @@ func TestPullOneKeepsUncertainty(t *testing.T) {
 	defer eng.Close()
 	key := tracex.StoreKey(sigApp, 16, m, opt)
 	entry := wire.FleetSyncEntry{App: sigApp, Cores: 16, Machine: sigMachine, MachineFP: key.MachineFP, Opt: key.Opt, Hash: "x"}
-	if err := f.pullOne(bg, fake, eng.Store(), entry); err != nil {
+	if _, err := f.pullOne(bg, fake, eng.Store(), entry); err != nil {
 		t.Fatal(err)
 	}
 	got, ok, err := eng.Store().Get(key)

@@ -11,11 +11,15 @@ import (
 )
 
 // Replicate warm-starts the engine's store from the fleet: it asks every
-// peer for the signature keys it holds beyond this node's own manifest
-// (POST /v1/fleet/sync), keeps the ones the ring assigns to this node, and
-// pulls each over the store read path into the local disk store. A node
-// that restarts with an empty disk — or joins a ring whose keys it now
-// owns — thereby serves its share from disk instead of re-collecting.
+// peer for the signatures it holds beyond this node's own (POST
+// /v1/fleet/sync with the content hashes this node stores), keeps the
+// entries whose keys the ring assigns to this node, and pulls each over
+// the store read path into the local disk store, under the peer's full
+// store key. Every identity of a triple (machine fingerprint and
+// collection options) is its own entry, and an entry whose full store key
+// this node already holds is not pulled again. A node that restarts with
+// an empty disk — or joins a ring whose keys it now owns — thereby serves
+// its share from disk instead of re-collecting.
 //
 // The pull is strictly best-effort and bounded: peers are visited one at a
 // time, each GET rides the fleet's fetch semaphore and timeout, an
@@ -36,7 +40,7 @@ func (f *Fleet) Replicate(ctx context.Context, eng *tracex.Engine) (pulled int, 
 		}
 	}
 
-	have, haveSet := manifestTriples(st)
+	have, held := manifest(st)
 	for _, peer := range f.Ring().Peers() {
 		if peer == f.self {
 			continue
@@ -58,19 +62,21 @@ func (f *Fleet) Replicate(ctx context.Context, eng *tracex.Engine) (pulled int, 
 		health.observe(true, f.now(), f.jitter)
 		for _, e := range resp.Entries {
 			key := client.Key(e.App, e.Cores, e.Machine)
-			if haveSet[key] || !f.Owns(key) {
+			sk := storeKey(e)
+			if held[sk] || !f.Owns(key) {
 				continue
 			}
 			if err := ctx.Err(); err != nil {
 				fail(err)
 				return pulled, firstErr
 			}
-			if err := f.pullOne(ctx, rem, st, e); err != nil {
+			hash, err := f.pullOne(ctx, rem, st, e)
+			if err != nil {
 				fail(fmt.Errorf("fleet: pulling %s from %s: %w", key, peer, err))
 				continue
 			}
-			haveSet[key] = true
-			have = append(have, key)
+			held[sk] = true
+			have = append(have, hash)
 			pulled++
 			f.replPulled.Inc()
 		}
@@ -81,44 +87,46 @@ func (f *Fleet) Replicate(ctx context.Context, eng *tracex.Engine) (pulled int, 
 // pullOne fetches one owned signature from a peer by its content hash and
 // files it in the local store under the peer's own key for it: the same
 // machine fingerprint and collection options, so it answers exactly the
-// requests it was collected for.
-func (f *Fleet) pullOne(ctx context.Context, rem remote, st *tracex.SignatureStore, e wire.FleetSyncEntry) error {
+// requests it was collected for. It returns the stored object's hash.
+func (f *Fleet) pullOne(ctx context.Context, rem remote, st *tracex.SignatureStore, e wire.FleetSyncEntry) (string, error) {
 	select {
 	case f.sem <- struct{}{}:
 		defer func() { <-f.sem }()
 	case <-ctx.Done():
-		return ctx.Err()
+		return "", ctx.Err()
 	}
 	ctx, cancel := context.WithTimeout(ctx, f.fetchTimeout)
 	defer cancel()
 	stored, err := rem.GetSignature(ctx, e.Hash)
 	if err != nil {
-		return err
+		return "", err
 	}
 	sig, err := validated(stored.Signature, e.App, e.Cores, e.Machine)
 	if err != nil {
-		return err
+		return "", err
 	}
-	_, err = st.Put(sig, tracex.SignatureKey{App: e.App, Machine: e.Machine, MachineFP: e.MachineFP, Cores: e.Cores, Opt: e.Opt})
-	return err
+	entry, err := st.Put(sig, storeKey(e))
+	return entry.Hash, err
 }
 
-// manifestTriples lists the wire-level signature keys (app@cores@machine)
-// the local store already resolves, as a slice for the sync request and a
-// set for pull filtering. Reuse profiles are excluded: they are
+// storeKey is the full store key a sync entry was filed under.
+func storeKey(e wire.FleetSyncEntry) tracex.SignatureKey {
+	return tracex.SignatureKey{App: e.App, Machine: e.Machine, MachineFP: e.MachineFP, Cores: e.Cores, Opt: e.Opt}
+}
+
+// manifest lists the content hashes of the signatures the local store
+// holds, for the sync request, and the set of their full store keys, for
+// pull filtering. Reuse profiles are excluded: they are
 // machine-independent and cheap to re-record relative to a signature.
-func manifestTriples(st *tracex.SignatureStore) ([]string, map[string]bool) {
-	set := map[string]bool{}
-	var list []string
+func manifest(st *tracex.SignatureStore) ([]string, map[tracex.SignatureKey]bool) {
+	held := map[tracex.SignatureKey]bool{}
+	var hashes []string
 	for _, e := range st.Entries() {
 		if e.Kind != store.KindSignature {
 			continue
 		}
-		key := client.Key(e.App, e.Cores, e.Machine)
-		if !set[key] {
-			set[key] = true
-			list = append(list, key)
-		}
+		held[tracex.SignatureKey{App: e.App, Machine: e.Machine, MachineFP: e.MachineFP, Cores: e.Cores, Opt: e.Opt}] = true
+		hashes = append(hashes, e.Hash)
 	}
-	return list, set
+	return hashes, held
 }

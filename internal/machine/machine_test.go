@@ -3,10 +3,9 @@ package machine
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
-	"testing/quick"
 
 	"tracex/internal/cache"
 )
@@ -126,23 +125,10 @@ func TestProfileValidate(t *testing.T) {
 	}
 }
 
-func TestLookupBandwidthExactMatch(t *testing.T) {
-	p := testProfile()
-	p.SetInterpolation(InterpIDW)
-	bw, err := p.LookupBandwidth([]float64{0.5, 1.0}, 128<<10)
-	if err != nil {
-		t.Fatalf("LookupBandwidth: %v", err)
-	}
-	if bw != 8 {
-		t.Errorf("exact match bandwidth = %g, want 8", bw)
-	}
-}
-
 func TestLookupBandwidthInterpolates(t *testing.T) {
 	p := testProfile()
-	p.SetInterpolation(InterpIDW)
 	// Between the 0.5 and 1.0 L1 hit-rate points: bandwidth between 8 and 20.
-	bw, err := p.LookupBandwidth([]float64{0.75, 1.0}, 64<<10)
+	bw, err := p.LookupBandwidth([]float64{0.75, 1.0})
 	if err != nil {
 		t.Fatalf("LookupBandwidth: %v", err)
 	}
@@ -152,14 +138,14 @@ func TestLookupBandwidthInterpolates(t *testing.T) {
 }
 
 func TestLookupBandwidthMonotoneInLastLevelRate(t *testing.T) {
-	// The lookup distance weights the last-level rate heaviest (it decides
-	// how many references fall out to memory), so bandwidth must be
-	// monotone along that axis.
+	// The last-level rate decides how many references fall out to memory,
+	// the costliest locality class, so bandwidth must be monotone along
+	// that axis.
 	p := testProfile()
 	prev := 0.0
 	for _, hr := range []float64{0.1, 0.4, 0.7, 0.95, 1.0} {
 		l1 := hr * 0.5
-		bw, err := p.LookupBandwidth([]float64{l1, hr}, 64<<10)
+		bw, err := p.LookupBandwidth([]float64{l1, hr})
 		if err != nil {
 			t.Fatalf("LookupBandwidth(%g): %v", hr, err)
 		}
@@ -172,11 +158,11 @@ func TestLookupBandwidthMonotoneInLastLevelRate(t *testing.T) {
 
 func TestLookupBandwidthErrors(t *testing.T) {
 	p := testProfile()
-	if _, err := p.LookupBandwidth([]float64{0.5}, 0); err == nil {
+	if _, err := p.LookupBandwidth([]float64{0.5}); err == nil {
 		t.Error("wrong arity accepted")
 	}
 	empty := &Profile{Machine: Opteron2L()}
-	if _, err := empty.LookupBandwidth([]float64{0.5, 0.5}, 0); err == nil {
+	if _, err := empty.LookupBandwidth([]float64{0.5, 0.5}); err == nil {
 		t.Error("empty surface accepted")
 	}
 }
@@ -210,7 +196,7 @@ func TestModelLookupRecoversLatencyStructure(t *testing.T) {
 	// cost model (ceiling never binds with these coefficients).
 	for _, q := range [][2]float64{{0.95, 0.97}, {0.6, 0.8}, {0.875, 0.98}} {
 		want := mkPoint(q[0], q[1]).BandwidthGBs
-		got, err := p.LookupBandwidth([]float64{q[0], q[1]}, 0)
+		got, err := p.LookupBandwidth([]float64{q[0], q[1]})
 		if err != nil {
 			t.Fatalf("LookupBandwidth(%v): %v", q, err)
 		}
@@ -237,7 +223,7 @@ func TestModelLookupAppliesBandwidthCeiling(t *testing.T) {
 			BandwidthGBs: ProbeElemBytes * clockHz / cpr / 1e9,
 		})
 	}
-	bw, err := p.LookupBandwidth([]float64{0, 0}, 0)
+	bw, err := p.LookupBandwidth([]float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,15 +250,45 @@ func TestLocalFractions(t *testing.T) {
 	}
 }
 
-func TestSetInterpolationInvalidatesModelCache(t *testing.T) {
+// The memory model is fitted once per profile, on its first lookup, and
+// concurrent lookups share that one fit; a fit that fails fails every
+// lookup the same way.
+func TestModelFitOncePerProfile(t *testing.T) {
 	p := testProfile()
-	if _, err := p.LookupBandwidth([]float64{0.9, 0.95}, 0); err != nil {
+	want, err := testProfile().LookupBandwidth([]float64{0.9, 0.95})
+	if err != nil {
 		t.Fatal(err)
 	}
-	p.SetInterpolation(InterpIDW)
-	p.SetInterpolation(InterpModel)
-	if _, err := p.LookupBandwidth([]float64{0.9, 0.95}, 0); err != nil {
-		t.Fatalf("after toggling interpolation: %v", err)
+	var wg sync.WaitGroup
+	got := make([]float64, 4)
+	errs := make([]error, len(got))
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = p.LookupBandwidth([]float64{0.9, 0.95})
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil || got[i] != want {
+			t.Errorf("lookup %d = %g, %v, want %g", i, got[i], errs[i], want)
+		}
+	}
+	coef := p.coef
+	if _, err := p.LookupBandwidth([]float64{0.5, 0.9}); err != nil {
+		t.Fatal(err)
+	}
+	if &p.coef[0] != &coef[0] {
+		t.Error("a later lookup refitted the model")
+	}
+
+	// One probe cannot determine a coefficient per locality class.
+	single := &Profile{Machine: Opteron2L(), Surface: testProfile().Surface[:1]}
+	_, err1 := single.LookupBandwidth([]float64{0.9, 0.95})
+	_, err2 := single.LookupBandwidth([]float64{0.9, 0.95})
+	if err1 == nil || err2 != err1 {
+		t.Errorf("singular fit: lookups returned %v then %v, want one error twice", err1, err2)
 	}
 }
 
@@ -339,54 +355,6 @@ func TestSaveLoadProfile(t *testing.T) {
 	}
 	if err := SaveProfile(p, filepath.Join(dir, "no/such/dir/p.json")); err == nil {
 		t.Error("bad path accepted")
-	}
-}
-
-// Property: interpolated bandwidth always lies within the surface's
-// [min, max] bandwidth range (inverse-distance weighting is a convex
-// combination).
-func TestLookupBandwidthBoundedProperty(t *testing.T) {
-	p := testProfile()
-	p.SetInterpolation(InterpIDW)
-	lo, hi := 1.5, 20.0
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		h1 := r.Float64()
-		h2 := h1 + (1-h1)*r.Float64()
-		ws := float64(1<<10) * (1 + r.Float64()*1e4)
-		bw, err := p.LookupBandwidth([]float64{h1, h2}, ws)
-		if err != nil {
-			return false
-		}
-		return bw >= lo-1e-9 && bw <= hi+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLevelWeightsStructure(t *testing.T) {
-	p := &Profile{Machine: BlueWatersP1()}
-	w := p.levelWeights()
-	if len(w) != len(p.Machine.Caches) {
-		t.Fatalf("got %d weights", len(w))
-	}
-	// Weights sum to (memLat - L1lat)/memLat and the last (memory-side)
-	// weight dominates.
-	var sum float64
-	for i, wi := range w {
-		if wi <= 0 {
-			t.Errorf("weight %d = %g", i, wi)
-		}
-		sum += wi
-	}
-	cfg := p.Machine
-	want := (cfg.MemLatencyCycles - cfg.CacheLatency[0]) / cfg.MemLatencyCycles
-	if math.Abs(sum-want) > 1e-12 {
-		t.Errorf("weights sum %g, want %g", sum, want)
-	}
-	if w[len(w)-1] < 0.8 {
-		t.Errorf("memory-side weight %g should dominate", w[len(w)-1])
 	}
 }
 

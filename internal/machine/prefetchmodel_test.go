@@ -40,11 +40,11 @@ func TestModelLookupDistinguishesPrefetchTraffic(t *testing.T) {
 
 	// Two queries with identical demand hit rates but different prefetch
 	// traffic must get very different bandwidths.
-	resident, err := p.LookupBandwidthPF([]float64{1, 1}, 0, 0)
+	resident, err := p.LookupBandwidthPF([]float64{1, 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := p.LookupBandwidthPF([]float64{1, 1}, 0.125, 0)
+	streamed, err := p.LookupBandwidthPF([]float64{1, 1}, 0.125)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestModelLookupPrefetchCeiling(t *testing.T) {
 	cfg := Opteron2L()
 	cfg.MemBandwidthGBs = 0.5
 	p := pfSurface(cfg, []float64{1, 2, 4}, 3)
-	bw, err := p.LookupBandwidthPF([]float64{1, 1}, 1.0, 0) // one line per ref
+	bw, err := p.LookupBandwidthPF([]float64{1, 1}, 1.0) // one line per ref
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,33 +80,15 @@ func TestModelLookupZeroPrefetchBackwardCompatible(t *testing.T) {
 	// On a surface with no prefetching probes, LookupBandwidth (pf=0) must
 	// behave exactly as before the schema extension.
 	p := testProfile()
-	a, err := p.LookupBandwidth([]float64{0.9, 0.95}, 64<<10)
+	a, err := p.LookupBandwidth([]float64{0.9, 0.95})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.LookupBandwidthPF([]float64{0.9, 0.95}, 0, 64<<10)
+	b, err := p.LookupBandwidthPF([]float64{0.9, 0.95}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Errorf("LookupBandwidth %g != LookupBandwidthPF(0) %g", a, b)
-	}
-}
-
-func TestIDWLookupSeesPrefetchDimension(t *testing.T) {
-	cfg := Opteron2L()
-	cfg.MemBandwidthGBs = 1000
-	p := pfSurface(cfg, []float64{1.0, 4.0, 60.0}, 57.0)
-	p.SetInterpolation(InterpIDW)
-	resident, err := p.LookupBandwidthPF([]float64{1, 1}, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, err := p.LookupBandwidthPF([]float64{1, 1}, 0.125, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if streamed >= resident {
-		t.Errorf("IDW ignored prefetch dimension: %g vs %g", streamed, resident)
 	}
 }

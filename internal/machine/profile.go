@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"sort"
 	"sync"
 
 	"tracex/internal/stats"
@@ -35,47 +33,21 @@ type SurfacePoint struct {
 	PrefetchPerRef float64 `json:"prefetch_per_ref,omitempty"`
 }
 
-// Interpolation selects how LookupBandwidth maps a hit-rate vector onto the
-// measured surface.
-type Interpolation int
-
-const (
-	// InterpModel (the default) fits a linear cycles-per-reference model
-	// over every surface probe — one coefficient per locality class (each
-	// cache level plus main memory) — and evaluates it at the query,
-	// bounded by the machine's sustained-memory-bandwidth floor. This is
-	// the fitted-memory-model approach of the PMaC framework (Tikir et
-	// al., the paper's reference [27]).
-	InterpModel Interpolation = iota
-	// InterpIDW uses inverse-distance weighting over the four nearest
-	// probes in latency-weighted hit-rate space, interpolating reciprocal
-	// bandwidths.
-	InterpIDW
-)
-
 // Profile is a machine profile: the description of the rates at which a
 // machine performs fundamental operations, derived from benchmark probes.
 type Profile struct {
 	Machine Config         `json:"machine"`
 	Surface []SurfacePoint `json:"surface"`
 
-	// interp selects the lookup strategy (InterpModel by default).
-	interp Interpolation
-	// mu guards the lazily fitted coef so profiles can be shared across
-	// goroutines (the Engine caches and hands out one *Profile per
-	// machine).
-	mu sync.Mutex
-	// coef caches the fitted per-class cycles-per-reference coefficients
-	// (levels+1 entries, memory last); nil until first fit.
-	coef []float64
-}
-
-// SetInterpolation selects the bandwidth-lookup strategy.
-func (p *Profile) SetInterpolation(i Interpolation) {
-	p.mu.Lock()
-	p.interp = i
-	p.coef = nil
-	p.mu.Unlock()
+	// fit fits the memory model on the first lookup, once per profile, so
+	// profiles can be shared across goroutines (the Engine caches and
+	// hands out one *Profile per machine) and later lookups take no lock.
+	fit sync.Once
+	// coef holds the fitted per-class cycles-per-reference coefficients
+	// (one per cache level, then memory, then prefetch traffic), or
+	// coefErr why the fit failed.
+	coef    []float64
+	coefErr error
 }
 
 // Validate checks profile consistency.
@@ -106,95 +78,30 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
-// levelWeights returns the lookup-space weight of each cumulative hit-rate
-// dimension: the cost (cycle) difference between serving a reference at
-// that level versus the next one, normalized by the memory latency. A
-// difference in the last-level rate — references that fall out to main
-// memory — dominates the distance, matching how strongly it shifts the
-// achievable bandwidth.
-func (p *Profile) levelWeights() []float64 {
-	n := len(p.Machine.CacheLatency)
-	w := make([]float64, n)
-	for i := 0; i < n; i++ {
-		next := p.Machine.MemLatencyCycles
-		if i+1 < n {
-			next = p.Machine.CacheLatency[i+1]
-		}
-		w[i] = (next - p.Machine.CacheLatency[i]) / p.Machine.MemLatencyCycles
-	}
-	return w
-}
-
-// surfaceDistance is the squared distance between a query and a probe point
-// in the lookup space: latency-weighted cumulative hit rates (dominant)
-// plus the log-ratio of working set sizes (mild tie-breaker between probes
-// with equal rates).
-func surfaceDistance(hr []float64, pfPerRef, ws float64, weights []float64, sp SurfacePoint) float64 {
-	var d float64
-	for i := range hr {
-		diff := (hr[i] - sp.HitRates[i]) * weights[i]
-		d += diff * diff
-	}
-	// Prefetch traffic carries the memory-cost weight: it moves lines.
-	pfd := (pfPerRef - sp.PrefetchPerRef) * weights[len(weights)-1]
-	d += pfd * pfd
-	if ws > 0 && sp.WorkingSetBytes > 0 {
-		lr := math.Log(ws/float64(sp.WorkingSetBytes)) / math.Log(1024)
-		d += 1e-6 * lr * lr
-	}
-	return d
-}
-
-// LookupBandwidth interpolates the MultiMAPS surface at the given cumulative
-// hit-rate vector and working-set size, returning the expected sustained
-// memory bandwidth in GB/s. It uses inverse-distance weighting over the four
-// nearest surface points (an exact match returns that point's bandwidth),
-// interpolating in reciprocal-bandwidth space: time per byte is what adds
-// linearly as locality degrades, so 1/bandwidth is the quantity to average.
-// This is the "find where the block falls on the MultiMAPS curve" step of
-// the paper's Equation 1 (the memory_BW_j denominator).
-func (p *Profile) LookupBandwidth(hitRates []float64, wsBytes float64) (float64, error) {
-	return p.LookupBandwidthPF(hitRates, 0, wsBytes)
+// LookupBandwidth returns the expected sustained memory bandwidth in GB/s
+// of a block with the given cumulative hit-rate vector. This is the "find
+// where the block falls on the MultiMAPS curve" step of the paper's
+// Equation 1 (the memory_BW_j denominator). It evaluates a linear
+// cycles-per-reference model fitted over every surface probe, one
+// coefficient per locality class (each cache level plus main memory),
+// bounded by the machine's sustained memory bandwidth: the
+// fitted-memory-model approach of the PMaC framework (Tikir et al., the
+// paper's reference [27]).
+func (p *Profile) LookupBandwidth(hitRates []float64) (float64, error) {
+	return p.LookupBandwidthPF(hitRates, 0)
 }
 
 // LookupBandwidthPF is LookupBandwidth for blocks that also carry hardware
 // prefetch traffic (lines per demand reference); on machines without a
 // prefetcher pass 0.
-func (p *Profile) LookupBandwidthPF(hitRates []float64, prefetchPerRef, wsBytes float64) (float64, error) {
+func (p *Profile) LookupBandwidthPF(hitRates []float64, prefetchPerRef float64) (float64, error) {
 	if len(p.Surface) == 0 {
 		return 0, fmt.Errorf("machine: empty surface")
 	}
 	if len(hitRates) != len(p.Machine.Caches) {
 		return 0, fmt.Errorf("machine: %d hit rates for %d cache levels", len(hitRates), len(p.Machine.Caches))
 	}
-	if p.interp == InterpModel {
-		return p.lookupModel(hitRates, prefetchPerRef)
-	}
-	type cand struct {
-		d  float64
-		bw float64
-	}
-	weights := p.levelWeights()
-	cands := make([]cand, 0, len(p.Surface))
-	for _, sp := range p.Surface {
-		d := surfaceDistance(hitRates, prefetchPerRef, wsBytes, weights, sp)
-		if d == 0 {
-			return sp.BandwidthGBs, nil
-		}
-		cands = append(cands, cand{d, sp.BandwidthGBs})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
-	k := 4
-	if k > len(cands) {
-		k = len(cands)
-	}
-	var wsum, invsum float64
-	for _, c := range cands[:k] {
-		w := 1 / c.d
-		wsum += w
-		invsum += w / c.bw
-	}
-	return wsum / invsum, nil
+	return p.lookupModel(hitRates, prefetchPerRef)
 }
 
 // ProbeElemBytes is the payload size of one MultiMAPS probe reference;
@@ -234,7 +141,7 @@ func modelFeatures(hitRates []float64, prefetchPerRef float64) []float64 {
 // local fractions (plus prefetch traffic) over every surface probe. The
 // coefficients are the measured effective cost of serving a reference from
 // each locality class — the machine profile's memory model.
-func (p *Profile) fitModel() error {
+func (p *Profile) fitModel() ([]float64, error) {
 	n := len(p.Machine.Caches) + 2 // locality classes + memory + prefetch
 	ata := make([][]float64, n)
 	for i := range ata {
@@ -265,34 +172,28 @@ func (p *Profile) fitModel() error {
 	}
 	coef, err := stats.SolveLinear(ata, atb)
 	if err != nil {
-		return fmt.Errorf("machine: fitting memory model: %w", err)
+		return nil, fmt.Errorf("machine: fitting memory model: %w", err)
 	}
 	for i, c := range coef {
 		if c < 0 {
 			coef[i] = 0 // numerical artifacts from near-collinear probes
 		}
 	}
-	p.coef = coef
-	return nil
+	return coef, nil
 }
 
 // lookupModel evaluates the fitted memory model at a hit-rate vector (plus
 // prefetch traffic) and applies the machine's sustained-bandwidth ceiling
 // for the implied total memory traffic.
 func (p *Profile) lookupModel(hitRates []float64, prefetchPerRef float64) (float64, error) {
-	p.mu.Lock()
-	if p.coef == nil {
-		if err := p.fitModel(); err != nil {
-			p.mu.Unlock()
-			return 0, err
-		}
+	p.fit.Do(func() { p.coef, p.coefErr = p.fitModel() })
+	if p.coefErr != nil {
+		return 0, p.coefErr
 	}
-	coef := p.coef
-	p.mu.Unlock()
 	ft := modelFeatures(hitRates, prefetchPerRef)
 	var cpr float64
 	for i, f := range ft {
-		cpr += f * coef[i]
+		cpr += f * p.coef[i]
 	}
 	if cpr <= 0 {
 		return 0, fmt.Errorf("machine: memory model gave non-positive cost for rates %v", hitRates)

@@ -44,9 +44,10 @@ type Computation struct {
 // blockTime applies Equation 1 to one basic block: memory time is the sum
 // over reference types of refs×size/bandwidth, with the block's bandwidth
 // found at its location on the MultiMAPS surface (its cache hit rates and
-// working set); floating-point time uses the ILP-limited arithmetic rate.
+// prefetch traffic); floating-point time uses the ILP-limited arithmetic
+// rate.
 func blockTime(fv *trace.FeatureVector, prof *machine.Profile) (BlockTime, error) {
-	bw, err := prof.LookupBandwidthPF(fv.HitRates, fv.PrefetchPerRef, fv.WorkingSetBytes)
+	bw, err := prof.LookupBandwidthPF(fv.HitRates, fv.PrefetchPerRef)
 	if err != nil {
 		return BlockTime{}, err
 	}

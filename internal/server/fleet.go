@@ -40,11 +40,13 @@ func (s *Server) fleetStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, flt.Status())
 }
 
-// fleetSync implements POST /v1/fleet/sync: given the signature keys the
-// requester already has, answer with the store entries this node holds
-// beyond them — the newest entry per (app, cores, machine) triple, reuse
-// profiles excluded. The requester filters the response to the keys it
-// owns and pulls each entry's content hash over GET /v1/signatures/{hash}.
+// fleetSync implements POST /v1/fleet/sync: given the content hashes of
+// the signatures the requester already stores, answer with every
+// signature entry this node holds beyond them, reuse profiles excluded.
+// Each identity of a triple (its own machine fingerprint and collection
+// options) is its own entry. The requester filters the response to the
+// keys it owns and pulls each entry's content hash over
+// GET /v1/signatures/{hash}.
 func (s *Server) fleetSync(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.fleet(); err != nil {
 		s.writeError(w, err)
@@ -66,33 +68,14 @@ func (s *Server) fleetSync(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	have := make(map[string]bool, len(req.Have))
-	for _, k := range req.Have {
-		have[k] = true
+	for _, h := range req.Have {
+		have[h] = true
 	}
-	// Newest entry per triple: the manifest can hold several generations
-	// of one identity, but the sync vocabulary (like the GET triple form)
-	// is "latest per identity".
-	latest := map[string]store.Entry{}
-	var order []string
+	resp := &wire.FleetSyncResponse{Entries: []wire.FleetSyncEntry{}}
 	for _, e := range st.Entries() {
-		if e.Kind != store.KindSignature {
+		if e.Kind != store.KindSignature || have[e.Hash] {
 			continue
 		}
-		key := tripleKey(e.App, e.Cores, e.Machine)
-		if have[key] {
-			continue
-		}
-		prev, seen := latest[key]
-		if !seen {
-			order = append(order, key)
-		}
-		if !seen || e.Unix >= prev.Unix {
-			latest[key] = e
-		}
-	}
-	resp := &wire.FleetSyncResponse{Entries: make([]wire.FleetSyncEntry, 0, len(order))}
-	for _, key := range order {
-		e := latest[key]
 		resp.Entries = append(resp.Entries, wire.FleetSyncEntry{
 			App:       e.App,
 			Machine:   e.Machine,
@@ -104,12 +87,6 @@ func (s *Server) fleetSync(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// tripleKey renders the wire-level signature key (client.Key without the
-// import).
-func tripleKey(app string, cores int, machine string) string {
-	return fmt.Sprintf("%s%s%d%s%s", app, storeKeySep, cores, storeKeySep, machine)
 }
 
 // redirectToOwner reports whether storeGet should answer 307 for a triple

@@ -379,7 +379,7 @@ func TestFleetRedirectMode(t *testing.T) {
 // on a live cluster, plus their 501 on a fleet-less daemon.
 func TestFleetStatusAndSyncRoutes(t *testing.T) {
 	nodes := startFleetCluster(t, 3, fleet.ModeFetch)
-	cores, key := fleetIdentity(t, nodes, 0)
+	cores, _ := fleetIdentity(t, nodes, 0)
 
 	// Status: full membership, exactly one self, shares sum to ~1.
 	r, err := http.Get(nodes[1].url + "/v1/fleet/status")
@@ -406,7 +406,7 @@ func TestFleetStatusAndSyncRoutes(t *testing.T) {
 	}
 
 	// Sync: after the owner collects, its manifest diff offers the entry,
-	// and a have-set containing it empties the diff.
+	// and a have-set containing its content hash empties the diff.
 	if resp, body := post(t, nodes[0].url+"/v1/predict", predictBody(cores)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("owner predict: %d %s", resp.StatusCode, body)
 	}
@@ -416,9 +416,9 @@ func TestFleetStatusAndSyncRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(sync1.Entries) != 1 || sync1.Entries[0].App != "stencil3d" || sync1.Entries[0].Cores != cores {
-		t.Errorf("sync diff = %s, want the one collected entry", body)
+		t.Fatalf("sync diff = %s, want the one collected entry", body)
 	}
-	_, body = post(t, nodes[0].url+"/v1/fleet/sync", fmt.Sprintf(`{"have":[%q]}`, key))
+	_, body = post(t, nodes[0].url+"/v1/fleet/sync", fmt.Sprintf(`{"have":[%q]}`, sync1.Entries[0].Hash))
 	var sync2 wire.FleetSyncResponse
 	if err := json.Unmarshal(body, &sync2); err != nil {
 		t.Fatal(err)
@@ -503,5 +503,99 @@ func TestFleetReplicationOverWire(t *testing.T) {
 	}
 	if _, ok := eng.Store().LatestEntry("stencil3d", "bluewaters", cores); !ok {
 		t.Errorf("rebuilt node store missing %s after replication", key)
+	}
+}
+
+// seedTwoIdentities collects two identities of one triple owned by node 0,
+// under two sampling policies, by predicting them at node 1: node 0
+// collects each and node 1's peer tier files both on its disk. It returns
+// node 1's store entries for the triple.
+func seedTwoIdentities(t *testing.T, nodes []*fleetNode) (cores int, entries []tracex.SignatureKey) {
+	t.Helper()
+	cores, _ = fleetIdentity(t, nodes, 0)
+	for _, sampling := range []string{"fixed:20000", "fixed:30000"} {
+		body := fmt.Sprintf(`{"app":"stencil3d","cores":%d,"machine":"bluewaters","sampling":%q}`, cores, sampling)
+		if resp, out := post(t, nodes[1].url+"/v1/predict", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("seeding %s: %d %s", sampling, resp.StatusCode, out)
+		}
+	}
+	for _, e := range nodes[1].eng.Store().Entries() {
+		if e.App == "stencil3d" && e.Cores == cores {
+			entries = append(entries, tracex.SignatureKey{App: e.App, Machine: e.Machine, MachineFP: e.MachineFP, Cores: e.Cores, Opt: e.Opt})
+		}
+	}
+	if len(entries) != 2 {
+		t.Fatalf("node 1 holds %d identities of stencil3d@%d, want 2", len(entries), cores)
+	}
+	return cores, entries
+}
+
+// rebuiltNode returns a fresh engine and fleet with node 0's ring identity
+// and an empty store, as after a disk loss.
+func rebuiltNode(t *testing.T, nodes []*fleetNode) (*tracex.Engine, *fleet.Fleet) {
+	t.Helper()
+	reg := obs.New()
+	peers := make([]string, len(nodes))
+	for i, nd := range nodes {
+		peers[i] = nd.url
+	}
+	flt, err := fleet.New(fleet.Config{Self: nodes[0].url, Peers: peers, Mode: fleet.ModeFetch, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := tracex.NewEngine(tracex.WithRegistry(reg), tracex.WithStore(t.TempDir()), tracex.WithRemoteTier(flt))
+	if err := eng.Err(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = eng.Close() })
+	return eng, flt
+}
+
+// A peer holding two identities of one app@cores@machine replicates both
+// to the triple's owner when it starts from an empty store.
+func TestFleetReplicatesEveryIdentityOfATriple(t *testing.T) {
+	nodes := startFleetCluster(t, 3, fleet.ModeFetch)
+	_, keys := seedTwoIdentities(t, nodes)
+	eng, flt := rebuiltNode(t, nodes)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	pulled, err := flt.Replicate(ctx, eng)
+	if err != nil {
+		t.Fatalf("replicate: %v", err)
+	}
+	if pulled != 2 {
+		t.Errorf("pulled %d signatures, want both identities", pulled)
+	}
+	for _, k := range keys {
+		if _, ok, err := eng.Store().Get(k); err != nil || !ok {
+			t.Errorf("identity %+v not replicated: ok=%v err=%v", k, ok, err)
+		}
+	}
+}
+
+// An owner that already holds one identity of a triple pulls the other
+// and does not pull the one it holds again.
+func TestFleetReplicationPullsOnlyMissingIdentities(t *testing.T) {
+	nodes := startFleetCluster(t, 3, fleet.ModeFetch)
+	_, keys := seedTwoIdentities(t, nodes)
+	eng, flt := rebuiltNode(t, nodes)
+	sig, ok, err := nodes[1].eng.Store().Get(keys[0])
+	if err != nil || !ok {
+		t.Fatalf("reading node 1's first identity: ok=%v err=%v", ok, err)
+	}
+	if _, err := eng.Store().Put(sig, keys[0]); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	pulled, err := flt.Replicate(ctx, eng)
+	if err != nil {
+		t.Fatalf("replicate: %v", err)
+	}
+	if pulled != 1 {
+		t.Errorf("pulled %d signatures, want only the missing identity", pulled)
+	}
+	if _, ok, err := eng.Store().Get(keys[1]); err != nil || !ok {
+		t.Errorf("missing identity %+v not replicated: ok=%v err=%v", keys[1], ok, err)
 	}
 }

@@ -6,123 +6,165 @@ import (
 	"math"
 )
 
-// FitResult pairs a fitted model with its goodness of fit on the training
-// series.
+// FitResult is one form's fit to a series: the fitted model and its
+// goodness of fit on that series.
 type FitResult struct {
+	Form  Form
 	Model Model
 	SSE   float64
 	RMSE  float64
 	R2    float64
 }
 
-// Selector fits a set of canonical forms to a series and picks the best one.
-// The zero value is not usable; construct with NewSelector.
-type Selector struct {
-	forms []Form
-	// relTol is the relative SSE slack within which competing forms are
-	// considered tied. Ties resolve toward parsimony (fewest parameters)
-	// and then lexicographic form name — a total order independent of the
-	// forms-slice order, so shuffling the forms cannot change the winner.
-	relTol float64
+// Table is the fit table of one series: the fit of every form applicable
+// to it, in the order the forms were given. Point selection (Best),
+// leave-one-out selection (BestCV) and posterior model averaging
+// (uncert.Average) all read the same table, so each form is fitted to a
+// series once.
+type Table struct {
+	Xs, Ys []float64
+	Fits   []FitResult
 }
 
-// NewSelector returns a Selector over the given forms (ordered simplest
-// first for tie-breaking). A nil or empty forms slice selects the paper's
-// four canonical forms.
-func NewSelector(forms []Form) *Selector {
+// tieTolerance is the relative slack, as a fraction of the series' sum of
+// squares, within which two scores tie. Ties resolve toward the simpler
+// form, which settles the degenerate exact-fit case of three observations.
+const tieTolerance = 1e-9
+
+// FitAll fits every form to the series and returns its fit table. A nil or
+// empty forms slice fits the paper's four canonical forms. Forms not
+// applicable to the data (ErrNotApplicable, ErrSingular, or a model that
+// is non-finite at an input) are left out; any other fit error fails the
+// table, and so does a table with no form in it.
+func FitAll(forms []Form, xs, ys []float64) (Table, error) {
+	if len(xs) != len(ys) || len(xs) == 0 {
+		return Table{}, fmt.Errorf("stats: bad series lengths %d vs %d", len(xs), len(ys))
+	}
 	if len(forms) == 0 {
 		forms = CanonicalForms()
 	}
-	return &Selector{forms: append([]Form(nil), forms...), relTol: 1e-9}
-}
-
-// SetTieTolerance overrides the relative SSE tolerance used to prefer
-// simpler forms. Values ≤ 0 restrict the preference to exact SSE ties.
-func (s *Selector) SetTieTolerance(tol float64) { s.relTol = tol }
-
-// Forms returns the forms the selector considers, in tie-break order.
-func (s *Selector) Forms() []Form { return append([]Form(nil), s.forms...) }
-
-// FitAll fits every applicable form and returns the results keyed by form
-// name. Forms that are not applicable to the data are silently skipped;
-// an error is returned only when no form at all could be fitted.
-func (s *Selector) FitAll(xs, ys []float64) (map[string]FitResult, error) {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return nil, fmt.Errorf("stats: bad series lengths %d vs %d", len(xs), len(ys))
-	}
-	out := make(map[string]FitResult, len(s.forms))
-	for _, f := range s.forms {
+	t := Table{Xs: xs, Ys: ys, Fits: make([]FitResult, 0, len(forms))}
+	pred := make([]float64, len(xs))
+	for _, f := range forms {
 		m, err := f.Fit(xs, ys)
 		if err != nil {
 			if errors.Is(err, ErrNotApplicable) || errors.Is(err, ErrSingular) {
 				continue
 			}
-			return nil, fmt.Errorf("stats: fitting %s: %w", f.Name(), err)
+			return Table{}, fmt.Errorf("stats: fitting %s: %w", f.Name(), err)
 		}
-		pred := make([]float64, len(xs))
-		bad := false
+		finite := true
 		for i, x := range xs {
 			pred[i] = m.Eval(x)
 			if math.IsNaN(pred[i]) || math.IsInf(pred[i], 0) {
-				bad = true
+				finite = false
 				break
 			}
 		}
-		if bad {
+		if !finite {
 			continue
 		}
-		out[f.Name()] = FitResult{
+		t.Fits = append(t.Fits, FitResult{
+			Form:  f,
 			Model: m,
 			SSE:   SSE(pred, ys),
 			RMSE:  RMSE(pred, ys),
 			R2:    R2(pred, ys),
-		}
+		})
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("stats: no canonical form applicable to series")
+	if len(t.Fits) == 0 {
+		return Table{}, fmt.Errorf("stats: no canonical form applicable to series")
 	}
-	return out, nil
+	return t, nil
 }
 
-// Select fits every form and returns the best fit: the lowest SSE, with
-// ties within the tolerance resolved toward the simpler form. This mirrors
-// the paper's "the best of those fits is used" rule (Section IV) with a
-// parsimony tie-break for the degenerate exact-fit case that arises when
-// only three observations are available.
-func (s *Selector) Select(xs, ys []float64) (FitResult, error) {
-	all, err := s.FitAll(xs, ys)
-	if err != nil {
-		return FitResult{}, err
+// Best is the point rule: the fit with the lowest SSE, with ties resolved
+// toward the simpler form. This is the paper's "the best of those fits is
+// used" (Section IV).
+func (t Table) Best() FitResult {
+	return t.Fits[tiedBest(t, func(i int) float64 { return t.Fits[i].SSE }, tieTolerance)]
+}
+
+// BestCV is the leave-one-out rule: each form in the table is refitted
+// with one observation held out and scored by its squared error at the
+// held-out point, and the lowest total wins, ties resolved toward the
+// simpler form. It penalizes forms that interpolate the training points
+// exactly but extrapolate wildly, the failure mode of a quadratic through
+// three points. A form that cannot be fitted on some subset is not scored.
+// The winner's fit is its table entry on the full series. With fewer than
+// three observations, or when no form survives, BestCV is Best.
+func (t Table) BestCV() FitResult {
+	n := len(t.Xs)
+	if n < 3 {
+		return t.Best()
 	}
+	// NaN marks a form the rule does not score: it never compares below
+	// the minimum nor within the tolerance of it.
+	scores := make([]float64, len(t.Fits))
+	subX := make([]float64, 0, n-1)
+	subY := make([]float64, 0, n-1)
+	for i, fr := range t.Fits {
+		cv := 0.0
+		for hold := 0; hold < n; hold++ {
+			subX, subY = subX[:0], subY[:0]
+			for j := range t.Xs {
+				if j != hold {
+					subX = append(subX, t.Xs[j])
+					subY = append(subY, t.Ys[j])
+				}
+			}
+			m, err := fr.Form.Fit(subX, subY)
+			if err != nil {
+				cv = math.NaN()
+				break
+			}
+			pred := m.Eval(t.Xs[hold])
+			if math.IsNaN(pred) || math.IsInf(pred, 0) {
+				cv = math.NaN()
+				break
+			}
+			d := pred - t.Ys[hold]
+			cv += d * d
+		}
+		scores[i] = cv
+	}
+	if i := tiedBest(t, func(i int) float64 { return scores[i] }, tieTolerance); i >= 0 {
+		return t.Fits[i]
+	}
+	return t.Best()
+}
+
+// tiedBest returns the index of the winning fit under score: among the fits
+// whose score lies within relTol·Σy² of the lowest, the simplest. Taking
+// the tied set first makes the winner a pure function of the fits; a
+// sequential "beats the incumbent by more than the tolerance" walk depends
+// on the form order once three or more forms cluster within multiples of
+// the tolerance. NaN scores are never chosen; -1 means every score was NaN.
+func tiedBest(t Table, score func(i int) float64, relTol float64) int {
 	scale := 0.0
-	for _, y := range ys {
+	for _, y := range t.Ys {
 		scale += y * y
 	}
 	if scale == 0 {
 		scale = 1
 	}
-	// Two-pass selection: find the global minimum SSE, then pick the
-	// winner among every form within the tolerance of it. A sequential
-	// "better than the incumbent minus tol" walk is order-dependent when
-	// three or more forms cluster within multiples of the tolerance; the
-	// tied-set form makes the result a pure function of the fits.
-	minSSE := math.Inf(1)
-	for _, r := range all {
-		if r.SSE < minSSE {
-			minSSE = r.SSE
-		}
-	}
-	tol := s.relTol * scale
+	tol := relTol * scale
 	if tol < 0 {
 		tol = 0
 	}
-	best := FitResult{}
-	for _, r := range all {
-		if r.SSE <= minSSE+tol && (best.Model == nil || simplerModel(r.Model, best.Model)) {
-			best = r
+	min := math.Inf(1)
+	for i := range t.Fits {
+		if s := score(i); s < min {
+			min = s
 		}
 	}
-	return best, nil
+	best := -1
+	for i := range t.Fits {
+		if score(i) <= min+tol && (best < 0 || simplerModel(t.Fits[i].Model, t.Fits[best].Model)) {
+			best = i
+		}
+	}
+	return best
 }
 
 // simplerModel reports whether a should win a tie against b: fewer
@@ -166,118 +208,4 @@ func formRank(name string) int {
 		return 5
 	}
 	return 6
-}
-
-// MustSelect is Select but panics on error; convenient in experiment code
-// where the series is known to be fittable.
-func (s *Selector) MustSelect(xs, ys []float64) FitResult {
-	r, err := s.Select(xs, ys)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// SelectCV selects by leave-one-out cross-validation instead of training
-// SSE: each form is refitted with one observation held out and scored by
-// its squared error at the held-out point. This penalizes forms that can
-// interpolate the training points exactly but extrapolate wildly — the
-// failure mode of high-parameter forms (e.g. a quadratic through three
-// points). A form that cannot be fitted on some leave-one-out subset is
-// excluded. Ties within the tolerance resolve toward the simpler form; the
-// final returned model is refitted on the full series. SelectCV needs at
-// least three observations; with fewer it falls back to Select.
-func (s *Selector) SelectCV(xs, ys []float64) (FitResult, error) {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return FitResult{}, fmt.Errorf("stats: bad series lengths %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 3 {
-		return s.Select(xs, ys)
-	}
-	scale := 0.0
-	for _, y := range ys {
-		scale += y * y
-	}
-	if scale == 0 {
-		scale = 1
-	}
-	type scored struct {
-		form Form
-		cv   float64
-		k    int // fitted parameter count, for the parsimony tie-break
-		ok   bool
-	}
-	scores := make([]scored, 0, len(s.forms))
-	subX := make([]float64, 0, len(xs)-1)
-	subY := make([]float64, 0, len(ys)-1)
-	for _, f := range s.forms {
-		sc := scored{form: f, ok: true}
-		for hold := 0; hold < len(xs) && sc.ok; hold++ {
-			subX = subX[:0]
-			subY = subY[:0]
-			for i := range xs {
-				if i != hold {
-					subX = append(subX, xs[i])
-					subY = append(subY, ys[i])
-				}
-			}
-			m, err := f.Fit(subX, subY)
-			if err != nil {
-				sc.ok = false
-				break
-			}
-			sc.k = len(m.Params())
-			pred := m.Eval(xs[hold])
-			if math.IsNaN(pred) || math.IsInf(pred, 0) {
-				sc.ok = false
-				break
-			}
-			d := pred - ys[hold]
-			sc.cv += d * d
-		}
-		if sc.ok {
-			scores = append(scores, sc)
-		}
-	}
-	if len(scores) == 0 {
-		// No form survives cross-validation (tiny or degenerate series):
-		// fall back to training-error selection.
-		return s.Select(xs, ys)
-	}
-	// Same two-pass tied-set selection as Select: global minimum CV score,
-	// then parsimony/name order among the forms within tolerance of it.
-	minCV := math.Inf(1)
-	for _, sc := range scores {
-		if sc.cv < minCV {
-			minCV = sc.cv
-		}
-	}
-	tol := s.relTol * scale
-	if tol < 0 {
-		tol = 0
-	}
-	best := scores[0]
-	haveBest := false
-	for _, sc := range scores {
-		simpler := !haveBest || sc.k < best.k ||
-			(sc.k == best.k && formNameLess(sc.form.Name(), best.form.Name()))
-		if sc.cv <= minCV+tol && simpler {
-			best = sc
-			haveBest = true
-		}
-	}
-	m, err := best.form.Fit(xs, ys)
-	if err != nil {
-		return FitResult{}, fmt.Errorf("stats: refitting %s on full series: %w", best.form.Name(), err)
-	}
-	pred := make([]float64, len(xs))
-	for i, x := range xs {
-		pred[i] = m.Eval(x)
-	}
-	return FitResult{
-		Model: m,
-		SSE:   SSE(pred, ys),
-		RMSE:  RMSE(pred, ys),
-		R2:    R2(pred, ys),
-	}, nil
 }

@@ -7,9 +7,41 @@ import (
 	"testing/quick"
 )
 
+// best fits the forms to the series and applies the point rule.
+func best(forms []Form, xs, ys []float64) (FitResult, error) {
+	t, err := FitAll(forms, xs, ys)
+	if err != nil {
+		return FitResult{}, err
+	}
+	return t.Best(), nil
+}
+
+// bestCV fits the forms to the series and applies the leave-one-out rule.
+func bestCV(forms []Form, xs, ys []float64) (FitResult, error) {
+	t, err := FitAll(forms, xs, ys)
+	if err != nil {
+		return FitResult{}, err
+	}
+	return t.BestCV(), nil
+}
+
+// fitOf returns the table's fit of the named form.
+func fitOf(t Table, name string) (FitResult, bool) {
+	for _, fr := range t.Fits {
+		if fr.Form.Name() == name {
+			return fr, true
+		}
+	}
+	return FitResult{}, false
+}
+
+// bySSE scores a table by training SSE, the point rule's score.
+func bySSE(t Table) func(int) float64 {
+	return func(i int) float64 { return t.Fits[i].SSE }
+}
+
 func TestSelectorPrefersConstantForFlatSeries(t *testing.T) {
-	s := NewSelector(nil)
-	r, err := s.Select(paperCounts, []float64{87.4, 87.4, 87.4})
+	r, err := best(nil, paperCounts, []float64{87.4, 87.4, 87.4})
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
@@ -24,23 +56,21 @@ func TestSelectorPicksLinearForFigure4Series(t *testing.T) {
 	// exact through 4 points.
 	xs := []float64{1024, 2048, 4096, 8192}
 	ys := []float64{0.105, 0.148, 0.238, 0.412}
-	s := NewSelector(nil)
-	r, err := s.Select(xs, ys)
-	if err != nil {
-		t.Fatalf("Select: %v", err)
-	}
-	if name := r.Model.Name(); name != "linear" && name != "exponential" {
-		// The series is convex-ish; linear must at least beat log/constant.
-		t.Errorf("selected %s for a rising convex series", name)
-	}
-	all, err := s.FitAll(xs, ys)
+	all, err := FitAll(nil, xs, ys)
 	if err != nil {
 		t.Fatalf("FitAll: %v", err)
 	}
-	if all["linear"].SSE >= all["constant"].SSE {
+	if name := all.Best().Model.Name(); name != "linear" && name != "exponential" {
+		// The series is convex-ish; linear must at least beat log/constant.
+		t.Errorf("selected %s for a rising convex series", name)
+	}
+	lin, _ := fitOf(all, "linear")
+	con, _ := fitOf(all, "constant")
+	lg, _ := fitOf(all, "logarithmic")
+	if lin.SSE >= con.SSE {
 		t.Error("linear should beat constant on a trending series")
 	}
-	if all["linear"].SSE >= all["logarithmic"].SSE {
+	if lin.SSE >= lg.SSE {
 		t.Error("linear should beat logarithmic on this series")
 	}
 }
@@ -53,7 +83,7 @@ func TestSelectorPicksLogForFigure5Series(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = 2e9 + 1.4e9*math.Log(x)
 	}
-	r, err := NewSelector(nil).Select(xs, ys)
+	r, err := best(nil, xs, ys)
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
@@ -68,8 +98,7 @@ func TestSelectorPicksLogForFigure5Series(t *testing.T) {
 func TestSelectorTieBreakSimplestFirst(t *testing.T) {
 	// A perfectly flat series is fit exactly by constant, linear (slope 0)
 	// and log (slope 0): the tolerance must resolve to constant.
-	s := NewSelector(nil)
-	r, err := s.Select([]float64{1, 2, 4}, []float64{5, 5, 5})
+	r, err := best(nil, []float64{1, 2, 4}, []float64{5, 5, 5})
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
@@ -79,19 +108,20 @@ func TestSelectorTieBreakSimplestFirst(t *testing.T) {
 }
 
 func TestSelectorTieToleranceDisabled(t *testing.T) {
-	s := NewSelector(nil)
-	s.SetTieTolerance(0)
-	// Still selects *some* model without error.
-	if _, err := s.Select([]float64{1, 2, 4}, []float64{5, 5, 5}); err != nil {
-		t.Fatalf("Select: %v", err)
+	tab, err := FitAll(nil, []float64{1, 2, 4}, []float64{5, 5, 5})
+	if err != nil {
+		t.Fatalf("FitAll: %v", err)
+	}
+	// Still selects *some* model.
+	if i := tiedBest(tab, bySSE(tab), 0); i < 0 {
+		t.Fatal("no winner with the tolerance off")
 	}
 }
 
 func TestSelectorSkipsInapplicableForms(t *testing.T) {
 	// Mixed-sign series: exponential and power are inapplicable but the
 	// selection must still succeed with the remaining forms.
-	s := NewSelector(ExtendedForms())
-	r, err := s.Select([]float64{1, 2, 3}, []float64{-1, 0, 1})
+	r, err := best(ExtendedForms(), []float64{1, 2, 3}, []float64{-1, 0, 1})
 	if err != nil {
 		t.Fatalf("Select: %v", err)
 	}
@@ -101,30 +131,12 @@ func TestSelectorSkipsInapplicableForms(t *testing.T) {
 }
 
 func TestSelectorErrorOnEmptySeries(t *testing.T) {
-	if _, err := NewSelector(nil).Select(nil, nil); err == nil {
+	if _, err := FitAll(nil, nil, nil); err == nil {
 		t.Error("want error for empty series")
 	}
-	if _, err := NewSelector(nil).FitAll([]float64{1}, []float64{1, 2}); err == nil {
+	if _, err := FitAll(nil, []float64{1}, []float64{1, 2}); err == nil {
 		t.Error("want error for mismatched series")
 	}
-}
-
-func TestSelectorFormsAccessorCopies(t *testing.T) {
-	s := NewSelector(nil)
-	forms := s.Forms()
-	forms[0] = nil
-	if s.Forms()[0] == nil {
-		t.Error("Forms() must return a copy")
-	}
-}
-
-func TestMustSelectPanicsOnBadInput(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustSelect should panic on empty input")
-		}
-	}()
-	NewSelector(nil).MustSelect(nil, nil)
 }
 
 func TestSelectorExtendedFormsQuadraticWins(t *testing.T) {
@@ -136,14 +148,14 @@ func TestSelectorExtendedFormsQuadraticWins(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = 50 + 0.1*x - 4e-5*x*x
 	}
-	ext, err := NewSelector(ExtendedForms()).Select(xs, ys)
+	ext, err := best(ExtendedForms(), xs, ys)
 	if err != nil {
 		t.Fatalf("Select(extended): %v", err)
 	}
 	if ext.Model.Name() != "quadratic" {
 		t.Errorf("extended selected %s, want quadratic", ext.Model.Name())
 	}
-	can, err := NewSelector(nil).Select(xs, ys)
+	can, err := best(nil, xs, ys)
 	if err != nil {
 		t.Fatalf("Select(canonical): %v", err)
 	}
@@ -161,18 +173,13 @@ func TestSelectorOptimalityProperty(t *testing.T) {
 		for i := range ys {
 			ys[i] = r.Float64()*100 + 1
 		}
-		s := NewSelector(nil)
-		s.SetTieTolerance(0)
-		best, err := s.Select(xs, ys)
+		all, err := FitAll(nil, xs, ys)
 		if err != nil {
 			return false
 		}
-		all, err := s.FitAll(xs, ys)
-		if err != nil {
-			return false
-		}
-		for _, fr := range all {
-			if fr.SSE < best.SSE-1e-9 {
+		win := all.Fits[tiedBest(all, bySSE(all), 0)]
+		for _, fr := range all.Fits {
+			if fr.SSE < win.SSE-1e-9 {
 				return false
 			}
 		}
@@ -202,16 +209,16 @@ func TestSelectorFormOrderInvarianceProperty(t *testing.T) {
 		}
 		forms := ExtendedForms()
 		r.Shuffle(len(forms), func(i, j int) { forms[i], forms[j] = forms[j], forms[i] })
-		a, err1 := NewSelector(ExtendedForms()).Select(xs, ys)
-		b, err2 := NewSelector(forms).Select(xs, ys)
+		a, err1 := best(ExtendedForms(), xs, ys)
+		b, err2 := best(forms, xs, ys)
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}
 		if a.Model.Name() != b.Model.Name() {
 			return false
 		}
-		ca, err1 := NewSelector(ExtendedForms()).SelectCV(xs, ys)
-		cb, err2 := NewSelector(forms).SelectCV(xs, ys)
+		ca, err1 := bestCV(ExtendedForms(), xs, ys)
+		cb, err2 := bestCV(forms, xs, ys)
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}
@@ -239,13 +246,12 @@ func TestSelectorNearTieOrderIndependence(t *testing.T) {
 	}
 	var names []string
 	for _, fs := range orders {
-		s := NewSelector(fs)
-		s.SetTieTolerance(0.5) // huge: everything ties, tie-break decides
-		r, err := s.Select(xs, ys)
+		tab, err := FitAll(fs, xs, ys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		names = append(names, r.Model.Name())
+		// A huge tolerance: everything ties and the tie-break decides.
+		names = append(names, tab.Fits[tiedBest(tab, bySSE(tab), 0.5)].Model.Name())
 	}
 	for _, n := range names[1:] {
 		if n != names[0] {
@@ -267,9 +273,8 @@ func TestSelectorDeterminismProperty(t *testing.T) {
 		for i := range ys {
 			ys[i] = r.Float64() * 10
 		}
-		s := NewSelector(nil)
-		a, err1 := s.Select(xs, ys)
-		b, err2 := s.Select(xs, ys)
+		a, err1 := best(nil, xs, ys)
+		b, err2 := best(nil, xs, ys)
 		if err1 != nil || err2 != nil {
 			return err1 != nil && err2 != nil
 		}

@@ -16,18 +16,14 @@ func TestSelectCVRejectsOverfittingQuadratic(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = (1e9 + 4e8*math.Log(x)) * (1 + 0.01*math.Sin(x))
 	}
-	sel := NewSelector(ExtendedForms())
-	plain, err := sel.Select(xs, ys)
+	tab, err := FitAll(ExtendedForms(), xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Model.Name() != "quadratic" {
+	if plain := tab.Best(); plain.Model.Name() != "quadratic" {
 		t.Logf("note: plain selection picked %s (quadratic not strictly best here)", plain.Model.Name())
 	}
-	cv, err := sel.SelectCV(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cv := tab.BestCV()
 	if cv.Model.Name() == "quadratic" {
 		t.Errorf("LOOCV selected the overfitting quadratic")
 	}
@@ -49,13 +45,12 @@ func TestSelectCVRecoversTrueForm(t *testing.T) {
 		"logarithmic": func(x float64) float64 { return 3 + 2*math.Log(x) },
 		"exponential": func(x float64) float64 { return 4 * math.Exp(-x/4096) },
 	}
-	sel := NewSelector(nil)
 	for want, gen := range gens {
 		ys := make([]float64, len(xs))
 		for i, x := range xs {
 			ys[i] = gen(x)
 		}
-		r, err := sel.SelectCV(xs, ys)
+		r, err := bestCV(nil, xs, ys)
 		if err != nil {
 			t.Fatalf("%s: %v", want, err)
 		}
@@ -66,8 +61,7 @@ func TestSelectCVRecoversTrueForm(t *testing.T) {
 }
 
 func TestSelectCVFallsBackOnTwoPoints(t *testing.T) {
-	sel := NewSelector(nil)
-	r, err := sel.SelectCV([]float64{1, 2}, []float64{3, 3})
+	r, err := bestCV(nil, []float64{1, 2}, []float64{3, 3})
 	if err != nil {
 		t.Fatalf("SelectCV: %v", err)
 	}
@@ -77,11 +71,10 @@ func TestSelectCVFallsBackOnTwoPoints(t *testing.T) {
 }
 
 func TestSelectCVErrors(t *testing.T) {
-	sel := NewSelector(nil)
-	if _, err := sel.SelectCV(nil, nil); err == nil {
+	if _, err := bestCV(nil, nil, nil); err == nil {
 		t.Error("empty series accepted")
 	}
-	if _, err := sel.SelectCV([]float64{1, 2}, []float64{1}); err == nil {
+	if _, err := bestCV(nil, []float64{1, 2}, []float64{1}); err == nil {
 		t.Error("mismatched series accepted")
 	}
 }
@@ -99,8 +92,7 @@ func TestSelectCVSelfConsistencyProperty(t *testing.T) {
 		for i, x := range xs {
 			ys[i] = a + b*x // linear law
 		}
-		sel := NewSelector(ExtendedForms())
-		res, err := sel.SelectCV(xs, ys)
+		res, err := bestCV(ExtendedForms(), xs, ys)
 		if err != nil {
 			return false
 		}
@@ -113,5 +105,57 @@ func TestSelectCVSelfConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// subsetOnly is a form that fits like Linear on leave-one-out subsets but
+// not on the full four-point series: there it is not applicable, or (nan)
+// its model is NaN at every input. Its models report no parameters, so it
+// wins every leave-one-out tie on parsimony.
+type subsetOnly struct{ nan bool }
+
+func (subsetOnly) Name() string { return "subset-only" }
+
+func (s subsetOnly) Fit(xs, ys []float64) (Model, error) {
+	m, err := Linear{}.Fit(xs, ys)
+	if err != nil {
+		return nil, err
+	}
+	if len(xs) < 4 {
+		return &paramModel{name: "subset-only", eval: func(_ []float64, x float64) float64 { return m.Eval(x) }}, nil
+	}
+	if !s.nan {
+		return nil, ErrNotApplicable
+	}
+	return &paramModel{name: "subset-only", eval: func([]float64, float64) float64 { return math.NaN() }}, nil
+}
+
+// A form that fits every leave-one-out subset but not the full series is
+// not in the fit table, so the leave-one-out rule does not score it: the
+// winner is a table form with the table's finite metrics. A rule that
+// scored it would pick it (it ties linear on score and wins on
+// parsimony), then fail to refit it, or return it with NaN metrics.
+func TestBestCVScoresOnlyTableForms(t *testing.T) {
+	xs := []float64{128, 256, 512, 1024}
+	ys := []float64{7, 9, 13, 21}
+	for _, nan := range []bool{false, true} {
+		tab, err := FitAll(append(CanonicalForms(), subsetOnly{nan: nan}), xs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := fitOf(tab, "subset-only"); ok {
+			t.Fatalf("nan=%v: the fit table holds a form that does not fit the full series", nan)
+		}
+		got := tab.BestCV()
+		want, ok := fitOf(tab, got.Form.Name())
+		if !ok || got.Model != want.Model {
+			t.Fatalf("nan=%v: BestCV returned %s, not a table entry", nan, got.Model.Name())
+		}
+		if got.Model.Name() != "linear" {
+			t.Errorf("nan=%v: BestCV picked %s, want linear (the exact line)", nan, got.Model.Name())
+		}
+		if math.IsNaN(got.SSE) || math.IsNaN(got.RMSE) || math.IsNaN(got.R2) {
+			t.Errorf("nan=%v: BestCV metrics SSE %g RMSE %g R2 %g, want finite", nan, got.SSE, got.RMSE, got.R2)
+		}
 	}
 }

@@ -2,14 +2,15 @@
 // selection with Bayesian posterior model averaging, following the
 // Bayesian-inference performance-prediction line of work (PAPERS.md).
 //
-// For each feature-vector element series the package fits every canonical
-// form, converts each fit's residuals into an approximate marginal
-// likelihood via the BIC/Laplace approximation, and weights the forms by
-// their posterior probability. The extrapolated element becomes the
-// weighted mixture mean, and the mixture's predictive variance — the
-// weighted sum of each form's own predictive variance plus the
-// between-form disagreement — quantifies how wrong the point estimate can
-// be at the target count. Quantiles of a Student-t with the residual
+// For each feature-vector element series the package reads every
+// canonical form's fit from the series' fit table (stats.FitAll, the same
+// table the point selection reads), converts each fit's residuals into an
+// approximate marginal likelihood via the BIC/Laplace approximation, and
+// weights the forms by their posterior probability. The extrapolated
+// element becomes the weighted mixture mean, and the mixture's predictive
+// variance — the weighted sum of each form's own predictive variance plus
+// the between-form disagreement — quantifies how wrong the point estimate
+// can be at the target count. Quantiles of a Student-t with the residual
 // degrees of freedom turn that variance into prediction intervals; with
 // the paper's three input counts the dof is 1, which correctly yields the
 // very wide tails a two-point residual estimate deserves.
@@ -92,19 +93,14 @@ func (e *Estimate) Top() string {
 	return e.Forms[0].Form
 }
 
-// Average fits every form to the series and returns the posterior
-// model-averaged prediction at x. The forms slice may be nil (the
-// paper's four canonical forms). At least two observations are required;
-// forms not applicable to the data are skipped, and an error is returned
-// only when no form fits at all.
-func Average(forms []stats.Form, xs, ys []float64, x float64) (*Estimate, error) {
+// Average returns the posterior model-averaged prediction at x over the
+// forms of a series' fit table (stats.FitAll); it fits nothing itself. At
+// least two observations are required; forms whose prediction at x is not
+// finite are left out, and an error is returned only when none is left.
+func Average(t stats.Table, x float64) (*Estimate, error) {
+	xs, ys := t.Xs, t.Ys
 	if len(xs) != len(ys) || len(xs) < 2 {
 		return nil, fmt.Errorf("uncert: need at least 2 paired observations, have %d/%d", len(xs), len(ys))
-	}
-	sel := stats.NewSelector(forms)
-	all, err := sel.FitAll(xs, ys)
-	if err != nil {
-		return nil, err
 	}
 	n := float64(len(xs))
 
@@ -123,9 +119,9 @@ func Average(forms []stats.Form, xs, ys []float64, x float64) (*Estimate, error)
 		fit  stats.FitResult
 		bic  float64
 	}
-	cands := make([]cand, 0, len(all))
+	cands := make([]cand, 0, len(t.Fits))
 	minBIC := math.Inf(1)
-	for name, fit := range all {
+	for _, fit := range t.Fits {
 		pred := fit.Model.Eval(x)
 		if math.IsNaN(pred) || math.IsInf(pred, 0) {
 			continue
@@ -136,7 +132,7 @@ func Average(forms []stats.Form, xs, ys []float64, x float64) (*Estimate, error)
 			sse = sseFloor
 		}
 		bic := n*math.Log(sse/n) + k*math.Log(n)
-		cands = append(cands, cand{name: name, fit: fit, bic: bic})
+		cands = append(cands, cand{name: fit.Form.Name(), fit: fit, bic: bic})
 		if bic < minBIC {
 			minBIC = bic
 		}
@@ -144,9 +140,9 @@ func Average(forms []stats.Form, xs, ys []float64, x float64) (*Estimate, error)
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("uncert: no form yields a finite prediction at x=%g", x)
 	}
-	// FitAll returns a map, so fix the candidate order before any sum:
-	// floating-point addition is not associative, and summing in map
-	// order would move the weights by an ulp from run to run.
+	// Fix the candidate order by name before any sum: floating-point
+	// addition is not associative, and the weights must not depend on the
+	// order the forms were given in.
 	sort.Slice(cands, func(i, j int) bool { return cands[i].name < cands[j].name })
 	// Posterior weights with a uniform prior: w ∝ exp(-ΔBIC/2).
 	total := 0.0
@@ -193,7 +189,12 @@ func Average(forms []stats.Form, xs, ys []float64, x float64) (*Estimate, error)
 		d := f.Mean - est.Mean
 		est.Var += f.Weight * (f.Var + d*d)
 	}
-	kTop := len(all[kept[0].Form].Model.Params())
+	kTop := 0
+	for _, c := range cands {
+		if c.name == kept[0].Form {
+			kTop = len(c.fit.Model.Params())
+		}
+	}
 	est.Dof = len(xs) - kTop
 	if est.Dof < 1 {
 		est.Dof = 1

@@ -8,6 +8,15 @@ import (
 	"tracex/internal/stats"
 )
 
+// averageSeries builds the series' fit table and averages it at x.
+func averageSeries(forms []stats.Form, xs, ys []float64, x float64) (*Estimate, error) {
+	tab, err := stats.FitAll(forms, xs, ys)
+	if err != nil {
+		return nil, err
+	}
+	return Average(tab, x)
+}
+
 func TestTQuantileKnownValues(t *testing.T) {
 	cases := []struct {
 		dof   int
@@ -43,7 +52,7 @@ func TestTQuantileKnownValues(t *testing.T) {
 func TestAverageWeightsSumToOne(t *testing.T) {
 	xs := []float64{4, 8, 16, 32}
 	ys := []float64{10.1, 19.8, 40.3, 79.9} // noisy linear
-	est, err := Average(nil, xs, ys, 128)
+	est, err := averageSeries(nil, xs, ys, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +75,7 @@ func TestAverageLinearSeriesFavorsLinear(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = 3 + 2*x + rng.NormFloat64()*0.05
 	}
-	est, err := Average(nil, xs, ys, 256)
+	est, err := averageSeries(nil, xs, ys, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +94,7 @@ func TestAverageLinearSeriesFavorsLinear(t *testing.T) {
 func TestAverageConstantSeries(t *testing.T) {
 	xs := []float64{4, 8, 16}
 	ys := []float64{5, 5, 5}
-	est, err := Average(nil, xs, ys, 1024)
+	est, err := averageSeries(nil, xs, ys, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +113,7 @@ func TestAverageConstantSeries(t *testing.T) {
 func TestAverageOrderInvariant(t *testing.T) {
 	xs := []float64{4, 8, 16, 32}
 	ys := []float64{2.2, 3.1, 3.9, 5.2}
-	a, err := Average(stats.ExtendedForms(), xs, ys, 512)
+	a, err := averageSeries(stats.ExtendedForms(), xs, ys, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +121,7 @@ func TestAverageOrderInvariant(t *testing.T) {
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
-	b, err := Average(rev, xs, ys, 512)
+	b, err := averageSeries(rev, xs, ys, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +166,7 @@ func TestAverageBetweenModelSpreadWidens(t *testing.T) {
 	// predictive variance because the two disagree there.
 	xs := []float64{8, 16, 32}
 	ys := []float64{3.0, 3.6, 4.25}
-	est, err := Average(nil, xs, ys, 4096)
+	est, err := averageSeries(nil, xs, ys, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,8 @@ const (
 	// replication progress on a fleet-configured daemon.
 	PathFleetStatus = "/v1/fleet/status"
 	// PathFleetSync is the warm-start replication diff: the requester posts
-	// the store keys it has and receives the entries the responder holds
-	// beyond them.
+	// the content hashes of the signatures it has and receives the entries
+	// the responder holds beyond them.
 	PathFleetSync = "/v1/fleet/sync"
 	PathHealthz   = "/healthz"
 	PathReadyz    = "/readyz"
@@ -307,8 +307,10 @@ type FleetReplication struct {
 	Errors uint64 `json:"errors"`
 }
 
-// FleetSyncRequest is the body of POST /v1/fleet/sync: the triple keys
-// ("app@cores@machine") the requester already stores.
+// FleetSyncRequest is the body of POST /v1/fleet/sync: the content hashes
+// of the signatures the requester already stores. (Nodes built before
+// replication went per identity sent "app@cores@machine" triple keys
+// here; those match no hash, so such a requester is offered every entry.)
 type FleetSyncRequest struct {
 	Have []string `json:"have,omitempty"`
 }

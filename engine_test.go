@@ -687,9 +687,10 @@ func TestPredictRequestVariants(t *testing.T) {
 // TestPredictWarmAllocs gates the warm predict path deterministically: a
 // stencil3d@1024 predict from a cached signature and profile compiles the
 // communication program and replays it in a bounded number of allocations,
-// none per rank, event or message, and in at most 2 MB. It measures ~95
-// allocations and ~1.4 MB; a program whose rank traces grew by append made
-// ~5,500 allocations, and compiling a materialized []mpi.Event took 4.2 MB.
+// none per rank, event or message, and in at most 1.21 MB. It measures ~66
+// allocations and ~1.05 MB. A program whose rank traces grew by append made
+// ~5,500 allocations; compiling a materialized []mpi.Event took 4.2 MB, and
+// matching Builder messages through per-source endpoint buckets ~1.4 MB.
 func TestPredictWarmAllocs(t *testing.T) {
 	app := testApp(t, "stencil3d")
 	target, err := LoadMachine("bluewaters")
@@ -720,8 +721,10 @@ func TestPredictWarmAllocs(t *testing.T) {
 		predict()
 	}
 	runtime.ReadMemStats(&after)
-	if perPredict := (after.TotalAlloc - before.TotalAlloc) / 3; perPredict > 2_000_000 {
-		t.Errorf("warm stencil3d@1024 predict allocated %d bytes, want ≤ 2 MB", perPredict)
+	perPredict := (after.TotalAlloc - before.TotalAlloc) / 3
+	t.Logf("warm stencil3d@1024 predict: %.0f allocations, %d bytes", allocs, perPredict)
+	if perPredict > 1_210_000 {
+		t.Errorf("warm stencil3d@1024 predict allocated %d bytes, want ≤ 1.21 MB", perPredict)
 	}
 }
 

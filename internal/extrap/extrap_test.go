@@ -284,3 +284,26 @@ func TestEndToEndInfluentialElementError(t *testing.T) {
 		}
 	}
 }
+
+// TestExtrapolateTwoInputsLeavesQuadraticOut: on two inputs, which
+// MinInputs 2 admits, the quadratic is not applicable, so every element's
+// fit table over the extended forms leaves it out instead of failing the
+// extrapolation.
+func TestExtrapolateTwoInputsLeavesQuadraticOut(t *testing.T) {
+	inputs := []*trace.Signature{synthSignature(1024), synthSignature(2048)}
+	for _, intervals := range []bool{false, true} {
+		res, err := Extrapolate(context.Background(), inputs, 8192,
+			Options{MinInputs: 2, Forms: stats.ExtendedForms(), Intervals: intervals})
+		if err != nil {
+			t.Fatalf("intervals %t: %v", intervals, err)
+		}
+		if len(res.Fits) == 0 {
+			t.Fatalf("intervals %t: no element fits", intervals)
+		}
+		for _, f := range res.Fits {
+			if _, weighted := f.Weights["quadratic"]; f.Form == "quadratic" || weighted {
+				t.Errorf("intervals %t: %s picked or weighted the quadratic on two points", intervals, f.Element)
+			}
+		}
+	}
+}

@@ -8,6 +8,7 @@ package machine
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"tracex/internal/cache"
@@ -112,16 +113,45 @@ func (c Config) Validate() error {
 // simulations and therefore produce identical profiles and signatures,
 // which makes the fingerprint a safe memoization key — unlike Name alone,
 // which ad-hoc configs may share while differing in geometry.
+//
+// Store keys hash it, so its text is fixed: what
+// fmt.Sprintf("%s|%g|%v|%g|%g|%g|%g|%g|%t|%+v", c.Name, c.ClockGHz,
+// c.CacheLatency, c.MemLatencyCycles, c.MemBandwidthGBs, c.FLOPsPerCycle,
+// c.IssueWidth, c.MLP, c.Prefetch, c.Network) followed by "|%+v" of each
+// cache level prints. It is written with strconv, which formats a float as
+// %g does, because a memory hit and every predict compute it.
 func (c Config) Fingerprint() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s|%g|%v|%g|%g|%g|%g|%g|%t|%+v",
-		c.Name, c.ClockGHz, c.CacheLatency, c.MemLatencyCycles, c.MemBandwidthGBs,
-		c.FLOPsPerCycle, c.IssueWidth, c.MLP, c.Prefetch, c.Network)
-	for _, lv := range c.Caches {
-		fmt.Fprintf(&sb, "|%+v", lv)
+	var buf [320]byte
+	b := append(buf[:0], c.Name...)
+	b = appendG(append(b, '|'), c.ClockGHz)
+	b = append(b, "|["...)
+	for i, v := range c.CacheLatency {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = appendG(b, v)
 	}
-	return sb.String()
+	b = append(b, ']')
+	for _, v := range [...]float64{c.MemLatencyCycles, c.MemBandwidthGBs, c.FLOPsPerCycle, c.IssueWidth, c.MLP} {
+		b = appendG(append(b, '|'), v)
+	}
+	b = strconv.AppendBool(append(b, '|'), c.Prefetch)
+	b = appendG(append(b, "|{LatencyUS:"...), c.Network.LatencyUS)
+	b = appendG(append(b, " BandwidthGBs:"...), c.Network.BandwidthGBs)
+	b = appendG(append(b, " OverheadUS:"...), c.Network.OverheadUS)
+	b = append(b, '}')
+	for _, lv := range c.Caches {
+		b = append(append(b, "|{Name:"...), lv.Name...)
+		b = strconv.AppendInt(append(b, " SizeBytes:"...), int64(lv.SizeBytes), 10)
+		b = strconv.AppendInt(append(b, " Assoc:"...), int64(lv.Assoc), 10)
+		b = strconv.AppendInt(append(b, " LineSize:"...), int64(lv.LineSize), 10)
+		b = append(b, '}')
+	}
+	return string(b)
 }
+
+// appendG appends v as %g formats it.
+func appendG(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }
 
 // FLOPSPerSecond returns the peak floating-point rate per core in FLOP/s.
 func (c Config) FLOPSPerSecond() float64 { return c.ClockGHz * 1e9 * c.FLOPsPerCycle }

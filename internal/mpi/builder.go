@@ -18,9 +18,10 @@ type Builder struct {
 	n     int
 	ranks [][]Event
 	err   error
-	// c, while non-nil, takes the events instead of ranks: its dry run
-	// counts each event, and once sized it compiles each one.
-	c *compiler
+	// c, while non-nil, takes each pattern call instead of ranks: its dry
+	// run checks the call and counts its ops, and once sized it compiles
+	// the call.
+	c *patterns
 }
 
 // NewBuilder returns a Builder for an application with n ranks.
@@ -44,39 +45,34 @@ func (b *Builder) fail(format string, args ...any) {
 }
 
 // add appends e to rank r's trace after checking it as Program.Validate
-// does; an invalid event becomes the sticky error. A dry run only counts
-// the event, unchecked, and a compiling builder compiles it instead.
+// does; an invalid event becomes the sticky error.
 func (b *Builder) add(r int, e Event) {
-	switch {
-	case b.err != nil:
-	case b.c == nil:
-		if err := e.Validate(r, b.n); err != nil {
-			b.fail("mpi: rank %d event %d: %w", r, len(b.ranks[r]), err)
-			return
-		}
-		b.ranks[r] = append(b.ranks[r], e)
-	case !b.c.sized:
-		b.c.count(r, e.Kind, e.Peer)
-	default:
-		b.err = b.c.event(r, &e)
+	if b.err != nil {
+		return
 	}
+	if err := e.Validate(r, b.n); err != nil {
+		b.err = eventError(r, len(b.ranks[r]), err)
+		return
+	}
+	b.ranks[r] = append(b.ranks[r], e)
 }
 
 // BuildProgram builds the n-rank program that build describes through the
 // Builder's patterns, with every rank's events in one exactly sized array.
-// It calls build twice: a dry run that counts each rank's events, then a
-// fill that checks each event and appends it into the array, so no rank's
-// trace grows by append. build must describe the same program on both
-// calls; a fill that departs from its dry run's counts is an error.
-// Compile compiles the same description without materializing the events.
+// It calls build twice: Compile's dry run, which checks each pattern call
+// and counts each rank's events, then a fill that checks each event and
+// appends it into the array, so no rank's trace grows by append. build
+// must describe the same program on both calls; a fill that departs from
+// its dry run's counts is an error. Compile compiles the same description
+// without materializing the events.
 func BuildProgram(app string, n int, build func(*Builder)) (*Program, error) {
 	b := NewBuilder(app, n)
 	if b.err != nil {
 		return nil, b.err
 	}
-	b.c = newCompiler(app, n)
+	b.c = newPatterns(app, n)
 	build(b)
-	counts := b.c.out.Off[1:]
+	counts := b.c.at
 	b.c = nil
 	if b.err != nil {
 		return nil, b.err
@@ -111,12 +107,23 @@ func (b *Builder) Compute(r int, blockID uint64, share float64) *Builder {
 		b.fail("mpi: compute on rank %d of %d", r, b.n)
 		return b
 	}
+	if b.c != nil {
+		b.err = b.c.compute(r, r+1, blockID, share)
+		return b
+	}
 	b.add(r, Event{Kind: Compute, BlockID: blockID, Share: share})
 	return b
 }
 
 // ComputeAll appends the same compute segment on every rank.
 func (b *Builder) ComputeAll(blockID uint64, share float64) *Builder {
+	if b.err != nil {
+		return b
+	}
+	if b.c != nil {
+		b.err = b.c.compute(0, b.n, blockID, share)
+		return b
+	}
 	for r := 0; r < b.n; r++ {
 		b.Compute(r, blockID, share)
 	}
@@ -133,6 +140,10 @@ func (b *Builder) SendRecv(src, dst, tag int, bytes uint64) *Builder {
 		b.fail("mpi: bad message %d→%d in %d ranks", src, dst, n)
 		return b
 	}
+	if b.c != nil {
+		b.err = b.c.sendRecv(src, dst, bytes)
+		return b
+	}
 	b.add(src, Event{Kind: Send, Peer: dst, Tag: tag, Bytes: bytes})
 	b.add(dst, Event{Kind: Recv, Peer: src, Tag: tag, Bytes: bytes})
 	return b
@@ -145,6 +156,10 @@ func (b *Builder) Collective(kind EventKind, root int, bytes uint64) *Builder {
 	}
 	if !kind.IsCollective() {
 		b.fail("mpi: %s is not a collective", kind)
+		return b
+	}
+	if b.c != nil {
+		b.err = b.c.collective(kind, root, bytes)
 		return b
 	}
 	for r := 0; r < b.n; r++ {
@@ -251,6 +266,10 @@ func (b *Builder) HaloExchange3D(g Grid3D, faceBytes uint64, baseTag int) *Build
 	if b.err != nil || !b.checkGrid(g) {
 		return b
 	}
+	if b.c != nil {
+		b.err = b.c.halo(g, faceBytes)
+		return b
+	}
 	for r := 0; r < g.Size(); r++ {
 		peers := g.faceNeighbors(r)
 		for di, peer := range peers {
@@ -268,6 +287,10 @@ func (b *Builder) HaloExchange3D(g Grid3D, faceBytes uint64, baseTag int) *Build
 // request — the overlap-friendly pattern production stencil codes use.
 func (b *Builder) HaloExchange3DNonblocking(g Grid3D, faceBytes uint64, baseTag int) *Builder {
 	if b.err != nil || !b.checkGrid(g) {
+		return b
+	}
+	if b.c != nil {
+		b.err = b.c.haloNonblocking(g, faceBytes)
 		return b
 	}
 	for r := 0; r < g.Size(); r++ {
@@ -303,6 +326,10 @@ func (b *Builder) Ring(bytes uint64, tag int) *Builder {
 	n := b.n
 	if n < 2 {
 		return b // a 1-rank ring is a no-op
+	}
+	if b.c != nil {
+		b.err = b.c.ring(bytes)
+		return b
 	}
 	for r := 0; r < n; r++ {
 		b.SendRecv(r, (r+1)%n, tag, bytes)

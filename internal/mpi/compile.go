@@ -29,15 +29,17 @@ type BlockShare struct {
 
 // Compiled is a valid program compiled for replay: every rank's events as
 // ops, rank-major in one array, with the point-to-point matching resolved
-// into dense message slots.
+// into message slots.
 //
 // MPI matches the k-th receive posted on a (src, dst, tag) channel with the
 // k-th message sent on it. In a program every channel has one sender, which
 // issues its sends in program order, and one receiver, which posts its
 // Recv/Irecv events in program order, so that pairing is fixed before any
-// replay runs. The channels are laid out one after another in (src, dst,
-// tag) order, and the k-th send and the k-th receive of a channel share
-// slot base(channel)+k.
+// replay runs. Program.Compile lays the channels out one after another in
+// (src, dst, tag) order, and the k-th send and the k-th receive of a
+// channel share slot base(channel)+k. Compile gives each message the next
+// slot as a Builder pattern writes its two ops, and a non-blocking halo
+// exchange a block of six slots per rank, so its slots may leave gaps.
 type Compiled struct {
 	// App names the application the program represents.
 	App string
@@ -46,8 +48,11 @@ type Compiled struct {
 	Off []int
 	// Computes holds the distinct (block, share) pairs of the compute ops.
 	Computes []BlockShare
-	// Messages is the number of point-to-point messages, one per slot.
+	// Messages is the number of point-to-point messages.
 	Messages int
+	// Slots bounds the message slots: every slot lies in [0, Slots), and
+	// each message has its own. It is Messages when the slots leave no gap.
+	Slots int
 	// Collectives is the number of collectives each rank runs.
 	Collectives int
 }
@@ -63,11 +68,10 @@ func (p *Program) Validate() error {
 }
 
 // Compile checks the program exactly as Validate does and compiles it. It
-// streams the events rank by rank through the compiler that Compile (the
-// function) runs on a Builder's patterns, so failures are reported in rank
-// order: a rank's event and request errors, then the first channel with
-// more or fewer receives than sends, then the first channel with only
-// receives, then the collective counts.
+// streams the events rank by rank through the event compiler, so failures
+// are reported in rank order: a rank's event and request errors, then the
+// first channel with more or fewer receives than sends, then the first
+// channel with only receives, then the collective counts.
 func (p *Program) Compile() (*Compiled, error) {
 	n := len(p.Ranks)
 	if n == 0 {
@@ -91,36 +95,6 @@ func (p *Program) Compile() (*Compiled, error) {
 		if err := c.unwaited(); err != nil {
 			return nil, err
 		}
-	}
-	return c.finish()
-}
-
-// Compile compiles the n-rank program that build describes through the
-// Builder's patterns, without materializing its events. Like BuildProgram
-// it calls build twice: a dry run that counts each rank's events and each
-// source rank's messages, then a pass that checks every event once with
-// Event.Validate and writes it as an op. build must describe the same
-// program on both calls; a second pass that departs from its dry run's
-// counts is an error.
-func Compile(app string, n int, build func(*Builder)) (*Compiled, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("mpi: builder needs ≥1 rank, got %d", n)
-	}
-	c := newCompiler(app, n)
-	b := &Builder{app: app, n: n, c: c}
-	build(b)
-	if b.err != nil {
-		return nil, b.err
-	}
-	if err := c.sizeUp(); err != nil {
-		return nil, err
-	}
-	build(b)
-	if b.err != nil {
-		return nil, b.err
-	}
-	if err := c.unwaited(); err != nil {
-		return nil, err
 	}
 	return c.finish()
 }
@@ -157,9 +131,8 @@ type request struct {
 // source's bucket, its request pairing and its collective. finish then
 // matches the channels bucket by bucket.
 type compiler struct {
-	out   *Compiled
-	n     int
-	sized bool
+	out *Compiled
+	n   int
 	// sendOff[src] and recvOff[src] start the buckets of the sends and the
 	// receives on channels from src, once sized; they count them before.
 	sendOff, recvOff []int
@@ -168,16 +141,12 @@ type compiler struct {
 	at, sendAt, recvAt []int
 	sends, recvs       []endpoint
 	// pending holds the outstanding requests. A rank keeps few outstanding
-	// (a Builder halo exchange at most twelve) and the patterns finish one
-	// rank's before posting another's, so a scan beats hashing.
-	pending []request
-	colls   []int // collectives per rank
-	// lastKey and last cache the compute pair interned last: a pattern
-	// emits one pair on rank after rank. The zero key is no valid pair,
-	// since a share must be positive.
-	lastKey [2]uint64
-	last    uint64
-	index   map[[2]uint64]uint64
+	// (a Builder halo exchange at most twelve), and Program.Compile
+	// reports a rank's unwaited ones before it reads the next rank, so a
+	// scan beats hashing.
+	pending  []request
+	colls    []int // collectives per rank
+	computes computeIndex
 }
 
 func newCompiler(app string, n int) *compiler {
@@ -223,37 +192,25 @@ func (c *compiler) sizeUp() error {
 	copy(c.at, off)
 	copy(c.sendAt, c.sendOff)
 	copy(c.recvAt, c.recvOff)
-	c.sized = true
 	return nil
-}
-
-// departs reports a compiling pass whose events on rank r, or whose
-// messages from it, are not the ones its dry run counted.
-func (c *compiler) departs(r int) error {
-	return fmt.Errorf("mpi: building %s: rank %d departs from its dry run", c.out.App, r)
 }
 
 // event is the compiling pass's view of event e of rank r.
 func (c *compiler) event(r int, e *Event) error {
 	i := c.at[r]
-	if i == c.out.Off[r+1] {
-		return c.departs(r)
-	}
 	if err := e.Validate(r, c.n); err != nil {
-		return fmt.Errorf("mpi: rank %d event %d: %w", r, i-c.out.Off[r], err)
+		return eventError(r, i-c.out.Off[r], err)
 	}
 	op := Op{Kind: e.Kind, Slot: -1, Arg: e.Bytes}
 	switch e.Kind {
 	case Compute:
-		op.Arg = c.compute(e.BlockID, e.Share)
+		op.Arg = c.computes.intern(c.out, e.BlockID, e.Share)
 	case Send, Isend:
-		if !place(c.sends, c.sendAt, c.sendOff, r, endpoint{dst: int32(e.Peer), ev: int32(i), tag: e.Tag}) {
-			return c.departs(r)
-		}
+		c.sends[c.sendAt[r]] = endpoint{dst: int32(e.Peer), ev: int32(i), tag: e.Tag}
+		c.sendAt[r]++
 	case Recv, Irecv:
-		if !place(c.recvs, c.recvAt, c.recvOff, e.Peer, endpoint{dst: int32(r), ev: int32(i), tag: e.Tag}) {
-			return c.departs(r)
-		}
+		c.recvs[c.recvAt[e.Peer]] = endpoint{dst: int32(r), ev: int32(i), tag: e.Tag}
+		c.recvAt[e.Peer]++
 	case Wait:
 		k := c.findRequest(r, e.Request)
 		if k < 0 {
@@ -281,34 +238,34 @@ func (c *compiler) event(r int, e *Event) error {
 	return nil
 }
 
-// place puts p in the bucket of source rank src, reporting false when the
-// bucket is already as full as the dry run counted.
-func place(eps []endpoint, at, off []int, src int, p endpoint) bool {
-	if at[src] == off[src+1] {
-		return false
-	}
-	eps[at[src]] = p
-	at[src]++
-	return true
+// computeIndex interns the (block, share) pairs of a program's compute
+// ops into its Computes.
+type computeIndex struct {
+	// lastKey and last cache the pair interned last: an explicit program
+	// repeats one rank's pairs on the next, in the same order. The zero key
+	// is no valid pair, since a share must be positive.
+	lastKey [2]uint64
+	last    uint64
+	index   map[[2]uint64]uint64
 }
 
-// compute interns a compute event's (block, share) pair and returns its
-// index in Computes.
-func (c *compiler) compute(block uint64, share float64) uint64 {
+// intern returns the index of the pair (block, share) in p.Computes,
+// appending it the first time.
+func (x *computeIndex) intern(p *Compiled, block uint64, share float64) uint64 {
 	key := [2]uint64{block, math.Float64bits(share)}
-	if key == c.lastKey {
-		return c.last
+	if key == x.lastKey {
+		return x.last
 	}
-	k, ok := c.index[key]
+	k, ok := x.index[key]
 	if !ok {
-		if c.index == nil {
-			c.index = make(map[[2]uint64]uint64)
+		if x.index == nil {
+			x.index = make(map[[2]uint64]uint64)
 		}
-		k = uint64(len(c.out.Computes))
-		c.index[key] = k
-		c.out.Computes = append(c.out.Computes, BlockShare{BlockID: block, Share: share})
+		k = uint64(len(p.Computes))
+		x.index[key] = k
+		p.Computes = append(p.Computes, BlockShare{BlockID: block, Share: share})
 	}
-	c.lastKey, c.last = key, k
+	x.lastKey, x.last = key, k
 	return k
 }
 
@@ -341,15 +298,9 @@ func (c *compiler) unwaited() error {
 	return fmt.Errorf("mpi: rank %d finishes with %d unwaited requests", r, k)
 }
 
-// finish checks that the compiling pass filled what its dry run counted,
-// matches the channels and checks the collective counts.
+// finish matches the channels and checks the collective counts.
 func (c *compiler) finish() (*Compiled, error) {
 	p := c.out
-	for r := 0; r < c.n; r++ {
-		if c.at[r] != p.Off[r+1] || c.sendAt[r] != c.sendOff[r+1] || c.recvAt[r] != c.recvOff[r+1] {
-			return nil, c.departs(r)
-		}
-	}
 	if err := c.match(); err != nil {
 		return nil, err
 	}
@@ -359,6 +310,7 @@ func (c *compiler) finish() (*Compiled, error) {
 		}
 	}
 	p.Messages, p.Collectives = len(c.sends), c.colls[0]
+	p.Slots = p.Messages
 	return p, nil
 }
 

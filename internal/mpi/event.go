@@ -122,6 +122,13 @@ func (e *Event) Validate(self, n int) error {
 	return nil
 }
 
+// eventError reports that Event.Validate rejected event i of rank r. The
+// appending Builder, the pattern compiler and the event compiler all give
+// an invalid event this text.
+func eventError(r, i int, err error) error {
+	return fmt.Errorf("mpi: rank %d event %d: %w", r, i, err)
+}
+
 // Program is a complete replayable application: one event trace per rank.
 type Program struct {
 	// App names the application the program represents.

@@ -83,8 +83,9 @@ type Schedule struct {
 }
 
 // Compile checks prog (every check of mpi.Program.Validate) and compiles
-// it for replay, streaming its events rank by rank through the compiler
-// CompileBuild runs. It is the only validation a replay needs.
+// it for replay, streaming its events rank by rank through the event
+// compiler and its channel matcher. It is the only validation a replay
+// needs.
 func Compile(prog *mpi.Program) (*Schedule, error) {
 	c, err := prog.Compile()
 	if err != nil {
@@ -96,7 +97,8 @@ func Compile(prog *mpi.Program) (*Schedule, error) {
 // CompileBuild compiles the n-rank program that build describes straight
 // from the Builder's patterns (mpi.Compile), without materializing its
 // events. The schedule is the one Compile makes of mpi.BuildProgram's
-// program for the same description.
+// program for the same description, up to a renaming of message slots, so
+// the two replay identically.
 func CompileBuild(app string, n int, build func(*mpi.Builder)) (*Schedule, error) {
 	c, err := mpi.Compile(app, n, build)
 	if err != nil {
@@ -155,8 +157,8 @@ func (s *Schedule) Replay(ctx context.Context, net Network, cost ComputeCost, tl
 	collReg := make([]int, n) // collectives rank r has registered arrival at
 	// arrivals[slot] is when the message in slot reaches its receiver, valid
 	// once ready[slot] (its send has executed).
-	arrivals := make([]float64, s.prog.Messages)
-	ready := make([]bool, s.prog.Messages)
+	arrivals := make([]float64, s.prog.Slots)
+	ready := make([]bool, s.prog.Slots)
 	// nicFree[r] is when rank r's NIC finishes injecting its previous
 	// message: consecutive sends from one rank serialize at the NIC even
 	// though the CPU only pays the per-message overhead.

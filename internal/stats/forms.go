@@ -276,7 +276,8 @@ func (Power) Fit(xs, ys []float64) (Model, error) {
 }
 
 // Quadratic fits y = a + b·x + c·x² (the paper's future-work polynomial
-// form). It needs at least three points.
+// form). It needs at least three points: on fewer it is not applicable, so
+// a fit table over a two-point series leaves it out.
 type Quadratic struct{}
 
 // Name implements Form.
@@ -284,8 +285,11 @@ func (Quadratic) Name() string { return "quadratic" }
 
 // Fit implements Form.
 func (Quadratic) Fit(xs, ys []float64) (Model, error) {
-	if err := checkSeries(xs, ys, 3); err != nil {
+	if err := checkSeries(xs, ys, 0); err != nil {
 		return nil, err
+	}
+	if len(xs) < 3 {
+		return nil, fmt.Errorf("%w: quadratic form needs at least 3 points, have %d", ErrNotApplicable, len(xs))
 	}
 	c, err := PolyFit(xs, ys, 2)
 	if err != nil {

@@ -27,8 +27,8 @@ test-race:
 
 # Short fuzz passes over the signature and reuse codecs, the wire strict
 # decoder, the program validator, the two program compile routes, the cache
-# simulator, the address generators' batch paths and the fit table rules
-# (CI runs the same smoke).
+# simulator, the address generators' batch paths and the fit table rules.
+# CI runs this target, so a new fuzz target is added here only.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSignatureDecode -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzReuseDecode -fuzztime 10s ./internal/store

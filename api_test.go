@@ -142,20 +142,6 @@ func TestClusterRanksWrapper(t *testing.T) {
 	}
 }
 
-func TestProgramWrapper(t *testing.T) {
-	app, _, _, _ := smallSetup(t)
-	prog, err := Program(app, 64)
-	if err != nil {
-		t.Fatalf("Program: %v", err)
-	}
-	if prog.NumRanks() != 64 {
-		t.Errorf("ranks: %d", prog.NumRanks())
-	}
-	if _, err := Program(app, 1); err == nil {
-		t.Error("below-range core count accepted")
-	}
-}
-
 func TestCollectInputsPropagatesErrors(t *testing.T) {
 	app, cfg, _, _ := smallSetup(t)
 	if _, err := testEngine.CollectInputs(context.Background(), app, []int{64, 1}, cfg, CollectOptions{Sampling: FixedSampling(1000, 0)}); err == nil {

@@ -359,7 +359,7 @@ func BenchmarkReplay8192Ranks(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog, err := tracex.Program(app, 8192)
+	prog, err := app.Program(8192)
 	if err != nil {
 		b.Fatal(err)
 	}

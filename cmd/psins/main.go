@@ -21,6 +21,7 @@ import (
 	"syscall"
 
 	"tracex"
+	"tracex/internal/mpi"
 	"tracex/internal/store"
 )
 
@@ -79,7 +80,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return err
 	}
 	replay := pred.Replay
-	prog, err := tracex.Program(app, *cores)
+	msgs, msgBytes, err := p2pVolume(app, *cores)
 	if err != nil {
 		return err
 	}
@@ -88,7 +89,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	fmt.Fprintf(w, "  dominant rank: compute %.2f s (mem %.2f, fp %.2f), comm %.2f s\n",
 		pred.ComputeSeconds, pred.MemSeconds, pred.FPSeconds, pred.CommSeconds)
 	fmt.Fprintf(w, "  point-to-point messages: %d (%.1f MB total)\n",
-		prog.TotalMessages(), float64(prog.TotalBytes())/1e6)
+		msgs, float64(msgBytes)/1e6)
 	// Per-class load summary.
 	type cls struct {
 		rank int
@@ -128,6 +129,27 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			re.rank, re.end, replay.ComputeTime[re.rank], replay.CommTime[re.rank])
 	}
 	return nil
+}
+
+// p2pVolume counts the point-to-point messages of app's program at cores
+// ranks and sums their payload bytes, compiling the program from its
+// patterns rather than materializing its events.
+func p2pVolume(app *tracex.App, cores int) (int, uint64, error) {
+	build, err := app.Build(cores)
+	if err != nil {
+		return 0, 0, err
+	}
+	prog, err := mpi.Compile(app.Name(), cores, build)
+	if err != nil {
+		return 0, 0, err
+	}
+	var bytes uint64
+	for _, op := range prog.Ops {
+		if op.Kind == mpi.Send || op.Kind == mpi.Isend {
+			bytes += op.Arg
+		}
+	}
+	return prog.Messages, bytes, nil
 }
 
 func fatal(err error) {

@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
+
+	"tracex"
 )
 
 func TestRunReplaysApplication(t *testing.T) {
@@ -22,6 +25,39 @@ func TestRunReplaysApplication(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRunReportsProgramVolume pins the message line, which the command
+// takes from the compiled program, to the materialized program's counts,
+// for a blocking (specfem3d) and a non-blocking (stencil3d) halo exchange.
+func TestRunReportsProgramVolume(t *testing.T) {
+	for _, name := range []string{"specfem3d", "stencil3d"} {
+		app, err := tracex.LoadApp(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := app.Program(64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs, msgBytes, err := p2pVolume(app, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msgs != prog.TotalMessages() || msgBytes != prog.TotalBytes() {
+			t.Errorf("%s: p2pVolume = %d messages, %d bytes; program has %d, %d",
+				name, msgs, msgBytes, prog.TotalMessages(), prog.TotalBytes())
+		}
+		var buf bytes.Buffer
+		if err := run(context.Background(), []string{"-app", name, "-cores", "64", "-sample", "5000"}, &buf); err != nil {
+			t.Fatalf("%s: run: %v", name, err)
+		}
+		want := fmt.Sprintf("  point-to-point messages: %d (%.1f MB total)\n",
+			prog.TotalMessages(), float64(prog.TotalBytes())/1e6)
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("%s: output missing %q:\n%s", name, want, buf.String())
 		}
 	}
 }

@@ -2,8 +2,9 @@
 // for the address streams that PEBIL instrumentation would extract from a
 // real executable: each generator models the access pattern of one kind of
 // computational kernel (unit-stride sweeps, strided sweeps, random gathers,
-// 3D stencils, particle gather/scatter) over a working set whose size is the
-// quantity that changes under strong scaling.
+// 3D stencils) over a working set whose size is the quantity that changes
+// under strong scaling, and Mix and Biased compose them into kernels such as
+// particle gather/scatter.
 //
 // Generators are deterministic: the same construction parameters produce the
 // same stream, which keeps every experiment in the repository reproducible.
@@ -36,14 +37,6 @@ type BatchGenerator interface {
 	Generator
 	// NextBatch fills dst entirely with the next len(dst) addresses.
 	NextBatch(dst []uint64)
-}
-
-// Fill appends n addresses from g to dst and returns the extended slice.
-func Fill(g Generator, dst []uint64, n int) []uint64 {
-	for i := 0; i < n; i++ {
-		dst = append(dst, g.Next())
-	}
-	return dst
 }
 
 // FillBatch fills dst entirely with the next len(dst) addresses from g,
@@ -340,81 +333,6 @@ func (s *Stencil3D) NextBatch(dst []uint64) {
 
 // Reset implements Generator.
 func (s *Stencil3D) Reset() { s.i, s.j, s.k, s.point = 0, 0, 0, 0 }
-
-// GatherScatter models particle-in-cell codes such as UH3D: a unit-stride
-// walk over a particle list interleaved with random accesses into a grid
-// array (field gather / charge deposit).
-type GatherScatter struct {
-	particles *Stride
-	grid      *Random
-	// gridRefsPerParticle random grid touches follow each particle touch.
-	gridRefs int
-	phase    int
-}
-
-// NewGatherScatter builds a gather/scatter generator: particleWS bytes of
-// sequential particle data at particleBase, gridWS bytes of randomly
-// accessed grid data at gridBase, with gridRefs grid references per
-// particle reference.
-func NewGatherScatter(particleBase, particleWS, gridBase, gridWS uint64, gridRefs int, seed int64) (*GatherScatter, error) {
-	if gridRefs < 1 {
-		return nil, fmt.Errorf("addrgen: gridRefs must be ≥1, got %d", gridRefs)
-	}
-	p, err := NewStride(particleBase, 8, particleWS)
-	if err != nil {
-		return nil, fmt.Errorf("addrgen: particle stream: %w", err)
-	}
-	g, err := NewRandom(gridBase, gridWS, 8, seed)
-	if err != nil {
-		return nil, fmt.Errorf("addrgen: grid stream: %w", err)
-	}
-	return &GatherScatter{particles: p, grid: g, gridRefs: gridRefs}, nil
-}
-
-// Name implements Generator.
-func (g *GatherScatter) Name() string { return "gatherscatter" }
-
-// WorkingSet implements Generator.
-func (g *GatherScatter) WorkingSet() uint64 {
-	return g.particles.WorkingSet() + g.grid.WorkingSet()
-}
-
-// Next implements Generator.
-func (g *GatherScatter) Next() uint64 {
-	if g.phase == 0 {
-		g.phase++
-		return g.particles.Next()
-	}
-	g.phase++
-	if g.phase > g.gridRefs {
-		g.phase = 0
-	}
-	return g.grid.Next()
-}
-
-// NextBatch implements BatchGenerator; the particle and grid sub-streams are
-// concrete types, so their Next calls devirtualize inside the loop.
-func (g *GatherScatter) NextBatch(dst []uint64) {
-	for i := range dst {
-		if g.phase == 0 {
-			g.phase++
-			dst[i] = g.particles.Next()
-			continue
-		}
-		g.phase++
-		if g.phase > g.gridRefs {
-			g.phase = 0
-		}
-		dst[i] = g.grid.Next()
-	}
-}
-
-// Reset implements Generator.
-func (g *GatherScatter) Reset() {
-	g.particles.Reset()
-	g.grid.Reset()
-	g.phase = 0
-}
 
 // Mix interleaves two generators with a deterministic duty cycle: aRefs
 // addresses from A, then bRefs from B, repeating.

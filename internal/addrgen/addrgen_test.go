@@ -144,43 +144,6 @@ func TestStencil3DErrors(t *testing.T) {
 	}
 }
 
-func TestGatherScatterDutyCycle(t *testing.T) {
-	const pBase, pWS = 0, 1 << 10
-	const gBase, gWS = 1 << 20, 1 << 12
-	g, err := NewGatherScatter(pBase, pWS, gBase, gWS, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pattern repeats 1 particle ref then 3 grid refs.
-	for cycle := 0; cycle < 50; cycle++ {
-		a := g.Next()
-		if a >= pBase+pWS {
-			t.Fatalf("cycle %d: expected particle address, got %#x", cycle, a)
-		}
-		for r := 0; r < 3; r++ {
-			a := g.Next()
-			if a < gBase || a >= gBase+gWS {
-				t.Fatalf("cycle %d ref %d: expected grid address, got %#x", cycle, r, a)
-			}
-		}
-	}
-	if got, want := g.WorkingSet(), uint64(pWS+gWS); got != want {
-		t.Errorf("WorkingSet = %d, want %d", got, want)
-	}
-}
-
-func TestGatherScatterErrors(t *testing.T) {
-	if _, err := NewGatherScatter(0, 1024, 0, 1024, 0, 1); err == nil {
-		t.Error("zero gridRefs accepted")
-	}
-	if _, err := NewGatherScatter(0, 0, 0, 1024, 1, 1); err == nil {
-		t.Error("zero particle WS accepted")
-	}
-	if _, err := NewGatherScatter(0, 1024, 0, 4, 1, 1); err == nil {
-		t.Error("tiny grid WS accepted")
-	}
-}
-
 func TestMixDutyCycle(t *testing.T) {
 	a, _ := NewStride(0, 8, 1<<10)
 	b, _ := NewStride(1<<20, 8, 1<<10)
@@ -227,18 +190,6 @@ func TestMixResetAndName(t *testing.T) {
 	}
 }
 
-func TestFill(t *testing.T) {
-	g, _ := NewStride(0, 8, 1<<10)
-	buf := Fill(g, nil, 100)
-	if len(buf) != 100 {
-		t.Fatalf("Fill produced %d addrs", len(buf))
-	}
-	buf = Fill(g, buf, 50)
-	if len(buf) != 150 {
-		t.Fatalf("Fill append produced %d addrs", len(buf))
-	}
-}
-
 // Property: every generator is deterministic — Reset replays the identical
 // prefix — and never emits addresses outside [base, base+WS) for the
 // single-region generators.
@@ -257,9 +208,10 @@ func TestGeneratorDeterminismProperty(t *testing.T) {
 			gens = append(gens, g)
 		}
 		for _, g := range gens {
-			first := Fill(g, nil, 200)
+			first, second := make([]uint64, 200), make([]uint64, 200)
+			FillBatch(g, first)
 			g.Reset()
-			second := Fill(g, nil, 200)
+			FillBatch(g, second)
 			for i := range first {
 				if first[i] != second[i] {
 					return false

@@ -22,10 +22,6 @@ func batchCases(t *testing.T) map[string][2]Generator {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gs, err := NewGatherScatter(0, 1<<12, 1<<20, 1<<14, 3, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
 		ma, _ := NewStride(0, 8, 1<<12)
 		mb, _ := NewRandom(1<<20, 1<<12, 8, 9)
 		mix, err := NewMix(ma, mb, 5, 3)
@@ -38,7 +34,7 @@ func batchCases(t *testing.T) map[string][2]Generator {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return []Generator{stride, random, stencil, gs, mix, biased}
+		return []Generator{stride, random, stencil, mix, biased}
 	}
 	a, b := mk(), mk()
 	out := make(map[string][2]Generator, len(a))

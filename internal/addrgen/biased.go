@@ -31,9 +31,6 @@ func (b *Biased) Name() string { return "biased(" + b.hot.Name() + "," + b.cold.
 // WorkingSet implements Generator.
 func (b *Biased) WorkingSet() uint64 { return b.hot.WorkingSet() + b.cold.WorkingSet() }
 
-// HotFraction returns the configured hot fraction.
-func (b *Biased) HotFraction() float64 { return b.hotFrac }
-
 // Next implements Generator.
 func (b *Biased) Next() uint64 {
 	b.acc += b.hotFrac

@@ -174,15 +174,6 @@ func NewSimulatorOpts(levels []LevelConfig, opts Options) (*Simulator, error) {
 	return sim, nil
 }
 
-// Levels returns the configured level geometries nearest-first.
-func (s *Simulator) Levels() []LevelConfig {
-	out := make([]LevelConfig, len(s.levels))
-	for i := range s.levels {
-		out[i] = s.levels[i].cfg
-	}
-	return out
-}
-
 // front locates line blk: it returns the index of its set's first way and
 // its tag, and reports whether the line is already the most recent of its
 // set, where a hit changes nothing. It is small enough to inline into both

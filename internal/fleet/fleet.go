@@ -52,6 +52,15 @@ type remote interface {
 	FleetSync(ctx context.Context, req *wire.FleetSyncRequest) (*wire.FleetSyncResponse, error)
 }
 
+const (
+	// maxFetches bounds concurrent peer fetches so a slow peer cannot
+	// starve local work.
+	maxFetches = 4
+	// fetchTimeout bounds one peer exchange, including a delegated
+	// collection on the owner.
+	fetchTimeout = 2 * time.Minute
+)
+
 // Config configures a Fleet.
 type Config struct {
 	// Self is this node's advertised base URL — its identity on the ring.
@@ -62,12 +71,6 @@ type Config struct {
 	Peers []string
 	// Mode is ModeFetch (default) or ModeRedirect.
 	Mode string
-	// MaxFetches bounds concurrent peer fetches so a slow peer cannot
-	// starve local work. Default 4.
-	MaxFetches int
-	// FetchTimeout bounds one peer exchange, including a delegated
-	// collection on the owner. Default 2 minutes.
-	FetchTimeout time.Duration
 	// Registry receives fleet.* metrics; nil disables them. Share it with
 	// the engine (tracex.WithRegistry) so one /metrics page shows both.
 	Registry *obs.Registry
@@ -87,13 +90,12 @@ type Config struct {
 // collection. All methods are safe for concurrent use; SetPeers may be
 // called at any time (SIGHUP / poll reload).
 type Fleet struct {
-	self         string
-	mode         string
-	fetchTimeout time.Duration
-	sem          chan struct{}
-	newRemote    func(base string) remote
-	now          func() time.Time
-	jitter       func(time.Duration) time.Duration
+	self      string
+	mode      string
+	sem       chan struct{}
+	newRemote func(base string) remote
+	now       func() time.Time
+	jitter    func(time.Duration) time.Duration
 
 	mu      sync.RWMutex
 	ring    *Ring
@@ -125,30 +127,21 @@ func New(cfg Config) (*Fleet, error) {
 	if mode != ModeFetch && mode != ModeRedirect {
 		return nil, fmt.Errorf("fleet: unknown shard mode %q (want %q or %q)", cfg.Mode, ModeFetch, ModeRedirect)
 	}
-	maxFetches := cfg.MaxFetches
-	if maxFetches <= 0 {
-		maxFetches = 4
-	}
-	timeout := cfg.FetchTimeout
-	if timeout <= 0 {
-		timeout = 2 * time.Minute
-	}
 	f := &Fleet{
-		self:         self,
-		mode:         mode,
-		fetchTimeout: timeout,
-		sem:          make(chan struct{}, maxFetches),
-		newRemote:    cfg.newRemote,
-		now:          cfg.now,
-		jitter:       cfg.jitter,
-		health:       map[string]*peerHealth{},
-		remotes:      map[string]remote{},
-		fetches:      cfg.Registry.Counter("fleet.peer.fetches"),
-		hits:         cfg.Registry.Counter("fleet.peer.hits"),
-		errors:       cfg.Registry.Counter("fleet.peer.errors"),
-		probations:   cfg.Registry.Counter("fleet.peer.probations"),
-		replPulled:   cfg.Registry.Counter("fleet.replication.pulled"),
-		replErrors:   cfg.Registry.Counter("fleet.replication.errors"),
+		self:       self,
+		mode:       mode,
+		sem:        make(chan struct{}, maxFetches),
+		newRemote:  cfg.newRemote,
+		now:        cfg.now,
+		jitter:     cfg.jitter,
+		health:     map[string]*peerHealth{},
+		remotes:    map[string]remote{},
+		fetches:    cfg.Registry.Counter("fleet.peer.fetches"),
+		hits:       cfg.Registry.Counter("fleet.peer.hits"),
+		errors:     cfg.Registry.Counter("fleet.peer.errors"),
+		probations: cfg.Registry.Counter("fleet.peer.probations"),
+		replPulled: cfg.Registry.Counter("fleet.replication.pulled"),
+		replErrors: cfg.Registry.Counter("fleet.replication.errors"),
 	}
 	if f.newRemote == nil {
 		// A couple of polite retries: a delegated collection can land while
@@ -265,7 +258,7 @@ func (f *Fleet) FetchSignature(ctx context.Context, app string, cores int, machi
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	ctx, cancel := context.WithTimeout(ctx, f.fetchTimeout)
+	ctx, cancel := context.WithTimeout(ctx, fetchTimeout)
 	defer cancel()
 
 	f.fetches.Inc()

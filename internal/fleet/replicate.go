@@ -95,7 +95,7 @@ func (f *Fleet) pullOne(ctx context.Context, rem remote, st *tracex.SignatureSto
 	case <-ctx.Done():
 		return "", ctx.Err()
 	}
-	ctx, cancel := context.WithTimeout(ctx, f.fetchTimeout)
+	ctx, cancel := context.WithTimeout(ctx, fetchTimeout)
 	defer cancel()
 	stored, err := rem.GetSignature(ctx, e.Hash)
 	if err != nil {

@@ -31,9 +31,6 @@ func New(cfg machine.Config) (*Model, error) {
 	return &Model{cfg: cfg, cyclesPerMemByte: clockHz / bwBytes}, nil
 }
 
-// Config returns the machine configuration the model was built for.
-func (m *Model) Config() machine.Config { return m.cfg }
-
 // Cycles returns the simulated cycle cost of the references summarized in c.
 // The cost is the maximum of a latency term — every reference pays the
 // load-to-use latency of the level that served it, overlapped by the

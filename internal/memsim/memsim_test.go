@@ -107,7 +107,8 @@ func TestBlockCyclesMatchesCycles(t *testing.T) {
 func TestBandwidthOrdering(t *testing.T) {
 	// Effective bandwidth must strictly decrease as the stream's hits move
 	// from L1 to memory.
-	m, _ := New(machine.Kraken())
+	kr := machine.Kraken()
+	m, _ := New(kr)
 	const n = 100_000
 	mk := func(l1, l2, l3, mem uint64) cache.Counters {
 		return cache.Counters{Refs: n, LevelHits: []uint64{l1, l2, l3}, MemAccesses: mem}
@@ -126,8 +127,8 @@ func TestBandwidthOrdering(t *testing.T) {
 	if bwL1 < 5 {
 		t.Errorf("L1 bandwidth %g GB/s implausibly low", bwL1)
 	}
-	if bwMem > m.Config().MemBandwidthGBs {
-		t.Errorf("memory-bound stream bandwidth %g exceeds sustained %g", bwMem, m.Config().MemBandwidthGBs)
+	if bwMem > kr.MemBandwidthGBs {
+		t.Errorf("memory-bound stream bandwidth %g exceeds sustained %g", bwMem, kr.MemBandwidthGBs)
 	}
 }
 

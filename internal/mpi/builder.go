@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Builder incrementally constructs a Program. Methods that add
 // communication patterns keep the per-rank event sequences deadlock-free
@@ -34,9 +31,6 @@ func NewBuilder(app string, n int) *Builder {
 	}
 	return b
 }
-
-// Err returns the first error encountered while building.
-func (b *Builder) Err() error { return b.err }
 
 func (b *Builder) fail(format string, args ...any) {
 	if b.err == nil {
@@ -171,9 +165,6 @@ func (b *Builder) Collective(kind EventKind, root int, bytes uint64) *Builder {
 // Allreduce appends an allreduce of the given payload on every rank.
 func (b *Builder) Allreduce(bytes uint64) *Builder { return b.Collective(Allreduce, 0, bytes) }
 
-// Barrier appends a barrier on every rank.
-func (b *Builder) Barrier() *Builder { return b.Collective(Barrier, 0, 0) }
-
 // Grid3D describes a 3D cartesian decomposition of the rank space, used to
 // generate nearest-neighbor (halo exchange) communication.
 type Grid3D struct {
@@ -218,17 +209,6 @@ func (g Grid3D) Coords(r int) (x, y, z int) {
 
 // Rank returns the rank at the given coordinates.
 func (g Grid3D) Rank(x, y, z int) int { return (z*g.Py+y)*g.Px + x }
-
-// SurfaceFraction estimates the ratio of halo surface to subdomain volume
-// for a cubic problem of total volume cells decomposed over the grid: the
-// per-rank halo bytes scale as (cells/P)^(2/3).
-func (g Grid3D) SurfaceFraction(totalCells float64) float64 {
-	per := totalCells / float64(g.Size())
-	if per <= 0 {
-		return 0
-	}
-	return math.Pow(per, 2.0/3.0) / per
-}
 
 // faceDirs are the six face-neighbor directions of a 3D grid, paired so
 // that direction di^1 is the opposite of di.
@@ -314,25 +294,6 @@ func (b *Builder) HaloExchange3DNonblocking(g Grid3D, faceBytes uint64, baseTag 
 		for q := 0; q < req; q++ {
 			b.add(r, Event{Kind: Wait, Request: q})
 		}
-	}
-	return b
-}
-
-// Ring appends a ring exchange: each rank sends bytes to (r+1) mod n.
-func (b *Builder) Ring(bytes uint64, tag int) *Builder {
-	if b.err != nil {
-		return b
-	}
-	n := b.n
-	if n < 2 {
-		return b // a 1-rank ring is a no-op
-	}
-	if b.c != nil {
-		b.err = b.c.ring(bytes)
-		return b
-	}
-	for r := 0; r < n; r++ {
-		b.SendRecv(r, (r+1)%n, tag, bytes)
 	}
 	return b
 }

@@ -191,11 +191,11 @@ func TestCompileRejectsInvalidEvents(t *testing.T) {
 		"zero coll": {2, func(b *mpi.Builder) { b.Allreduce(0) }},
 
 		"late share":            {3, func(b *mpi.Builder) { b.ComputeAll(1, 0.5).Compute(2, 1, 0) }},
-		"late bytes":            {3, func(b *mpi.Builder) { b.Ring(8, 0).SendRecv(2, 1, 0, 0) }},
+		"late bytes":            {3, func(b *mpi.Builder) { b.SendRecv(1, 2, 0, 8).SendRecv(2, 1, 0, 0) }},
 		"halo bytes":            {8, func(b *mpi.Builder) { b.ComputeAll(1, 0.5).HaloExchange3D(g8, 0, 0) }},
-		"nonblocking halo":      {8, func(b *mpi.Builder) { b.Barrier().HaloExchange3DNonblocking(g8, 0, 0) }},
-		"ring bytes":            {3, func(b *mpi.Builder) { b.Allreduce(8).Ring(0, 4) }},
-		"reduce root":           {4, func(b *mpi.Builder) { b.Barrier().Collective(mpi.Reduce, -1, 8) }},
+		"nonblocking halo":      {8, func(b *mpi.Builder) { b.Collective(mpi.Barrier, 0, 0).HaloExchange3DNonblocking(g8, 0, 0) }},
+		"bytes after allreduce": {3, func(b *mpi.Builder) { b.Allreduce(8).SendRecv(0, 1, 4, 0) }},
+		"reduce root":           {4, func(b *mpi.Builder) { b.Collective(mpi.Barrier, 0, 0).Collective(mpi.Reduce, -1, 8) }},
 		"share, then bad rank":  {2, func(b *mpi.Builder) { b.Compute(1, 1, 2).SendRecv(0, 0, 0, 8) }},
 		"halo, then bad bytes":  {8, func(b *mpi.Builder) { b.HaloExchange3DNonblocking(g8, 8, 0).SendRecv(7, 3, 0, 0) }},
 		"bad grid, then bytes":  {8, func(b *mpi.Builder) { b.HaloExchange3D(mpi.Grid3D{Px: 2, Py: 2, Pz: 1}, 8, 0).Allreduce(0) }},

@@ -1,9 +1,10 @@
 // Package mpi models the MPI layer of a parallel application as replayable
 // per-rank event traces: compute segments referencing basic blocks,
 // point-to-point messages, and collectives. It is the substrate the PSiNS
-// replay simulator consumes and the PSiNSTracer-style lightweight profiler
-// summarizes, standing in for a real MPI implementation and the paper's
-// event tracing tools.
+// replay simulator consumes, standing in for a real MPI implementation and
+// the paper's event tracing tools. The paper's lightweight profiler, which
+// finds the most computationally demanding task, is
+// trace.Signature.DominantTrace.
 package mpi
 
 import "fmt"

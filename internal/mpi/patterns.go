@@ -182,19 +182,6 @@ func (c *patterns) sendRecv(src, dst int, bytes uint64) error {
 	return c.message(src, dst, bytes)
 }
 
-// ring writes a message from every rank to the next.
-func (c *patterns) ring(bytes uint64) error {
-	if err := c.check(0, Event{Kind: Send, Peer: 1, Bytes: bytes}); err != nil {
-		return err
-	}
-	for r := 0; r < c.n; r++ {
-		if err := c.message(r, (r+1)%c.n, bytes); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // halo writes a blocking face-neighbor exchange over g: rank by rank, a
 // message to each existing neighbor, as HaloExchange3D's SendRecv calls
 // emit it.

@@ -119,7 +119,7 @@ func composeOn(b *Builder, c chooser) {
 	}
 	for step := 0; step < 1+c.Intn(6); step++ {
 		bytes := uint64(1 + c.Intn(4096))
-		switch c.Intn(8) {
+		switch c.Intn(7) {
 		case 0:
 			b.ComputeAll(uint64(1+c.Intn(4)), float64(1+c.Intn(10))/10)
 		case 1:
@@ -131,14 +131,12 @@ func composeOn(b *Builder, c chooser) {
 		case 4:
 			b.Allreduce(bytes)
 		case 5:
-			b.Ring(bytes, c.Intn(3))
-		case 6:
 			if n > 1 {
 				src := c.Intn(n)
 				dst := (src + 1 + c.Intn(n-1)) % n
 				b.SendRecv(src, dst, c.Intn(3), bytes)
 			}
-		case 7:
+		case 6:
 			kinds := []EventKind{Barrier, Bcast, Reduce, Alltoall, Allgather}
 			b.Collective(kinds[c.Intn(len(kinds))], c.Intn(n), bytes)
 		}

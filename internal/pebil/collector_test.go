@@ -245,7 +245,7 @@ func TestScratchSimulatorReuse(t *testing.T) {
 	if sim3 == sim1 {
 		t.Error("different geometry reused the simulator")
 	}
-	if got, want := len(sim3.Levels()), len(kr.Caches); got != want {
+	if got, want := len(sim3.Counters().LevelHits), len(kr.Caches); got != want {
 		t.Errorf("rebuilt simulator has %d levels, want %d", got, want)
 	}
 	// Same geometry as bw but with the prefetcher: must rebuild, not reuse.

@@ -43,12 +43,6 @@ func (n Network) SendOverhead(bytes uint64) float64 {
 // RecvOverhead is the time the receiving CPU spends completing a message.
 func (n Network) RecvOverhead() float64 { return n.overhead }
 
-// TransitTime is the wire time from injection to availability at the
-// receiver: latency plus serialization of the payload.
-func (n Network) TransitTime(bytes uint64) float64 {
-	return n.latency + float64(bytes)*n.perByte
-}
-
 // Latency is the one-way wire latency.
 func (n Network) Latency() float64 { return n.latency }
 

@@ -41,8 +41,8 @@ func TestNetworkP2PTimes(t *testing.T) {
 	}
 	// Transit = 5 µs + bytes / 2 GB/s.
 	want := 5e-6 + 2e9/(2e9)
-	if got := n.TransitTime(2e9); math.Abs(got-want) > 1e-12 {
-		t.Errorf("TransitTime = %g, want %g", got, want)
+	if got := n.SerializationTime(2e9) + n.Latency(); math.Abs(got-want) > 1e-12 {
+		t.Errorf("SerializationTime + Latency = %g, want %g", got, want)
 	}
 }
 
@@ -204,7 +204,7 @@ func TestReplayMultipleCollectives(t *testing.T) {
 		ComputeAll(1, 1).
 		Allreduce(64).
 		ComputeAll(1, 1).
-		Barrier().
+		Collective(mpi.Barrier, 0, 0).
 		ComputeAll(1, 1).
 		Build()
 	if err != nil {

@@ -25,13 +25,10 @@ func randomProgram(seed int64) (*mpi.Program, error) {
 	steps := 1 + r.Intn(4)
 	for s := 0; s < steps; s++ {
 		b.ComputeAll(uint64(r.Intn(3)+1), 1.0/float64(steps))
-		switch r.Intn(3) {
-		case 0:
+		if r.Intn(2) == 0 {
 			b.HaloExchange3D(g, uint64(r.Intn(1<<16)+1), s*100)
-		case 1:
+		} else {
 			b.HaloExchange3DNonblocking(g, uint64(r.Intn(1<<16)+1), s*100)
-		case 2:
-			b.Ring(uint64(r.Intn(1<<12)+1), s*100+7)
 		}
 		b.Allreduce(uint64(r.Intn(256) + 1))
 	}

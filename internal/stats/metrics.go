@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // AbsRelErr returns |predicted-actual| / |actual|. When actual is zero the
 // error is defined as 0 if predicted is also zero and +Inf otherwise, which
@@ -38,24 +34,6 @@ func RMSE(predicted, actual []float64) float64 {
 	return math.Sqrt(SSE(predicted, actual) / float64(len(predicted)))
 }
 
-// MAPE returns the mean absolute percentage error over the pairs, skipping
-// pairs whose actual value is zero. It returns 0 when every pair is skipped.
-func MAPE(predicted, actual []float64) float64 {
-	var sum float64
-	var n int
-	for i := range predicted {
-		if actual[i] == 0 {
-			continue
-		}
-		sum += AbsRelErr(predicted[i], actual[i])
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // Mean returns the arithmetic mean, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -67,23 +45,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Variance returns the population variance, or 0 for fewer than two values.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // R2 returns the coefficient of determination for predictions against
 // observations. A constant observation series yields R2 = 1 when matched
@@ -107,60 +68,4 @@ func R2(predicted, actual []float64) float64 {
 		return 0
 	}
 	return 1 - sse/sst
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between closest ranks. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N            int
-	Mean, StdDev float64
-	Min, Max     float64
-	Median, P95  float64
-}
-
-// Summarize computes descriptive statistics for xs.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if len(xs) == 0 {
-		return s
-	}
-	s.Mean = Mean(xs)
-	s.StdDev = StdDev(xs)
-	s.Min, s.Max = xs[0], xs[0]
-	for _, x := range xs {
-		s.Min = math.Min(s.Min, x)
-		s.Max = math.Max(s.Max, x)
-	}
-	s.Median = Percentile(xs, 50)
-	s.P95 = Percentile(xs, 95)
-	return s
-}
-
-// String renders the summary compactly for logs and experiment reports.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g med=%.4g p95=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P95, s.Max)
 }

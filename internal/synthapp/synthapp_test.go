@@ -113,8 +113,9 @@ func TestWorkDeterministic(t *testing.T) {
 		if w1[i].Refs != w2[i].Refs {
 			t.Errorf("block %d refs differ across constructions", i)
 		}
-		s1 := addrgen.Fill(w1[i].Gen, nil, 100)
-		s2 := addrgen.Fill(w2[i].Gen, nil, 100)
+		s1, s2 := make([]uint64, 100), make([]uint64, 100)
+		addrgen.FillBatch(w1[i].Gen, s1)
+		addrgen.FillBatch(w2[i].Gen, s2)
 		for j := range s1 {
 			if s1[j] != s2[j] {
 				t.Fatalf("block %d stream diverges at %d", i, j)

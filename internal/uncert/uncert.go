@@ -82,9 +82,6 @@ type Estimate struct {
 	Forms []FormPosterior
 }
 
-// SD returns the mixture predictive standard deviation.
-func (e *Estimate) SD() float64 { return math.Sqrt(e.Var) }
-
 // Top returns the highest-weight form's name ("" for an empty estimate).
 func (e *Estimate) Top() string {
 	if len(e.Forms) == 0 {
@@ -294,24 +291,6 @@ func floorVar(v, mean float64) float64 {
 		return 0
 	}
 	return v
-}
-
-// Intervals converts a posterior predictive mean, standard deviation and
-// Student-t dof into central prediction intervals at the given levels
-// (DefaultLevels when nil). Levels outside (0, 1) are skipped.
-func Intervals(mean, sd float64, dof int, levels []float64) []Interval {
-	if levels == nil {
-		levels = DefaultLevels
-	}
-	out := make([]Interval, 0, len(levels))
-	for _, lv := range levels {
-		if !(lv > 0 && lv < 1) {
-			continue
-		}
-		q := TQuantile(dof, lv) * sd
-		out = append(out, Interval{Level: lv, Lo: mean - q, Hi: mean + q})
-	}
-	return out
 }
 
 // TQuantile returns the two-sided Student-t quantile q with

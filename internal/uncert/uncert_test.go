@@ -135,31 +135,6 @@ func TestAverageOrderInvariant(t *testing.T) {
 	}
 }
 
-func TestIntervalsShape(t *testing.T) {
-	ivs := Intervals(100, 10, 3, nil)
-	if len(ivs) != len(DefaultLevels) {
-		t.Fatalf("got %d intervals, want %d", len(ivs), len(DefaultLevels))
-	}
-	for i, iv := range ivs {
-		if iv.Level != DefaultLevels[i] {
-			t.Errorf("interval %d level %g, want %g", i, iv.Level, DefaultLevels[i])
-		}
-		if iv.Lo >= 100 || iv.Hi <= 100 {
-			t.Errorf("interval %v does not bracket the mean", iv)
-		}
-		if math.Abs((100-iv.Lo)-(iv.Hi-100)) > 1e-9 {
-			t.Errorf("interval %v not symmetric about the mean", iv)
-		}
-		if i > 0 && (iv.Lo > ivs[i-1].Lo || iv.Hi < ivs[i-1].Hi) {
-			t.Errorf("interval %v not nested inside %v", iv, ivs[i-1])
-		}
-	}
-	// Degenerate and out-of-range levels are skipped.
-	if got := Intervals(0, 1, 1, []float64{0, 1, -3, 0.9}); len(got) != 1 {
-		t.Errorf("expected only the 0.9 level to survive, got %v", got)
-	}
-}
-
 func TestAverageBetweenModelSpreadWidens(t *testing.T) {
 	// A series that linear and logarithmic explain almost equally well:
 	// the mixture variance at a far target must exceed either form's own

@@ -29,7 +29,6 @@ import (
 	"tracex/internal/cluster"
 	"tracex/internal/extrap"
 	"tracex/internal/machine"
-	"tracex/internal/mpi"
 	"tracex/internal/pebil"
 	"tracex/internal/psins"
 	"tracex/internal/stats"
@@ -231,10 +230,6 @@ func DefaultIntervalLevels() []float64 {
 
 // ReplayResult is the discrete-event replay outcome with per-rank detail.
 type ReplayResult = psins.Result
-
-// Program builds the application's replayable MPI event trace (exposed for
-// tools and experiments that drive the replay engine directly).
-func Program(app *App, cores int) (*mpi.Program, error) { return app.Program(cores) }
 
 // RankClusters groups an application signature's MPI tasks by feature
 // similarity (the paper's Future Work §VI clustering extension).

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short test-race fuzz bench bench-cachemodel bench-collect bench-engine bench-predict bench-fleet bench-obs bench-sampling bench-sampling-smoke bench-serve bench-serve-smoke bench-server bench-store bench-smoke bench-uncert bench-uncert-smoke fleet-smoke serve experiments examples csv clean
+.PHONY: all build vet test test-short test-race fuzz reach bench bench-cachemodel bench-collect bench-engine bench-predict bench-fleet bench-obs bench-sampling bench-sampling-smoke bench-serve bench-serve-smoke bench-server bench-store bench-smoke bench-uncert bench-uncert-smoke fleet-smoke serve experiments examples csv clean
 
 all: build vet test
 
@@ -38,6 +38,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSimulatorMatchesReference -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzNextBatchMatchesNext -fuzztime 10s ./internal/addrgen
 	$(GO) test -run '^$$' -fuzz FuzzFitTableMatchesReference -fuzztime 10s ./internal/uncert
+
+# Reachability gate (DESIGN §11): every function that no binary links must
+# be on scripts/reach/keep.txt with its reason, and every name there must
+# be declared and unlinked. CI runs this target.
+reach:
+	$(GO) run ./scripts/reach
 
 # One iteration of every exhibit benchmark (Table/Figure regeneration).
 bench:

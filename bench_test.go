@@ -353,13 +353,22 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 }
 
 // BenchmarkReplay8192Ranks measures the discrete-event replay engine on the
-// paper's largest configuration (8192 ranks of UH3D's event trace).
+// paper's largest configuration (8192 ranks of UH3D's event trace),
+// compiled once outside the timed loop.
 func BenchmarkReplay8192Ranks(b *testing.B) {
 	app, err := tracex.LoadApp("uh3d")
 	if err != nil {
 		b.Fatal(err)
 	}
-	prog, err := app.Program(8192)
+	build, err := app.Build(8192)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := mpi.Compile(app.Name(), 8192, build)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched, err := psins.CompileBuild(app.Name(), 8192, build)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -371,17 +380,14 @@ func BenchmarkReplay8192Ranks(b *testing.B) {
 	cost := func(rank int, blockID uint64, share float64) (float64, error) {
 		return 0.001 * share, nil
 	}
-	var events int
-	for _, evs := range prog.Ranks {
-		events += len(evs)
-	}
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := psins.Replay(prog, net, cost); err != nil {
+		if _, err := sched.Replay(ctx, net, cost, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(len(prog.Ops))*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
 // BenchmarkSignatureCollection measures the instrumentation-emulation and

@@ -143,13 +143,7 @@ func p2pVolume(app *tracex.App, cores int) (int, uint64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	var bytes uint64
-	for _, op := range prog.Ops {
-		if op.Kind == mpi.Send || op.Kind == mpi.Isend {
-			bytes += op.Arg
-		}
-	}
-	return prog.Messages, bytes, nil
+	return prog.Messages, prog.PayloadBytes(), nil
 }
 
 func fatal(err error) {

@@ -2,10 +2,10 @@
 // complement the paper points to in its related work (Wu & Mueller's
 // ScalaExtrap): where internal/extrap scales an application's *computation*
 // behaviour, commx scales its *communication* structure. The communication
-// of a run is summarized from the event trace (neighbor topology, messages
-// per neighbor, payload sizes, collective structure), each summary field is
-// fitted against the same canonical forms, and a synthetic communication
-// program is generated at the target core count.
+// of a run is summarized from its compiled program (neighbor topology,
+// messages per neighbor, payload sizes, collective structure), each
+// summary field is fitted against the same canonical forms, and a
+// synthetic communication program is described at the target core count.
 package commx
 
 import (
@@ -35,34 +35,37 @@ type Profile struct {
 	CollectiveBytes float64
 }
 
-// Summarize extracts the communication profile of prog from the given
-// reference rank.
-func Summarize(prog *mpi.Program, rank int) (Profile, error) {
-	if err := prog.Validate(); err != nil {
-		return Profile{}, err
-	}
-	if rank < 0 || rank >= prog.NumRanks() {
+// Summarize extracts the communication profile of the compiled program c
+// from the given reference rank. A send's peer is the rank whose receive
+// shares the send's message slot, which one scan of the ops finds.
+func Summarize(c *mpi.Compiled, rank int) (Profile, error) {
+	n := len(c.Off) - 1
+	if rank < 0 || rank >= n {
 		return Profile{}, fmt.Errorf("commx: rank %d out of range", rank)
 	}
-	p := Profile{CoreCount: prog.NumRanks()}
-	peers := map[int]bool{}
+	p := Profile{CoreCount: n}
+	sent := make([]bool, c.Slots) // the slots of the reference rank's sends
 	var sends int
-	var sendBytes uint64
-	var collBytes uint64
-	for _, e := range prog.Ranks[rank] {
-		switch e.Kind {
-		case mpi.Send, mpi.Isend:
-			peers[e.Peer] = true
+	var sendBytes, collBytes uint64
+	for _, op := range c.Ops[c.Off[rank]:c.Off[rank+1]] {
+		switch {
+		case op.Kind == mpi.Send || op.Kind == mpi.Isend:
+			sent[op.Slot] = true
 			sends++
-			sendBytes += e.Bytes
-		default:
-			if e.Kind.IsCollective() {
-				p.Collectives++
-				collBytes += e.Bytes
+			sendBytes += op.Arg
+		case op.Kind.IsCollective():
+			p.Collectives++
+			collBytes += op.Arg
+		}
+	}
+	for r := 0; r < n; r++ {
+		for _, op := range c.Ops[c.Off[r]:c.Off[r+1]] {
+			if (op.Kind == mpi.Recv || op.Kind == mpi.Irecv) && sent[op.Slot] {
+				p.Neighbors++
+				break
 			}
 		}
 	}
-	p.Neighbors = len(peers)
 	if p.Neighbors > 0 {
 		p.MessagesPerNeighbor = float64(sends) / float64(p.Neighbors)
 	}
@@ -142,13 +145,15 @@ func Extrapolate(profiles []Profile, targetCores int) (*Extrapolated, error) {
 	return out, nil
 }
 
-// Synthesize generates a pure-communication program at the profile's core
-// count: the topology is inferred from the neighbor count (≤6 face
-// neighbors ⇒ 3D cartesian halo exchange), message payloads and repetition
-// come from the profile, and the collective structure is reproduced as
-// allreduces of the profiled payload. The reference rank 0 is a grid corner,
-// so its neighbor count is the corner degree of the inferred topology.
-func Synthesize(app string, p Profile) (*mpi.Program, error) {
+// Synthesize describes a pure-communication program at the profile's core
+// count, for mpi.Compile: the topology is inferred from the neighbor count
+// (≤6 face neighbors ⇒ 3D cartesian halo exchange), message payloads and
+// repetition come from the profile, and the collective structure is
+// reproduced as allreduces of the profiled payload, spread over the steps
+// with the remainder on the first ones, or run once when there are no
+// steps. The reference rank 0 is a grid corner, so its neighbor count is
+// the corner degree of the inferred topology.
+func Synthesize(p Profile) (func(*mpi.Builder), error) {
 	if p.CoreCount < 1 {
 		return nil, fmt.Errorf("commx: non-positive core count")
 	}
@@ -166,29 +171,29 @@ func Synthesize(app string, p Profile) (*mpi.Program, error) {
 		return nil, fmt.Errorf("commx: profile has %d corner neighbors but a %dx%dx%d grid has %d — topology mismatch",
 			p.Neighbors, g.Px, g.Py, g.Pz, cornerDegree)
 	}
-	steps := int(math.Round(p.MessagesPerNeighbor))
-	if steps < 0 {
-		steps = 0
-	}
+	steps := max(0, int(math.Round(p.MessagesPerNeighbor)))
 	faceBytes := uint64(math.Round(p.BytesPerMessage))
-	collPerStep := 0
-	if steps > 0 {
-		collPerStep = p.Collectives / steps
+	collBytes := uint64(math.Round(p.CollectiveBytes))
+	if collBytes == 0 {
+		collBytes = 8
 	}
-	return mpi.BuildProgram(app, p.CoreCount, func(b *mpi.Builder) {
-		for s := 0; s < steps; s++ {
-			if p.CoreCount > 1 && faceBytes > 0 {
+	// rounds is the number of rounds of collectives: one per step, or one
+	// alone.
+	rounds := max(steps, 1)
+	return func(b *mpi.Builder) {
+		for s := 0; s < rounds; s++ {
+			if s < steps && p.CoreCount > 1 && faceBytes > 0 {
 				b.HaloExchange3D(g, faceBytes, 1000*s)
 			}
-			for c := 0; c < collPerStep; c++ {
-				bytes := uint64(math.Round(p.CollectiveBytes))
-				if bytes == 0 {
-					bytes = 8
-				}
-				b.Allreduce(bytes)
+			colls := p.Collectives / rounds
+			if s < p.Collectives%rounds {
+				colls++
+			}
+			for c := 0; c < colls; c++ {
+				b.Allreduce(collBytes)
 			}
 		}
-	})
+	}, nil
 }
 
 // CompareProfiles returns per-field absolute relative errors between a

@@ -10,6 +10,7 @@ import (
 	"tracex/internal/extrap"
 	"tracex/internal/machine"
 	"tracex/internal/memsim"
+	"tracex/internal/mpi"
 	"tracex/internal/psins"
 	"tracex/internal/synthapp"
 )
@@ -374,19 +375,42 @@ func CommExtrap(cfg Config) ([]CommExtrapRow, error) {
 		return nil, err
 	}
 	zeroCost := func(rank int, blockID uint64, share float64) (float64, error) { return 0, nil }
+	// replay replays the n-rank program that build describes with zeroed
+	// compute, for a like-for-like communication time.
+	replay := func(app string, n int, build func(*mpi.Builder)) (float64, error) {
+		sched, err := psins.CompileBuild(app, n, build)
+		if err != nil {
+			return 0, err
+		}
+		res, err := sched.Replay(cfg.context(), net, zeroCost, nil)
+		if err != nil {
+			return 0, err
+		}
+		return res.Runtime, nil
+	}
 	var rows []CommExtrapRow
 	for _, spec := range PaperSpecs() {
 		app, err := synthapp.ByName(spec.App)
 		if err != nil {
 			return nil, err
 		}
-		var profiles []commx.Profile
-		for _, p := range spec.InputCounts {
-			prog, err := app.Program(p)
+		// summarize summarizes rank 0 of the app's program at p cores, and
+		// returns the program's description.
+		summarize := func(p int) (commx.Profile, func(*mpi.Builder), error) {
+			build, err := app.Build(p)
 			if err != nil {
-				return nil, err
+				return commx.Profile{}, nil, err
+			}
+			prog, err := mpi.Compile(app.Name(), p, build)
+			if err != nil {
+				return commx.Profile{}, nil, err
 			}
 			cp, err := commx.Summarize(prog, 0)
+			return cp, build, err
+		}
+		var profiles []commx.Profile
+		for _, p := range spec.InputCounts {
+			cp, _, err := summarize(p)
 			if err != nil {
 				return nil, err
 			}
@@ -396,11 +420,7 @@ func CommExtrap(cfg Config) ([]CommExtrapRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		actualProg, err := app.Program(spec.TargetCount)
-		if err != nil {
-			return nil, err
-		}
-		actual, err := commx.Summarize(actualProg, 0)
+		actual, actualBuild, err := summarize(spec.TargetCount)
 		if err != nil {
 			return nil, err
 		}
@@ -408,22 +428,16 @@ func CommExtrap(cfg Config) ([]CommExtrapRow, error) {
 			App:         spec.App,
 			FieldErrors: commx.CompareProfiles(ext.Profile, actual),
 		}
-		synthProg, err := commx.Synthesize(spec.App+"-comm", ext.Profile)
+		synthBuild, err := commx.Synthesize(ext.Profile)
 		if err != nil {
 			return nil, fmt.Errorf("expt: synthesizing %s comm: %w", spec.App, err)
 		}
-		synthRes, err := psins.Replay(synthProg, net, zeroCost)
-		if err != nil {
+		if row.SynthCommSeconds, err = replay(spec.App+"-comm", ext.Profile.CoreCount, synthBuild); err != nil {
 			return nil, err
 		}
-		row.SynthCommSeconds = synthRes.Runtime
-		// Replay the actual program with zeroed compute for a like-for-like
-		// communication time.
-		actualRes, err := psins.Replay(actualProg, net, zeroCost)
-		if err != nil {
+		if row.ActualCommSeconds, err = replay(app.Name(), spec.TargetCount, actualBuild); err != nil {
 			return nil, err
 		}
-		row.ActualCommSeconds = actualRes.Runtime
 		rows = append(rows, row)
 	}
 	return rows, nil

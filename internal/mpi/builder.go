@@ -2,171 +2,86 @@ package mpi
 
 import "fmt"
 
-// Builder incrementally constructs a Program. Methods that add
-// communication patterns keep the per-rank event sequences deadlock-free
-// under eager-send semantics (sends never block; receives are posted after
-// the matching sends exist somewhere in the program). Every event is
-// checked as it is appended and every pattern appends matched sends and
-// receives, waited requests and collectives on all ranks, so a program
-// built without error always passes Program.Validate. BuildProgram and
-// Compile drive a Builder twice, first to size every rank's trace exactly.
+// Builder describes a program through communication patterns. Each method
+// checks its arguments and hands the call to an emitter, which in
+// production is the pattern compiler that Compile drives. Every pattern
+// emits matched sends and receives, waited requests and collectives on all
+// ranks, so a program a Builder describes without error always passes
+// Program.Validate. The first error sticks: later calls do nothing.
 type Builder struct {
-	app   string
-	n     int
-	ranks [][]Event
-	err   error
-	// c, while non-nil, takes each pattern call instead of ranks: its dry
-	// run checks the call and counts its ops, and once sized it compiles
-	// the call.
-	c *patterns
+	n   int
+	err error
+	e   emitter
 }
 
-// NewBuilder returns a Builder for an application with n ranks.
-func NewBuilder(app string, n int) *Builder {
-	b := &Builder{app: app, n: n}
-	if n <= 0 {
-		b.err = fmt.Errorf("mpi: builder needs ≥1 rank, got %d", n)
-	} else {
-		b.ranks = make([][]Event, n)
-	}
-	return b
+// emitter takes a Builder's pattern calls once the Builder has checked
+// their arguments. It checks the events a call makes and returns the
+// error that sticks. The pattern compiler (patterns) is its only
+// implementation outside tests; it ignores the tags, since it pairs each
+// message as it writes it (DESIGN §18). Tests substitute an emitter that
+// appends every event, as the compiler's reference.
+type emitter interface {
+	compute(lo, hi int, block uint64, share float64) error
+	collective(kind EventKind, root int, bytes uint64) error
+	sendRecv(src, dst, tag int, bytes uint64) error
+	halo(g Grid3D, bytes uint64, baseTag int) error
+	haloNonblocking(g Grid3D, bytes uint64, baseTag int) error
 }
 
-func (b *Builder) fail(format string, args ...any) {
-	if b.err == nil {
-		b.err = fmt.Errorf(format, args...)
-	}
-}
-
-// add appends e to rank r's trace after checking it as Program.Validate
-// does; an invalid event becomes the sticky error.
-func (b *Builder) add(r int, e Event) {
-	if b.err != nil {
-		return
-	}
-	if err := e.Validate(r, b.n); err != nil {
-		b.err = eventError(r, len(b.ranks[r]), err)
-		return
-	}
-	b.ranks[r] = append(b.ranks[r], e)
-}
-
-// BuildProgram builds the n-rank program that build describes through the
-// Builder's patterns, with every rank's events in one exactly sized array.
-// It calls build twice: Compile's dry run, which checks each pattern call
-// and counts each rank's events, then a fill that checks each event and
-// appends it into the array, so no rank's trace grows by append. build
-// must describe the same program on both calls; a fill that departs from
-// its dry run's counts is an error. Compile compiles the same description
-// without materializing the events.
-func BuildProgram(app string, n int, build func(*Builder)) (*Program, error) {
-	b := NewBuilder(app, n)
-	if b.err != nil {
-		return nil, b.err
-	}
-	b.c = newPatterns(app, n)
-	build(b)
-	counts := b.c.at
-	b.c = nil
-	if b.err != nil {
-		return nil, b.err
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	events := make([]Event, total)
-	for r, c := range counts {
-		b.ranks[r], events = events[:0:c], events[c:]
-	}
-	build(b)
-	if b.err != nil {
-		return nil, b.err
-	}
-	for r, c := range counts {
-		if got := len(b.ranks[r]); got != c {
-			return nil, fmt.Errorf("mpi: building %s: rank %d has %d events, its dry run counted %d", app, r, got, c)
-		}
-	}
-	return b.Build()
-}
-
-// Compute appends a compute segment executing share of block blockID on
-// rank r.
+// Compute adds a compute segment executing share of block blockID on rank
+// r.
 func (b *Builder) Compute(r int, blockID uint64, share float64) *Builder {
 	if b.err != nil {
 		return b
 	}
 	if r < 0 || r >= b.n {
-		b.fail("mpi: compute on rank %d of %d", r, b.n)
+		b.err = fmt.Errorf("mpi: compute on rank %d of %d", r, b.n)
 		return b
 	}
-	if b.c != nil {
-		b.err = b.c.compute(r, r+1, blockID, share)
-		return b
-	}
-	b.add(r, Event{Kind: Compute, BlockID: blockID, Share: share})
+	b.err = b.e.compute(r, r+1, blockID, share)
 	return b
 }
 
-// ComputeAll appends the same compute segment on every rank.
+// ComputeAll adds the same compute segment on every rank.
 func (b *Builder) ComputeAll(blockID uint64, share float64) *Builder {
-	if b.err != nil {
-		return b
-	}
-	if b.c != nil {
-		b.err = b.c.compute(0, b.n, blockID, share)
-		return b
-	}
-	for r := 0; r < b.n; r++ {
-		b.Compute(r, blockID, share)
+	if b.err == nil {
+		b.err = b.e.compute(0, b.n, blockID, share)
 	}
 	return b
 }
 
-// SendRecv appends a matched message: a Send on src and a Recv on dst.
+// SendRecv adds a matched message: a Send on src and a Recv on dst.
 func (b *Builder) SendRecv(src, dst, tag int, bytes uint64) *Builder {
 	if b.err != nil {
 		return b
 	}
-	n := b.n
-	if src < 0 || src >= n || dst < 0 || dst >= n || src == dst {
-		b.fail("mpi: bad message %d→%d in %d ranks", src, dst, n)
+	if n := b.n; src < 0 || src >= n || dst < 0 || dst >= n || src == dst {
+		b.err = fmt.Errorf("mpi: bad message %d→%d in %d ranks", src, dst, n)
 		return b
 	}
-	if b.c != nil {
-		b.err = b.c.sendRecv(src, dst, bytes)
-		return b
-	}
-	b.add(src, Event{Kind: Send, Peer: dst, Tag: tag, Bytes: bytes})
-	b.add(dst, Event{Kind: Recv, Peer: src, Tag: tag, Bytes: bytes})
+	b.err = b.e.sendRecv(src, dst, tag, bytes)
 	return b
 }
 
-// Collective appends the same collective event on every rank.
+// Collective adds the same collective event on every rank.
 func (b *Builder) Collective(kind EventKind, root int, bytes uint64) *Builder {
 	if b.err != nil {
 		return b
 	}
 	if !kind.IsCollective() {
-		b.fail("mpi: %s is not a collective", kind)
+		b.err = fmt.Errorf("mpi: %s is not a collective", kind)
 		return b
 	}
-	if b.c != nil {
-		b.err = b.c.collective(kind, root, bytes)
-		return b
-	}
-	for r := 0; r < b.n; r++ {
-		b.add(r, Event{Kind: kind, Peer: root, Bytes: bytes})
-	}
+	b.err = b.e.collective(kind, root, bytes)
 	return b
 }
 
-// Allreduce appends an allreduce of the given payload on every rank.
+// Allreduce adds an allreduce of the given payload on every rank.
 func (b *Builder) Allreduce(bytes uint64) *Builder { return b.Collective(Allreduce, 0, bytes) }
 
 // Grid3D describes a 3D cartesian decomposition of the rank space, used to
-// generate nearest-neighbor (halo exchange) communication.
+// generate nearest-neighbor (halo exchange) communication. Ranks run
+// through the grid x fastest, then y, then z.
 type Grid3D struct {
 	Px, Py, Pz int
 }
@@ -199,32 +114,51 @@ func NewGrid3D(n int) (Grid3D, error) {
 // Size returns the total rank count of the grid.
 func (g Grid3D) Size() int { return g.Px * g.Py * g.Pz }
 
-// Coords returns the cartesian coordinates of rank r.
-func (g Grid3D) Coords(r int) (x, y, z int) {
-	x = r % g.Px
-	y = (r / g.Px) % g.Py
-	z = r / (g.Px * g.Py)
-	return
+// gridWalk visits a grid's ranks in rank order and keeps the coordinates
+// of the rank it is at, so that finding a rank's neighbors takes no
+// division.
+type gridWalk struct {
+	g          Grid3D
+	r, x, y, z int
 }
 
-// Rank returns the rank at the given coordinates.
-func (g Grid3D) Rank(x, y, z int) int { return (z*g.Py+y)*g.Px + x }
+// next moves the walk to the next rank.
+func (w *gridWalk) next() {
+	w.r++
+	if w.x++; w.x < w.g.Px {
+		return
+	}
+	w.x = 0
+	if w.y++; w.y < w.g.Py {
+		return
+	}
+	w.y = 0
+	w.z++
+}
 
-// faceDirs are the six face-neighbor directions of a 3D grid, paired so
-// that direction di^1 is the opposite of di.
-var faceDirs = [6][3]int{{-1, 0, 0}, {1, 0, 0}, {0, -1, 0}, {0, 1, 0}, {0, 0, -1}, {0, 0, 1}}
-
-// faceNeighbors returns rank r's neighbor in each face direction, -1 where
-// r lies on the grid boundary.
-func (g Grid3D) faceNeighbors(r int) (peers [6]int) {
-	x, y, z := g.Coords(r)
-	for di, d := range faceDirs {
-		nx, ny, nz := x+d[0], y+d[1], z+d[2]
-		if nx < 0 || nx >= g.Px || ny < 0 || ny >= g.Py || nz < 0 || nz >= g.Pz {
-			peers[di] = -1
-			continue
-		}
-		peers[di] = g.Rank(nx, ny, nz)
+// neighbors returns the current rank's neighbor in each face direction,
+// -1 where the rank lies on the grid boundary: r∓1, r∓Px and r∓Px·Py, in
+// that order, so that direction d^1 is the opposite of d.
+func (w *gridWalk) neighbors() [6]int {
+	g, r, plane := w.g, w.r, w.g.Px*w.g.Py
+	peers := [6]int{r - 1, r + 1, r - g.Px, r + g.Px, r - plane, r + plane}
+	if w.x == 0 {
+		peers[0] = -1
+	}
+	if w.x == g.Px-1 {
+		peers[1] = -1
+	}
+	if w.y == 0 {
+		peers[2] = -1
+	}
+	if w.y == g.Py-1 {
+		peers[3] = -1
+	}
+	if w.z == 0 {
+		peers[4] = -1
+	}
+	if w.z == g.Pz-1 {
+		peers[5] = -1
 	}
 	return peers
 }
@@ -232,79 +166,31 @@ func (g Grid3D) faceNeighbors(r int) (peers [6]int) {
 // checkGrid records a sticky error when g does not cover the program.
 func (b *Builder) checkGrid(g Grid3D) bool {
 	if g.Size() != b.n {
-		b.fail("mpi: grid %dx%dx%d covers %d ranks, program has %d",
+		b.err = fmt.Errorf("mpi: grid %dx%dx%d covers %d ranks, program has %d",
 			g.Px, g.Py, g.Pz, g.Size(), b.n)
 		return false
 	}
 	return true
 }
 
-// HaloExchange3D appends a face-neighbor exchange over the grid: every rank
-// sends faceBytes to each existing neighbor in ±x, ±y, ±z and receives the
-// same. Tags encode the direction so message streams stay ordered.
+// HaloExchange3D adds a face-neighbor exchange over the grid: every rank,
+// in rank order, sends faceBytes to each existing neighbor in ±x, ±y, ±z
+// as a SendRecv, and receives the same. The tag of a message is baseTag
+// plus its direction.
 func (b *Builder) HaloExchange3D(g Grid3D, faceBytes uint64, baseTag int) *Builder {
-	if b.err != nil || !b.checkGrid(g) {
-		return b
-	}
-	if b.c != nil {
-		b.err = b.c.halo(g, faceBytes)
-		return b
-	}
-	for r := 0; r < g.Size(); r++ {
-		peers := g.faceNeighbors(r)
-		for di, peer := range peers {
-			if peer >= 0 {
-				b.SendRecv(r, peer, baseTag+di, faceBytes)
-			}
-		}
+	if b.err == nil && b.checkGrid(g) {
+		b.err = b.e.halo(g, faceBytes, baseTag)
 	}
 	return b
 }
 
-// HaloExchange3DNonblocking appends the same face-neighbor exchange as
+// HaloExchange3DNonblocking adds the same face-neighbor exchange as
 // HaloExchange3D but with the canonical non-blocking structure: every rank
 // first posts all its Irecvs, then all its Isends, then Waits on every
 // request — the overlap-friendly pattern production stencil codes use.
 func (b *Builder) HaloExchange3DNonblocking(g Grid3D, faceBytes uint64, baseTag int) *Builder {
-	if b.err != nil || !b.checkGrid(g) {
-		return b
-	}
-	if b.c != nil {
-		b.err = b.c.haloNonblocking(g, faceBytes)
-		return b
-	}
-	for r := 0; r < g.Size(); r++ {
-		peers := g.faceNeighbors(r)
-		req := 0
-		// Post receives first (direction di of the neighbor's send is the
-		// opposite direction index: di^1 flips the low bit of each pair).
-		for di, peer := range peers {
-			if peer >= 0 {
-				b.add(r, Event{Kind: Irecv, Peer: peer, Tag: baseTag + (di ^ 1), Bytes: faceBytes, Request: req})
-				req++
-			}
-		}
-		// Then sends.
-		for di, peer := range peers {
-			if peer >= 0 {
-				b.add(r, Event{Kind: Isend, Peer: peer, Tag: baseTag + di, Bytes: faceBytes, Request: req})
-				req++
-			}
-		}
-		for q := 0; q < req; q++ {
-			b.add(r, Event{Kind: Wait, Request: q})
-		}
+	if b.err == nil && b.checkGrid(g) {
+		b.err = b.e.haloNonblocking(g, faceBytes, baseTag)
 	}
 	return b
-}
-
-// Build returns the program, or the first error recorded while building.
-// It does not re-validate: the builder's invariants make every program it
-// returns valid, and consumers (psins.Compile, commx.Summarize) validate
-// the programs they use.
-func (b *Builder) Build() (*Program, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	return &Program{App: b.app, Ranks: b.ranks}, nil
 }

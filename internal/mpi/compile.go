@@ -57,6 +57,17 @@ type Compiled struct {
 	Collectives int
 }
 
+// PayloadBytes sums the payloads of the program's point-to-point messages.
+func (p *Compiled) PayloadBytes() uint64 {
+	var sum uint64
+	for _, op := range p.Ops {
+		if op.Kind == Send || op.Kind == Isend {
+			sum += op.Arg
+		}
+	}
+	return sum
+}
+
 // Validate checks every event and the structural sanity of the program:
 // matching send/recv multisets per (src,dst,tag) pair, every non-blocking
 // request waited exactly once, and equal collective counts across ranks

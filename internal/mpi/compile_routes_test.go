@@ -1,37 +1,35 @@
 package mpi_test
 
 import (
-	"context"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strconv"
 	"testing"
 
-	"tracex/internal/machine"
 	"tracex/internal/mpi"
-	"tracex/internal/psins"
 	"tracex/internal/synthapp"
 )
 
 // checkRoutes compiles the n-rank program that build describes both ways:
 // straight from the Builder's patterns (mpi.Compile, the predict path) and
-// from BuildProgram's materialized program (Program.Compile). Both must
-// give every op the same kind and payload or (block, share) pair. The two
-// routes number message slots differently, so one slot map, one-to-one
-// from the first route's slots onto the second's, must carry every op's
-// slot to its counterpart's. Replaying the two schedules must give
-// bit-identical Results and identical timelines.
+// from the appending reference's program (mpi.AppendProgram, compiled by
+// Program.Compile). Both must give every op the same kind and payload or
+// (block, share) pair. The two routes number message slots differently,
+// so one slot map, one-to-one from the first route's slots onto the
+// second's, must carry every op's slot to its counterpart's. A replay
+// reads only an op's kind, its payload or (block, share) pair and its slot
+// as the name of a message, so two programs that agree this way replay to
+// bit-identical Results and timelines.
 func checkRoutes(t *testing.T, app string, n int, build func(*mpi.Builder)) {
 	t.Helper()
 	direct, err := mpi.Compile(app, n, build)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	prog, err := mpi.BuildProgram(app, n, build)
+	prog, err := mpi.AppendProgram(app, n, build)
 	if err != nil {
-		t.Fatalf("BuildProgram: %v", err)
+		t.Fatalf("AppendProgram: %v", err)
 	}
 	viaProg, err := prog.Compile()
 	if err != nil {
@@ -70,56 +68,10 @@ func checkRoutes(t *testing.T, app string, n int, build func(*mpi.Builder)) {
 			t.Fatalf("op %d carries %d bytes, via the program %d", i, a.Arg, b.Arg)
 		}
 	}
-
 	if len(toProg)-1 != direct.Messages || viaProg.Slots != viaProg.Messages {
 		t.Fatalf("%d slots used for %d messages; the program's %d slots for %d messages",
 			len(toProg)-1, direct.Messages, viaProg.Slots, viaProg.Messages)
 	}
-
-	net, err := psins.NewNetwork(machine.NetworkConfig{LatencyUS: 5, BandwidthGBs: 2, OverheadUS: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost := func(rank int, block uint64, share float64) (float64, error) {
-		return (float64(block) + float64(rank%3)/7) * share * 1e-3, nil
-	}
-	replay := func(s *psins.Schedule, err error) (*psins.Result, *psins.Timeline) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var tl psins.Timeline
-		res, err := s.Replay(context.Background(), net, cost, &tl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, &tl
-	}
-	resA, tlA := replay(psins.CompileBuild(app, n, build))
-	resB, tlB := replay(psins.Compile(prog))
-	if !sameBits(resA, resB) {
-		t.Fatalf("replays differ:\n%+v\n%+v", resA, resB)
-	}
-	if !reflect.DeepEqual(tlA, tlB) {
-		t.Fatal("replay timelines differ")
-	}
-}
-
-// sameBits reports whether two replay results are bit-identical.
-func sameBits(a, b *psins.Result) bool {
-	same := func(x, y []float64) bool {
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	return math.Float64bits(a.Runtime) == math.Float64bits(b.Runtime) && a.Messages == b.Messages &&
-		same(a.RankEnd, b.RankEnd) && same(a.ComputeTime, b.ComputeTime) && same(a.CommTime, b.CommTime)
 }
 
 // checkComposition runs checkRoutes on the random Builder composition that
@@ -172,9 +124,9 @@ func FuzzCompileRoutesAgree(f *testing.F) {
 
 // TestCompileRejectsInvalidEvents compiles the arguments of
 // TestBuilderRejectsInvalidEvents, and a zero payload behind earlier events
-// in every other pattern, through mpi.Compile. Each must fail with
-// BuildProgram's error text, which must be the appending Builder's: the
-// check of a call's first event stands for the check of each event.
+// in every other pattern, through mpi.Compile. Each must fail with the
+// appending reference's error text, which checks every event: the check of
+// a call's first event stands for the check of each event.
 func TestCompileRejectsInvalidEvents(t *testing.T) {
 	g8, err := mpi.NewGrid3D(8)
 	if err != nil {
@@ -202,14 +154,10 @@ func TestCompileRejectsInvalidEvents(t *testing.T) {
 		"not a collective":      {2, func(b *mpi.Builder) { b.Collective(mpi.Send, 0, 8) }},
 		"compute on a bad rank": {2, func(b *mpi.Builder) { b.Compute(2, 1, 0.5) }},
 	} {
-		b := mpi.NewBuilder("x", c.n)
-		c.build(b)
-		_, appended := b.Build()
-		_, built := mpi.BuildProgram("x", c.n, c.build)
+		_, appended := mpi.AppendProgram("x", c.n, c.build)
 		_, compiled := mpi.Compile("x", c.n, c.build)
-		if appended == nil || built == nil || compiled == nil ||
-			compiled.Error() != built.Error() || built.Error() != appended.Error() {
-			t.Errorf("%s: Compile error %v, BuildProgram %v, appending Builder %v", name, compiled, built, appended)
+		if appended == nil || compiled == nil || compiled.Error() != appended.Error() {
+			t.Errorf("%s: Compile error %v, appending reference %v", name, compiled, appended)
 		}
 	}
 }

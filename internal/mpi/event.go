@@ -124,46 +124,18 @@ func (e *Event) Validate(self, n int) error {
 }
 
 // eventError reports that Event.Validate rejected event i of rank r. The
-// appending Builder, the pattern compiler and the event compiler all give
-// an invalid event this text.
+// pattern compiler and the event compiler both give an invalid event this
+// text.
 func eventError(r, i int, err error) error {
 	return fmt.Errorf("mpi: rank %d event %d: %w", r, i, err)
 }
 
-// Program is a complete replayable application: one event trace per rank.
+// Program is a complete replayable application: one event trace per rank,
+// written out event by event. Program.Compile compiles it for replay; the
+// Builder's patterns compile without one (Compile).
 type Program struct {
 	// App names the application the program represents.
 	App string
 	// Ranks[r] is the ordered event trace of rank r.
 	Ranks [][]Event
-}
-
-// NumRanks returns the number of ranks in the program.
-func (p *Program) NumRanks() int { return len(p.Ranks) }
-
-// TotalMessages counts point-to-point sends (blocking and non-blocking) in
-// the program.
-func (p *Program) TotalMessages() int {
-	var n int
-	for _, evs := range p.Ranks {
-		for _, e := range evs {
-			if e.Kind == Send || e.Kind == Isend {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// TotalBytes sums point-to-point payload bytes in the program.
-func (p *Program) TotalBytes() uint64 {
-	var b uint64
-	for _, evs := range p.Ranks {
-		for _, e := range evs {
-			if e.Kind == Send || e.Kind == Isend {
-				b += e.Bytes
-			}
-		}
-	}
-	return b
 }

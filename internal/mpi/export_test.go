@@ -1,5 +1,11 @@
 package mpi
 
+// AppendProgram builds the n-rank program that build describes through
+// the appending reference emitter (appendProgram).
+func AppendProgram(app string, n int, build func(*Builder)) (*Program, error) {
+	return appendProgram(app, n, build)
+}
+
 // Composition returns the rank count and the build function of the random
 // Builder composition that choices describe, drawn as composeProgram draws
 // it. Every call of the build function composes the same program.

@@ -61,44 +61,48 @@ func TestEventValidate(t *testing.T) {
 }
 
 func TestBuilderSimpleProgram(t *testing.T) {
-	p, err := NewBuilder("demo", 2).
-		ComputeAll(1, 1.0).
-		SendRecv(0, 1, 7, 1024).
-		Allreduce(8).
-		Build()
+	p, err := Compile("demo", 2, func(b *Builder) {
+		b.ComputeAll(1, 1.0).SendRecv(0, 1, 7, 1024).Allreduce(8)
+	})
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("Compile: %v", err)
 	}
-	if p.NumRanks() != 2 {
-		t.Fatalf("NumRanks = %d", p.NumRanks())
+	if len(p.Off) != 3 {
+		t.Fatalf("%d rank offsets, want 3", len(p.Off))
 	}
-	if p.TotalMessages() != 1 || p.TotalBytes() != 1024 {
-		t.Errorf("messages=%d bytes=%d", p.TotalMessages(), p.TotalBytes())
+	if p.Messages != 1 || p.PayloadBytes() != 1024 || p.Collectives != 1 {
+		t.Errorf("messages=%d bytes=%d collectives=%d", p.Messages, p.PayloadBytes(), p.Collectives)
 	}
 	// Rank 0: compute, send, allreduce. Rank 1: compute, recv, allreduce.
-	if p.Ranks[0][1].Kind != Send || p.Ranks[1][1].Kind != Recv {
-		t.Errorf("unexpected event sequence")
+	for r, want := range [][]EventKind{{Compute, Send, Allreduce}, {Compute, Recv, Allreduce}} {
+		ops := p.Ops[p.Off[r]:p.Off[r+1]]
+		if len(ops) != len(want) {
+			t.Fatalf("rank %d has %d ops, want %d", r, len(ops), len(want))
+		}
+		for i, k := range want {
+			if ops[i].Kind != k {
+				t.Errorf("rank %d op %d is %s, want %s", r, i, ops[i].Kind, k)
+			}
+		}
 	}
 }
 
 func TestBuilderErrorsStick(t *testing.T) {
-	b := NewBuilder("demo", 2).Compute(5, 1, 1.0) // bad rank
-	_, first := b.Build()
+	_, first := Compile("demo", 2, func(b *Builder) { b.Compute(5, 1, 1.0) }) // bad rank
 	if first == nil {
 		t.Fatal("bad rank accepted")
 	}
-	// Subsequent calls keep the first error.
-	b.ComputeAll(1, 1.0).SendRecv(0, 1, 0, 8)
-	if _, err := b.Build(); err == nil || err.Error() != first.Error() {
-		t.Fatalf("Build error = %v, want the first error %v", err, first)
+	// Later calls, an invalid one among them, keep the first error.
+	_, err := Compile("demo", 2, func(b *Builder) {
+		b.Compute(5, 1, 1.0).ComputeAll(1, 1.0).SendRecv(0, 1, 0, 8).Allreduce(0)
+	})
+	if err == nil || err.Error() != first.Error() {
+		t.Fatalf("Compile error = %v, want the first error %v", err, first)
 	}
-	if _, err := NewBuilder("demo", 0).Build(); err == nil {
-		t.Error("zero ranks accepted")
-	}
-	if _, err := NewBuilder("demo", 2).SendRecv(0, 0, 0, 8).Build(); err == nil {
+	if _, err := Compile("demo", 2, func(b *Builder) { b.SendRecv(0, 0, 0, 8) }); err == nil {
 		t.Error("self message accepted")
 	}
-	if _, err := NewBuilder("demo", 2).Collective(Send, 0, 8).Build(); err == nil {
+	if _, err := Compile("demo", 2, func(b *Builder) { b.Collective(Send, 0, 8) }); err == nil {
 		t.Error("non-collective kind accepted by Collective")
 	}
 }
@@ -165,71 +169,104 @@ func TestNewGrid3DFactorizations(t *testing.T) {
 	}
 }
 
+// TestGrid3DCoordsRankRoundTrip: the reference's coordinates round-trip
+// through rankAt, and the pattern compiler's grid walk visits every rank in
+// rank order at the reference's coordinates, with the reference's
+// neighbors.
 func TestGrid3DCoordsRankRoundTrip(t *testing.T) {
-	g, _ := NewGrid3D(24)
-	for r := 0; r < 24; r++ {
-		x, y, z := g.Coords(r)
-		if got := g.Rank(x, y, z); got != r {
-			t.Errorf("round trip for rank %d gave %d", r, got)
+	for _, n := range []int{1, 2, 7, 8, 12, 24, 27, 96, 1024} {
+		g, err := NewGrid3D(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := gridWalk{g: g}
+		for r := 0; r < n; r++ {
+			x, y, z := coords(g, r)
+			if got := rankAt(g, x, y, z); got != r {
+				t.Errorf("%d ranks: round trip for rank %d gave %d", n, r, got)
+			}
+			if w.r != r || w.x != x || w.y != y || w.z != z {
+				t.Fatalf("%d ranks: walk at rank %d (%d,%d,%d), want rank %d (%d,%d,%d)", n, w.r, w.x, w.y, w.z, r, x, y, z)
+			}
+			if got, want := w.neighbors(), referenceNeighbors(g, r); got != want {
+				t.Fatalf("%d ranks: rank %d neighbors %v, want %v", n, r, got, want)
+			}
+			w.next()
 		}
 	}
 }
 
+// sends counts the Send ops of each rank of p.
+func sends(p *Compiled) []int {
+	out := make([]int, len(p.Off)-1)
+	for r := range out {
+		for _, op := range p.Ops[p.Off[r]:p.Off[r+1]] {
+			if op.Kind == Send {
+				out[r]++
+			}
+		}
+	}
+	return out
+}
+
 func TestHaloExchange3D(t *testing.T) {
 	g, _ := NewGrid3D(8) // 2x2x2
-	p, err := NewBuilder("halo", 8).HaloExchange3D(g, 4096, 100).Build()
+	p, err := Compile("halo", 8, func(b *Builder) { b.HaloExchange3D(g, 4096, 100) })
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("Compile: %v", err)
 	}
 	// Every rank in a 2x2x2 grid has exactly 3 neighbors: 24 messages.
-	if got := p.TotalMessages(); got != 24 {
-		t.Errorf("TotalMessages = %d, want 24", got)
+	if p.Messages != 24 {
+		t.Errorf("Messages = %d, want 24", p.Messages)
 	}
-	if got := p.TotalBytes(); got != 24*4096 {
-		t.Errorf("TotalBytes = %d", got)
+	if got := p.PayloadBytes(); got != 24*4096 {
+		t.Errorf("PayloadBytes = %d", got)
 	}
 }
 
 func TestHaloExchange3DBoundaryRanksFewerNeighbors(t *testing.T) {
 	g, _ := NewGrid3D(27) // 3x3x3
-	p, err := NewBuilder("halo", 27).HaloExchange3D(g, 64, 0).Build()
+	p, err := Compile("halo", 27, func(b *Builder) { b.HaloExchange3D(g, 64, 0) })
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("Compile: %v", err)
 	}
-	sends := func(r int) int {
-		n := 0
-		for _, e := range p.Ranks[r] {
-			if e.Kind == Send {
-				n++
+	got := sends(p)
+	if c := got[rankAt(g, 0, 0, 0)]; c != 3 {
+		t.Errorf("corner sends %d messages, want 3", c)
+	}
+	if c := got[rankAt(g, 1, 1, 1)]; c != 6 {
+		t.Errorf("center sends %d messages, want 6", c)
+	}
+	for r, c := range got {
+		want := 0
+		for _, peer := range referenceNeighbors(g, r) {
+			if peer >= 0 {
+				want++
 			}
 		}
-		return n
-	}
-	if got := sends(g.Rank(0, 0, 0)); got != 3 {
-		t.Errorf("corner sends %d messages, want 3", got)
-	}
-	if got := sends(g.Rank(1, 1, 1)); got != 6 {
-		t.Errorf("center sends %d messages, want 6", got)
+		if c != want {
+			t.Errorf("rank %d sends %d messages, it has %d neighbors", r, c, want)
+		}
 	}
 }
 
 func TestHaloExchangeGridMismatch(t *testing.T) {
 	g, _ := NewGrid3D(8)
-	if _, err := NewBuilder("halo", 4).HaloExchange3D(g, 64, 0).Build(); err == nil {
+	if _, err := Compile("halo", 4, func(b *Builder) { b.HaloExchange3D(g, 64, 0) }); err == nil {
 		t.Error("grid/rank mismatch accepted")
 	}
 }
 
 // Property: programs built from random mixtures of builder patterns always
-// validate (the builder maintains the structural invariants), under both
+// validate (the patterns maintain the structural invariants), under both
 // validators, and their slots pair the k-th send and receive of every
-// channel. Build does not re-validate, so this is what keeps its programs
-// sound.
+// channel. The pattern compiler does not validate the events it writes, so
+// this, with checkRoutes, is what keeps its programs sound.
 func TestBuilderAlwaysValidProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		p, err := composeProgram(rand.New(rand.NewSource(seed)))
 		if err != nil {
-			t.Logf("seed %d: Build: %v", seed, err)
+			t.Logf("seed %d: appendProgram: %v", seed, err)
 			return false
 		}
 		if err := checkMatch(p); err != nil {

@@ -87,23 +87,25 @@ func TestProgramValidateNonblockingPairing(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Errorf("balanced nonblocking pair rejected: %v", err)
 	}
-	if p.TotalMessages() != 1 || p.TotalBytes() != 8 {
-		t.Errorf("nonblocking message not counted: %d msgs %d bytes",
-			p.TotalMessages(), p.TotalBytes())
+	if m, err := p.Compile(); err != nil || m.Messages != 1 || m.PayloadBytes() != 8 {
+		t.Errorf("nonblocking message not counted: %+v, %v", m, err)
 	}
 }
 
 func TestNonblockingHaloTagsMatch(t *testing.T) {
-	// The nonblocking halo's Irecv tags must pair with the neighbors'
-	// Isend tags: Validate's multiset check proves it for a 3D grid where
-	// every direction occurs.
+	// The reference's nonblocking halo Irecv tags must pair with the
+	// neighbors' Isend tags: Validate's multiset check proves it for a 3D
+	// grid where every direction occurs.
 	g, err := NewGrid3D(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := NewBuilder("nb", 64).HaloExchange3DNonblocking(g, 1024, 500).Build()
+	prog, err := appendProgram("nb", 64, func(b *Builder) { b.HaloExchange3DNonblocking(g, 1024, 500) })
 	if err != nil {
-		t.Fatalf("Build: %v", err)
+		t.Fatalf("appendProgram: %v", err)
+	}
+	if err := prog.Validate(); err != nil {
+		t.Fatal(err)
 	}
 	// Every rank's waits equal its posts.
 	for r, evs := range prog.Ranks {

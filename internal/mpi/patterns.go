@@ -6,19 +6,19 @@ import (
 )
 
 // Compile compiles the n-rank program that build describes through the
-// Builder's patterns, without materializing its events. Like BuildProgram
-// it calls build twice: a dry run that checks each pattern call and counts
-// each rank's ops, sends and receives, then a pass that checks each call
-// again and writes its ops for every rank, pairing each message as it
-// writes the message's two ops. build must describe the same program on
-// both calls; a second pass that departs from its dry run's counts is an
-// error. Program.Compile compiles explicit programs.
+// Builder's patterns, without materializing its events. It calls build
+// twice: a dry run that checks each pattern call and counts each rank's
+// ops, sends and receives, then a pass that checks each call again and
+// writes its ops for every rank, pairing each message as it writes the
+// message's two ops. build must describe the same program on both calls;
+// a second pass that departs from its dry run's counts is an error.
+// Program.Compile compiles explicit programs.
 func Compile(app string, n int, build func(*Builder)) (*Compiled, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mpi: builder needs ≥1 rank, got %d", n)
 	}
 	c := newPatterns(app, n)
-	b := &Builder{app: app, n: n, c: c}
+	b := &Builder{n: n, e: c}
 	build(b)
 	if b.err != nil {
 		return nil, b.err
@@ -33,8 +33,8 @@ func Compile(app string, n int, build func(*Builder)) (*Compiled, error) {
 	return c.finish()
 }
 
-// patterns compiles a Builder's pattern calls a call at a time, in the two
-// passes Compile drives. The dry run counts each rank's ops, sends and
+// patterns is the Builder's emitter: it compiles the Builder's pattern
+// calls a call at a time, in the two passes Compile drives. The dry run counts each rank's ops, sends and
 // receives; the compiling pass writes the call's ops for every rank and
 // counts the messages back down.
 //
@@ -115,7 +115,7 @@ func (c *patterns) finish() (*Compiled, error) {
 }
 
 // check validates e, the first event of a call, as rank r's next event,
-// with the error text the appending Builder gives it.
+// with the error text Program.Compile gives it.
 func (c *patterns) check(r int, e Event) error {
 	if err := e.Validate(r, c.n); err != nil {
 		return eventError(r, c.at[r]-c.out.Off[r], err)
@@ -175,7 +175,7 @@ func (c *patterns) collective(kind EventKind, root int, bytes uint64) error {
 }
 
 // sendRecv writes one message from src to dst.
-func (c *patterns) sendRecv(src, dst int, bytes uint64) error {
+func (c *patterns) sendRecv(src, dst, _ int, bytes uint64) error {
 	if err := c.check(src, Event{Kind: Send, Peer: dst, Bytes: bytes}); err != nil {
 		return err
 	}
@@ -183,16 +183,16 @@ func (c *patterns) sendRecv(src, dst int, bytes uint64) error {
 }
 
 // halo writes a blocking face-neighbor exchange over g: rank by rank, a
-// message to each existing neighbor, as HaloExchange3D's SendRecv calls
-// emit it.
-func (c *patterns) halo(g Grid3D, bytes uint64) error {
+// message to each existing neighbor, in the order of HaloExchange3D's
+// SendRecv calls.
+func (c *patterns) halo(g Grid3D, bytes uint64, _ int) error {
 	if err := c.checkHalo(g, Send, bytes); err != nil {
 		return err
 	}
-	for r := 0; r < c.n; r++ {
-		for _, peer := range g.faceNeighbors(r) {
+	for w := (gridWalk{g: g}); w.r < c.n; w.next() {
+		for _, peer := range w.neighbors() {
 			if peer >= 0 {
-				if err := c.message(r, peer, bytes); err != nil {
+				if err := c.message(w.r, peer, bytes); err != nil {
 					return err
 				}
 			}
@@ -207,13 +207,13 @@ func (c *patterns) halo(g Grid3D, bytes uint64) error {
 // not the rank has a neighbor there: the message that rank s sends in
 // direction d has slot base+6s+d, which its receiver, posting its Irecv
 // in direction d^1, computes from its own side.
-func (c *patterns) haloNonblocking(g Grid3D, bytes uint64) error {
+func (c *patterns) haloNonblocking(g Grid3D, bytes uint64, _ int) error {
 	if err := c.checkHalo(g, Irecv, bytes); err != nil {
 		return err
 	}
 	base := c.out.Slots
-	for r := 0; r < c.n; r++ {
-		peers := g.faceNeighbors(r)
+	for w := (gridWalk{g: g}); w.r < c.n; w.next() {
+		r, peers := w.r, w.neighbors()
 		k := 0
 		for _, peer := range peers {
 			if peer >= 0 {
@@ -258,7 +258,8 @@ func (c *patterns) haloNonblocking(g Grid3D, bytes uint64) error {
 // event of the given kind with its first neighbor, if it has one. Every
 // other event of the exchange carries the same payload between neighbors.
 func (c *patterns) checkHalo(g Grid3D, kind EventKind, bytes uint64) error {
-	for _, peer := range g.faceNeighbors(0) {
+	w := gridWalk{g: g}
+	for _, peer := range w.neighbors() {
 		if peer >= 0 {
 			return c.check(0, Event{Kind: kind, Peer: peer, Bytes: bytes})
 		}

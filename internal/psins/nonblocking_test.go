@@ -21,7 +21,7 @@ func TestReplayIsendWaitIsEager(t *testing.T) {
 		},
 	}}
 	cost := func(rank int, blockID uint64, share float64) (float64, error) { return 3.0, nil }
-	res, err := Replay(prog, testNet(t), cost)
+	res, err := replay(prog, testNet(t), cost)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -51,7 +51,7 @@ func TestReplayIrecvOverlapsCompute(t *testing.T) {
 		},
 	}}
 	cost := func(rank int, blockID uint64, share float64) (float64, error) { return 1.0, nil }
-	res, err := Replay(prog, testNet(t), cost)
+	res, err := replay(prog, testNet(t), cost)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestReplayIrecvPostingOrderMatching(t *testing.T) {
 		},
 	}}
 	cost := func(rank int, blockID uint64, share float64) (float64, error) { return 2.0, nil }
-	res, err := Replay(prog, testNet(t), cost)
+	res, err := replay(prog, testNet(t), cost)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestReplayWaitUnknownRequest(t *testing.T) {
 	}}
 	// Program.Validate rejects this (wait on unposted request), so Replay
 	// must too.
-	if _, err := Replay(prog, testNet(t), flatCost(0)); err == nil {
+	if _, err := replay(prog, testNet(t), flatCost(0)); err == nil {
 		t.Error("wait on unposted request accepted")
 	}
 }
@@ -110,15 +110,11 @@ func TestReplayNonblockingHaloProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := mpi.NewBuilder("nbhalo", 27)
-	for step := 0; step < 3; step++ {
-		b.ComputeAll(1, 1.0/3).HaloExchange3DNonblocking(g, 64<<10, step*100).Allreduce(8)
-	}
-	prog, err := b.Build()
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	res, err := Replay(prog, testNet(t), flatCost(0.05))
+	res, err := replayBuild(27, func(b *mpi.Builder) {
+		for step := 0; step < 3; step++ {
+			b.ComputeAll(1, 1.0/3).HaloExchange3DNonblocking(g, 64<<10, step*100).Allreduce(8)
+		}
+	}, testNet(t), flatCost(0.05))
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -134,20 +130,19 @@ func TestReplayNonblockingHaloProgram(t *testing.T) {
 
 func TestNonblockingMatchesBlockingVolumes(t *testing.T) {
 	g, _ := mpi.NewGrid3D(8)
-	blocking, err := mpi.NewBuilder("b", 8).HaloExchange3D(g, 4096, 0).Build()
+	blocking, err := mpi.Compile("b", 8, func(b *mpi.Builder) { b.HaloExchange3D(g, 4096, 0) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonblocking, err := mpi.NewBuilder("nb", 8).HaloExchange3DNonblocking(g, 4096, 0).Build()
+	nonblocking, err := mpi.Compile("nb", 8, func(b *mpi.Builder) { b.HaloExchange3DNonblocking(g, 4096, 0) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if blocking.TotalMessages() != nonblocking.TotalMessages() {
-		t.Errorf("message counts differ: %d vs %d",
-			blocking.TotalMessages(), nonblocking.TotalMessages())
+	if blocking.Messages != nonblocking.Messages {
+		t.Errorf("message counts differ: %d vs %d", blocking.Messages, nonblocking.Messages)
 	}
-	if blocking.TotalBytes() != nonblocking.TotalBytes() {
-		t.Errorf("byte volumes differ")
+	if blocking.PayloadBytes() != nonblocking.PayloadBytes() {
+		t.Errorf("byte volumes differ: %d vs %d", blocking.PayloadBytes(), nonblocking.PayloadBytes())
 	}
 }
 
@@ -157,28 +152,24 @@ func TestNonblockingHaloFasterThanBlocking(t *testing.T) {
 	// serializes each rank's receives after its sends. Non-blocking must
 	// not be slower.
 	g, _ := mpi.NewGrid3D(64)
-	mk := func(nb bool) *mpi.Program {
-		b := mpi.NewBuilder("halo", 64)
-		for step := 0; step < 4; step++ {
-			b.ComputeAll(1, 0.25)
-			if nb {
-				b.HaloExchange3DNonblocking(g, 1<<20, step*100)
-			} else {
-				b.HaloExchange3D(g, 1<<20, step*100)
+	mk := func(nb bool) func(*mpi.Builder) {
+		return func(b *mpi.Builder) {
+			for step := 0; step < 4; step++ {
+				b.ComputeAll(1, 0.25)
+				if nb {
+					b.HaloExchange3DNonblocking(g, 1<<20, step*100)
+				} else {
+					b.HaloExchange3D(g, 1<<20, step*100)
+				}
 			}
 		}
-		p, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
 	}
 	net := testNet(t)
-	rb, err := Replay(mk(false), net, flatCost(0.01))
+	rb, err := replayBuild(64, mk(false), net, flatCost(0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnb, err := Replay(mk(true), net, flatCost(0.01))
+	rnb, err := replayBuild(64, mk(true), net, flatCost(0.01))
 	if err != nil {
 		t.Fatal(err)
 	}

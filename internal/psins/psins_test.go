@@ -2,7 +2,6 @@ package psins
 
 import (
 	"context"
-
 	"math"
 	"testing"
 
@@ -23,6 +22,26 @@ func flatCost(perShare float64) ComputeCost {
 	return func(rank int, blockID uint64, share float64) (float64, error) {
 		return perShare * share, nil
 	}
+}
+
+// replay compiles the explicit program prog with the event compiler, as a
+// Schedule, and replays it once.
+func replay(prog *mpi.Program, net Network, cost ComputeCost) (*Result, error) {
+	c, err := prog.Compile()
+	if err != nil {
+		return nil, err
+	}
+	return (&Schedule{prog: c}).Replay(context.Background(), net, cost, nil)
+}
+
+// replayBuild compiles the n-rank program that build describes and replays
+// it once.
+func replayBuild(n int, build func(*mpi.Builder), net Network, cost ComputeCost) (*Result, error) {
+	s, err := CompileBuild("test", n, build)
+	if err != nil {
+		return nil, err
+	}
+	return s.Replay(context.Background(), net, cost, nil)
 }
 
 func TestNewNetworkRejectsBadConfig(t *testing.T) {
@@ -109,11 +128,7 @@ func TestCollectiveCosts(t *testing.T) {
 }
 
 func TestReplayComputeOnly(t *testing.T) {
-	prog, err := mpi.NewBuilder("c", 4).ComputeAll(1, 1.0).ComputeAll(2, 0.5).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Replay(prog, testNet(t), flatCost(2.0))
+	res, err := replayBuild(4, func(b *mpi.Builder) { b.ComputeAll(1, 1.0).ComputeAll(2, 0.5) }, testNet(t), flatCost(2.0))
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -132,12 +147,8 @@ func TestReplayComputeOnly(t *testing.T) {
 }
 
 func TestReplayPingMessage(t *testing.T) {
-	prog, err := mpi.NewBuilder("p", 2).SendRecv(0, 1, 0, 2_000_000).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
 	net := testNet(t)
-	res, err := Replay(prog, net, flatCost(0))
+	res, err := replayBuild(2, func(b *mpi.Builder) { b.SendRecv(0, 1, 0, 2_000_000) }, net, flatCost(0))
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -162,7 +173,7 @@ func TestReplayRecvBeforeSendInProgramOrder(t *testing.T) {
 		{{Kind: mpi.Compute, BlockID: 1, Share: 1}, {Kind: mpi.Send, Peer: 1, Tag: 0, Bytes: 8}},
 		{{Kind: mpi.Recv, Peer: 0, Tag: 0, Bytes: 8}},
 	}}
-	res, err := Replay(prog, testNet(t), flatCost(1.0))
+	res, err := replay(prog, testNet(t), flatCost(1.0))
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -184,7 +195,7 @@ func TestReplayCollectiveSynchronizes(t *testing.T) {
 		{{Kind: mpi.Barrier}},
 	}}
 	cost := func(rank int, blockID uint64, share float64) (float64, error) { return 5.0, nil }
-	res, err := Replay(prog, testNet(t), cost)
+	res, err := replay(prog, testNet(t), cost)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -200,17 +211,13 @@ func TestReplayCollectiveSynchronizes(t *testing.T) {
 }
 
 func TestReplayMultipleCollectives(t *testing.T) {
-	prog, err := mpi.NewBuilder("c", 4).
-		ComputeAll(1, 1).
-		Allreduce(64).
-		ComputeAll(1, 1).
-		Collective(mpi.Barrier, 0, 0).
-		ComputeAll(1, 1).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Replay(prog, testNet(t), flatCost(1.0))
+	res, err := replayBuild(4, func(b *mpi.Builder) {
+		b.ComputeAll(1, 1).
+			Allreduce(64).
+			ComputeAll(1, 1).
+			Collective(mpi.Barrier, 0, 0).
+			ComputeAll(1, 1)
+	}, testNet(t), flatCost(1.0))
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -237,7 +244,7 @@ func TestReplayMessageOrderFIFO(t *testing.T) {
 			{Kind: mpi.Recv, Peer: 0, Tag: 0, Bytes: 1_000_000_000},
 		},
 	}}
-	res, err := Replay(prog, testNet(t), flatCost(1.0))
+	res, err := replay(prog, testNet(t), flatCost(1.0))
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -248,17 +255,17 @@ func TestReplayMessageOrderFIFO(t *testing.T) {
 }
 
 func TestReplayErrors(t *testing.T) {
-	prog, _ := mpi.NewBuilder("c", 2).ComputeAll(1, 1).Build()
-	if _, err := Replay(prog, testNet(t), nil); err == nil {
+	compute := func(b *mpi.Builder) { b.ComputeAll(1, 1) }
+	if _, err := replayBuild(2, compute, testNet(t), nil); err == nil {
 		t.Error("nil cost accepted")
 	}
 	bad := func(rank int, blockID uint64, share float64) (float64, error) {
 		return -1, nil
 	}
-	if _, err := Replay(prog, testNet(t), bad); err == nil {
+	if _, err := replayBuild(2, compute, testNet(t), bad); err == nil {
 		t.Error("negative cost accepted")
 	}
-	if _, err := Replay(&mpi.Program{}, testNet(t), flatCost(1)); err == nil {
+	if _, err := replay(&mpi.Program{}, testNet(t), flatCost(1)); err == nil {
 		t.Error("invalid program accepted")
 	}
 	// Mismatched collective kinds at the same occurrence.
@@ -266,7 +273,7 @@ func TestReplayErrors(t *testing.T) {
 		{{Kind: mpi.Barrier}},
 		{{Kind: mpi.Allreduce, Bytes: 8}},
 	}}
-	if _, err := Replay(mismatch, testNet(t), flatCost(0)); err == nil {
+	if _, err := replay(mismatch, testNet(t), flatCost(0)); err == nil {
 		t.Error("mismatched collectives accepted")
 	}
 }
@@ -280,7 +287,7 @@ func TestReplayDeadlockDetected(t *testing.T) {
 		{{Kind: mpi.Recv, Peer: 1, Tag: 0, Bytes: 8}, {Kind: mpi.Send, Peer: 1, Tag: 0, Bytes: 8}},
 		{{Kind: mpi.Recv, Peer: 0, Tag: 0, Bytes: 8}, {Kind: mpi.Send, Peer: 0, Tag: 0, Bytes: 8}},
 	}}
-	if _, err := Replay(prog, testNet(t), flatCost(0)); err == nil {
+	if _, err := replay(prog, testNet(t), flatCost(0)); err == nil {
 		t.Error("deadlock not detected")
 	}
 }
@@ -290,15 +297,11 @@ func TestReplayLargeHaloProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := mpi.NewBuilder("halo", 64)
-	for step := 0; step < 5; step++ {
-		b.ComputeAll(1, 0.2).HaloExchange3D(g, 32<<10, step*10).Allreduce(8)
-	}
-	prog, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Replay(prog, testNet(t), flatCost(0.1))
+	res, err := replayBuild(64, func(b *mpi.Builder) {
+		for step := 0; step < 5; step++ {
+			b.ComputeAll(1, 0.2).HaloExchange3D(g, 32<<10, step*10).Allreduce(8)
+		}
+	}, testNet(t), flatCost(0.1))
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -332,29 +335,21 @@ func TestReduceAndAllgatherCosts(t *testing.T) {
 		t.Errorf("allgather not scaling linearly: %g vs %g", ag8, ag64)
 	}
 	// Replay accepts the new collectives.
-	prog, err := mpi.NewBuilder("c", 4).
-		ComputeAll(1, 1).
-		Collective(mpi.Reduce, 0, 64).
-		Collective(mpi.Allgather, 0, 64).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Replay(prog, n, flatCost(0.01)); err != nil {
+	if _, err := replayBuild(4, func(b *mpi.Builder) {
+		b.ComputeAll(1, 1).
+			Collective(mpi.Reduce, 0, 64).
+			Collective(mpi.Allgather, 0, 64)
+	}, n, flatCost(0.01)); err != nil {
 		t.Fatalf("Replay with reduce/allgather: %v", err)
 	}
 }
 
 func TestReplayTracedTimeline(t *testing.T) {
-	prog, err := mpi.NewBuilder("tl", 2).
-		ComputeAll(7, 1.0).
-		SendRecv(0, 1, 0, 1_000_000).
-		Allreduce(64).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched, err := Compile(prog)
+	sched, err := CompileBuild("tl", 2, func(b *mpi.Builder) {
+		b.ComputeAll(7, 1.0).
+			SendRecv(0, 1, 0, 1_000_000).
+			Allreduce(64)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,8 +410,8 @@ func TestReplayTracedTimeline(t *testing.T) {
 			last = seg.End
 		}
 	}
-	// Plain Replay matches the traced run.
-	plain, err := Replay(prog, testNet(t), flatCost(0.5))
+	// An untraced replay matches the traced run.
+	plain, err := sched.Replay(context.Background(), testNet(t), flatCost(0.5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +432,7 @@ func TestNICInjectionSerializes(t *testing.T) {
 		{{Kind: mpi.Recv, Peer: 0, Tag: 0, Bytes: big}},
 		{{Kind: mpi.Recv, Peer: 0, Tag: 0, Bytes: big}},
 	}}
-	res, err := Replay(prog, testNet(t), flatCost(0))
+	res, err := replay(prog, testNet(t), flatCost(0))
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -458,7 +453,7 @@ func TestNICInjectionSerializes(t *testing.T) {
 			{Kind: mpi.Recv, Peer: 1, Tag: 1, Bytes: big},
 		},
 	}}
-	res2, err := Replay(prog2, testNet(t), flatCost(0))
+	res2, err := replay(prog2, testNet(t), flatCost(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,39 +82,15 @@ type Schedule struct {
 	prog *mpi.Compiled
 }
 
-// Compile checks prog (every check of mpi.Program.Validate) and compiles
-// it for replay, streaming its events rank by rank through the event
-// compiler and its channel matcher. It is the only validation a replay
-// needs.
-func Compile(prog *mpi.Program) (*Schedule, error) {
-	c, err := prog.Compile()
-	if err != nil {
-		return nil, err
-	}
-	return &Schedule{prog: c}, nil
-}
-
 // CompileBuild compiles the n-rank program that build describes straight
 // from the Builder's patterns (mpi.Compile), without materializing its
-// events. The schedule is the one Compile makes of mpi.BuildProgram's
-// program for the same description, up to a renaming of message slots, so
-// the two replay identically.
+// events.
 func CompileBuild(app string, n int, build func(*mpi.Builder)) (*Schedule, error) {
 	c, err := mpi.Compile(app, n, build)
 	if err != nil {
 		return nil, err
 	}
 	return &Schedule{prog: c}, nil
-}
-
-// Replay compiles prog and replays it once; see Schedule.Replay. Callers
-// that replay one program several times compile it once instead.
-func Replay(prog *mpi.Program, net Network, cost ComputeCost) (*Result, error) {
-	s, err := Compile(prog)
-	if err != nil {
-		return nil, err
-	}
-	return s.Replay(context.Background(), net, cost, nil)
 }
 
 // ctxCheckMask throttles cancellation polling in the replay scheduler: the

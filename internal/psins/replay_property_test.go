@@ -1,6 +1,7 @@
 package psins
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,26 +14,29 @@ import (
 // testNetCfg is the network used by the replay property tests.
 var testNetCfg = machine.NetworkConfig{LatencyUS: 5, BandwidthGBs: 2, OverheadUS: 1}
 
-// randomProgram builds a structurally valid random program via the builder.
-func randomProgram(seed int64) (*mpi.Program, error) {
-	r := rand.New(rand.NewSource(seed))
-	n := []int{2, 4, 8, 27}[r.Intn(4)]
+// randomSchedule compiles a random program of Builder patterns. Each of
+// the compiler's two passes draws the same program from its own copy of
+// the seeded source.
+func randomSchedule(seed int64) (*Schedule, error) {
+	n := []int{2, 4, 8, 27}[rand.New(rand.NewSource(seed)).Intn(4)]
 	g, err := mpi.NewGrid3D(n)
 	if err != nil {
 		return nil, err
 	}
-	b := mpi.NewBuilder("prop", n)
-	steps := 1 + r.Intn(4)
-	for s := 0; s < steps; s++ {
-		b.ComputeAll(uint64(r.Intn(3)+1), 1.0/float64(steps))
-		if r.Intn(2) == 0 {
-			b.HaloExchange3D(g, uint64(r.Intn(1<<16)+1), s*100)
-		} else {
-			b.HaloExchange3DNonblocking(g, uint64(r.Intn(1<<16)+1), s*100)
+	return CompileBuild("prop", n, func(b *mpi.Builder) {
+		r := rand.New(rand.NewSource(seed))
+		r.Intn(4) // the rank count
+		steps := 1 + r.Intn(4)
+		for s := 0; s < steps; s++ {
+			b.ComputeAll(uint64(r.Intn(3)+1), 1.0/float64(steps))
+			if r.Intn(2) == 0 {
+				b.HaloExchange3D(g, uint64(r.Intn(1<<16)+1), s*100)
+			} else {
+				b.HaloExchange3DNonblocking(g, uint64(r.Intn(1<<16)+1), s*100)
+			}
+			b.Allreduce(uint64(r.Intn(256) + 1))
 		}
-		b.Allreduce(uint64(r.Intn(256) + 1))
-	}
-	return b.Build()
+	})
 }
 
 // Property: replay is deterministic and its runtime is bounded below by
@@ -44,7 +48,7 @@ func TestReplayInvariantsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(seed int64) bool {
-		prog, err := randomProgram(seed)
+		sched, err := randomSchedule(seed)
 		if err != nil {
 			return false
 		}
@@ -58,11 +62,11 @@ func TestReplayInvariantsProperty(t *testing.T) {
 			}
 			return c * share, nil
 		}
-		a, err := Replay(prog, net, cost)
+		a, err := sched.Replay(context.Background(), net, cost, nil)
 		if err != nil {
 			return false
 		}
-		b, err := Replay(prog, net, cost)
+		b, err := sched.Replay(context.Background(), net, cost, nil)
 		if err != nil {
 			return false
 		}
@@ -100,7 +104,7 @@ func TestReplayMonotoneInComputeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(seed int64) bool {
-		prog, err := randomProgram(seed)
+		sched, err := randomSchedule(seed)
 		if err != nil {
 			return false
 		}
@@ -109,11 +113,11 @@ func TestReplayMonotoneInComputeProperty(t *testing.T) {
 				return scale * 0.01 * share * float64(blockID), nil
 			}
 		}
-		small, err := Replay(prog, net, mk(1))
+		small, err := sched.Replay(context.Background(), net, mk(1), nil)
 		if err != nil {
 			return false
 		}
-		big, err := Replay(prog, net, mk(3))
+		big, err := sched.Replay(context.Background(), net, mk(3), nil)
 		if err != nil {
 			return false
 		}
@@ -139,15 +143,15 @@ func TestReplayMonotoneInNetworkProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(seed int64) bool {
-		prog, err := randomProgram(seed)
+		sched, err := randomSchedule(seed)
 		if err != nil {
 			return false
 		}
-		rs, err := Replay(prog, slow, flatCost(0.001))
+		rs, err := sched.Replay(context.Background(), slow, flatCost(0.001), nil)
 		if err != nil {
 			return false
 		}
-		rf, err := Replay(prog, fast, flatCost(0.001))
+		rf, err := sched.Replay(context.Background(), fast, flatCost(0.001), nil)
 		if err != nil {
 			return false
 		}

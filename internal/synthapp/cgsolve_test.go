@@ -7,21 +7,8 @@ func TestCGSolveEndToEndShape(t *testing.T) {
 	if _, err := app.Work(8); err != nil {
 		t.Fatalf("Work(min): %v", err)
 	}
-	prog, err := app.Program(64)
-	if err != nil {
-		t.Fatalf("Program: %v", err)
-	}
-	if err := prog.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// CG is allreduce-heavy: collectives on every rank.
-	colls := 0
-	for _, e := range prog.Ranks[0] {
-		if e.Kind.IsCollective() {
-			colls++
-		}
-	}
-	if colls == 0 {
+	if prog := compile(t, app, 64); prog.Collectives == 0 {
 		t.Error("cgsolve program has no collectives")
 	}
 	// SpMV dominates the reference counts.

@@ -177,7 +177,7 @@ func (a *App) Work(p int) ([]Work, error) {
 }
 
 // Build returns the description of the app's MPI event trace at core
-// count p, the Builder calls that emit it, for mpi.BuildProgram or
+// count p, the Builder calls that emit it, for mpi.Compile or
 // psins.CompileBuild: steps timesteps, each computing every block on every
 // rank followed by a 3D halo exchange and an allreduce.
 func (a *App) Build(p int) (func(*mpi.Builder), error) {
@@ -204,16 +204,6 @@ func (a *App) Build(p int) (func(*mpi.Builder), error) {
 			b.Allreduce(a.allreduceBytes)
 		}
 	}, nil
-}
-
-// Program builds the replayable MPI event trace at core count p that Build
-// describes.
-func (a *App) Program(p int) (*mpi.Program, error) {
-	build, err := a.Build(p)
-	if err != nil {
-		return nil, err
-	}
-	return mpi.BuildProgram(a.name, p, build)
 }
 
 // jitter is a small deterministic multiplicative perturbation applied to

@@ -5,7 +5,34 @@ import (
 	"testing"
 
 	"tracex/internal/addrgen"
+	"tracex/internal/mpi"
 )
+
+// compile compiles app's program at p cores; compiling checks it as
+// Program.Validate would.
+func compile(t *testing.T, app *App, p int) *mpi.Compiled {
+	t.Helper()
+	build, err := app.Build(p)
+	if err != nil {
+		t.Fatalf("%s.Build(%d): %v", app.Name(), p, err)
+	}
+	c, err := mpi.Compile(app.Name(), p, build)
+	if err != nil {
+		t.Fatalf("%s at %d cores: %v", app.Name(), p, err)
+	}
+	return c
+}
+
+// computes returns the (block, share) pairs of rank r's compute ops.
+func computes(c *mpi.Compiled, r int) []mpi.BlockShare {
+	var out []mpi.BlockShare
+	for _, op := range c.Ops[c.Off[r]:c.Off[r+1]] {
+		if op.Kind == mpi.Compute {
+			out = append(out, c.Computes[op.Arg])
+		}
+	}
+	return out
+}
 
 func TestByNameAndNames(t *testing.T) {
 	for _, name := range Names() {
@@ -68,8 +95,8 @@ func TestCoreRangeEnforced(t *testing.T) {
 	if _, err := app.Work(max + 1); err == nil {
 		t.Error("above-range core count accepted")
 	}
-	if _, err := app.Program(min - 1); err == nil {
-		t.Error("Program below range accepted")
+	if _, err := app.Build(min - 1); err == nil {
+		t.Error("Build below range accepted")
 	}
 }
 
@@ -228,43 +255,27 @@ func TestInfluenceStructure(t *testing.T) {
 }
 
 func TestProgramStructure(t *testing.T) {
-	app := Stencil3D()
-	prog, err := app.Program(64)
-	if err != nil {
-		t.Fatalf("Program: %v", err)
-	}
-	if prog.NumRanks() != 64 {
-		t.Fatalf("NumRanks = %d", prog.NumRanks())
-	}
-	if err := prog.Validate(); err != nil {
-		t.Fatalf("program invalid: %v", err)
+	prog := compile(t, Stencil3D(), 64)
+	if n := len(prog.Off) - 1; n != 64 {
+		t.Fatalf("%d ranks", n)
 	}
 	// Per-rank compute shares per block must sum to 1 across the steps.
 	shares := map[uint64]float64{}
-	for _, e := range prog.Ranks[0] {
-		if e.Kind.String() == "compute" {
-			shares[e.BlockID] += e.Share
-		}
+	for _, c := range computes(prog, 0) {
+		shares[c.BlockID] += c.Share
 	}
 	for id, s := range shares {
 		if math.Abs(s-1) > 1e-9 {
 			t.Errorf("block %d shares sum to %g", id, s)
 		}
 	}
-	if prog.TotalMessages() == 0 {
+	if prog.Messages == 0 {
 		t.Error("no halo messages generated")
 	}
 }
 
 func TestProgramSingleRank(t *testing.T) {
-	app := Stencil3D()
-	prog, err := app.Program(8)
-	if err != nil {
-		t.Fatalf("Program(8): %v", err)
-	}
-	if err := prog.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	compile(t, Stencil3D(), 8)
 }
 
 func TestJitterBoundedAndDeterministic(t *testing.T) {
@@ -299,13 +310,7 @@ func TestAllAppsProgramsValidateAcrossCounts(t *testing.T) {
 			counts = []int{min, max}
 		}
 		for _, p := range counts {
-			prog, err := app.Program(p)
-			if err != nil {
-				t.Fatalf("%s.Program(%d): %v", name, p, err)
-			}
-			if err := prog.Validate(); err != nil {
-				t.Errorf("%s at %d cores: %v", name, p, err)
-			}
+			prog := compile(t, app, p)
 			works, err := app.Work(p)
 			if err != nil {
 				t.Fatalf("%s.Work(%d): %v", name, p, err)
@@ -315,9 +320,9 @@ func TestAllAppsProgramsValidateAcrossCounts(t *testing.T) {
 			for _, w := range works {
 				blocks[w.Spec.ID] = true
 			}
-			for _, e := range prog.Ranks[0] {
-				if e.Kind.String() == "compute" && !blocks[e.BlockID] {
-					t.Errorf("%s: event references unknown block %d", name, e.BlockID)
+			for _, c := range computes(prog, 0) {
+				if !blocks[c.BlockID] {
+					t.Errorf("%s: compute references unknown block %d", name, c.BlockID)
 				}
 			}
 		}

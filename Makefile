@@ -26,7 +26,8 @@ test-race:
 	$(GO) test -race ./...
 
 # Short fuzz passes over the signature and reuse codecs, the wire strict
-# decoder, the program validator, the two program compile routes, the cache
+# decoder, the program validator, the three program routes (two compiles
+# and the walk), the one-pass replay against the compiled one, the cache
 # simulator, the address generators' batch paths and the fit table rules.
 # CI runs this target, so a new fuzz target is added here only.
 fuzz:
@@ -35,6 +36,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeStrict -fuzztime 10s ./wire
 	$(GO) test -run '^$$' -fuzz FuzzProgramValidate -fuzztime 10s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz FuzzCompileRoutesAgree -fuzztime 10s ./internal/mpi
+	$(GO) test -run '^$$' -fuzz FuzzReplayMatchesOracle -fuzztime 10s ./internal/psins
 	$(GO) test -run '^$$' -fuzz FuzzSimulatorMatchesReference -fuzztime 10s ./internal/cache
 	$(GO) test -run '^$$' -fuzz FuzzNextBatchMatchesNext -fuzztime 10s ./internal/addrgen
 	$(GO) test -run '^$$' -fuzz FuzzFitTableMatchesReference -fuzztime 10s ./internal/uncert

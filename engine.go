@@ -736,8 +736,9 @@ type PredictRequest struct {
 	// Prediction.
 	WithReplay bool
 	// WithTimeline attaches the per-rank segment timeline to the returned
-	// Prediction. Memory grows with rank count × events — intended for
-	// small-to-moderate replays.
+	// Prediction. Each rank's segments are in time order; different ranks'
+	// segments interleave in an unspecified order. Memory grows with rank
+	// count × events — intended for small-to-moderate replays.
 	WithTimeline bool
 	// Intervals attaches runtime prediction intervals to the returned
 	// Prediction. It requires the signature to carry uncertainty (from
@@ -1123,10 +1124,6 @@ func predict(ctx context.Context, sig *Signature, prof *Profile, app *App, detai
 	if err != nil {
 		return nil, err
 	}
-	sched, err := psins.CompileBuild(app.Name(), sig.CoreCount, build)
-	if err != nil {
-		return nil, err
-	}
 	net, err := psins.NewNetwork(prof.Machine.Network)
 	if err != nil {
 		return nil, err
@@ -1140,7 +1137,7 @@ func predict(ctx context.Context, sig *Signature, prof *Profile, app *App, detai
 	if withTimeline {
 		tl = &Timeline{}
 	}
-	res, err := sched.Replay(ctx, net, psins.CostFromComputation(comp, lf), tl)
+	res, err := psins.Replay(ctx, sig.CoreCount, build, net, psins.CostFromComputation(comp, lf), tl)
 	if err != nil {
 		return nil, err
 	}
@@ -1159,7 +1156,7 @@ func predict(ctx context.Context, sig *Signature, prof *Profile, app *App, detai
 		pred.Replay = res
 	}
 	if detail.intervals && sig.Uncertainty != nil {
-		ivs, err := runtimeIntervals(ctx, dom, sig.Uncertainty, prof, comp, sched, net, lf, detail.levels)
+		ivs, err := runtimeIntervals(ctx, dom, sig.Uncertainty, prof, comp, sig.CoreCount, build, net, lf, detail.levels)
 		if err != nil {
 			return nil, fmt.Errorf("tracex: propagating prediction intervals: %w", err)
 		}

@@ -132,8 +132,8 @@ func BenchmarkPredictWarm(b *testing.B) {
 // BenchmarkPredictPaperScale measures one warm predict at each of the
 // paper's target scales on bluewaters: specfem3d@6144, uh3d@8192 and
 // stencil3d@8192. The machine profile and the three signatures are built
-// before the timer starts, so each op is the convolution, the compile of
-// the application's communication program and its replay.
+// before the timer starts, so each op is the convolution and the replay of
+// the application's communication program.
 func BenchmarkPredictPaperScale(b *testing.B) {
 	target, err := tracex.LoadMachine("bluewaters")
 	if err != nil {

@@ -685,12 +685,14 @@ func TestPredictRequestVariants(t *testing.T) {
 }
 
 // TestPredictWarmAllocs gates the warm predict path deterministically: a
-// stencil3d@1024 predict from a cached signature and profile compiles the
-// communication program and replays it in a bounded number of allocations,
-// none per rank, event or message, and in at most 1.21 MB. It measures ~66
-// allocations and ~1.05 MB. A program whose rank traces grew by append made
-// ~5,500 allocations; compiling a materialized []mpi.Event took 4.2 MB, and
-// matching Builder messages through per-source endpoint buckets ~1.4 MB.
+// stencil3d@1024 predict from a cached signature and profile replays the
+// communication program in one walk of its description in at most 62
+// allocations, none per event or message, and in at most 107 KB. It
+// measures 50 allocations (55 under the race detector) and ~86 KB; the
+// bounds leave 25% headroom. Compiling the program into ops before the
+// replay took ~66 allocations and ~1.05 MB, a program whose rank traces
+// grew by append ~5,500 allocations, and compiling a materialized
+// []mpi.Event 4.2 MB.
 func TestPredictWarmAllocs(t *testing.T) {
 	app := testApp(t, "stencil3d")
 	target, err := LoadMachine("bluewaters")
@@ -712,8 +714,8 @@ func TestPredictWarmAllocs(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(3, predict)
-	if allocs > 600 {
-		t.Errorf("warm stencil3d@1024 predict made %.0f allocations, want ≤ 600", allocs)
+	if allocs > 62 {
+		t.Errorf("warm stencil3d@1024 predict made %.0f allocations, want ≤ 62", allocs)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -723,8 +725,8 @@ func TestPredictWarmAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perPredict := (after.TotalAlloc - before.TotalAlloc) / 3
 	t.Logf("warm stencil3d@1024 predict: %.0f allocations, %d bytes", allocs, perPredict)
-	if perPredict > 1_210_000 {
-		t.Errorf("warm stencil3d@1024 predict allocated %d bytes, want ≤ 1.21 MB", perPredict)
+	if perPredict > 107_000 {
+		t.Errorf("warm stencil3d@1024 predict allocated %d bytes, want ≤ 107 KB", perPredict)
 	}
 }
 

@@ -258,11 +258,6 @@ func AblationClustering(cfg Config) ([]ClusteringAblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Both pricing strategies replay the same compiled program.
-		sched, err := psins.CompileBuild(app.Name(), spec.TargetCount, build)
-		if err != nil {
-			return nil, err
-		}
 		measured, err := measure(cfg.context(), app, spec.TargetCount, target, cfg.Collect)
 		if err != nil {
 			return nil, err
@@ -294,7 +289,7 @@ func AblationClustering(cfg Config) ([]ClusteringAblationRow, error) {
 			{"uniform", uniform},
 			{"clustered", clustered},
 		} {
-			res, err := sched.Replay(cfg.context(), net, s.cost, nil)
+			res, err := psins.Replay(cfg.context(), spec.TargetCount, build, net, s.cost, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -377,12 +377,8 @@ func CommExtrap(cfg Config) ([]CommExtrapRow, error) {
 	zeroCost := func(rank int, blockID uint64, share float64) (float64, error) { return 0, nil }
 	// replay replays the n-rank program that build describes with zeroed
 	// compute, for a like-for-like communication time.
-	replay := func(app string, n int, build func(*mpi.Builder)) (float64, error) {
-		sched, err := psins.CompileBuild(app, n, build)
-		if err != nil {
-			return 0, err
-		}
-		res, err := sched.Replay(cfg.context(), net, zeroCost, nil)
+	replay := func(n int, build func(*mpi.Builder)) (float64, error) {
+		res, err := psins.Replay(cfg.context(), n, build, net, zeroCost, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -432,10 +428,10 @@ func CommExtrap(cfg Config) ([]CommExtrapRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("expt: synthesizing %s comm: %w", spec.App, err)
 		}
-		if row.SynthCommSeconds, err = replay(spec.App+"-comm", ext.Profile.CoreCount, synthBuild); err != nil {
+		if row.SynthCommSeconds, err = replay(ext.Profile.CoreCount, synthBuild); err != nil {
 			return nil, err
 		}
-		if row.ActualCommSeconds, err = replay(app.Name(), spec.TargetCount, actualBuild); err != nil {
+		if row.ActualCommSeconds, err = replay(spec.TargetCount, actualBuild); err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)

@@ -4,10 +4,11 @@ import "fmt"
 
 // Builder describes a program through communication patterns. Each method
 // checks its arguments and hands the call to an emitter, which in
-// production is the pattern compiler that Compile drives. Every pattern
-// emits matched sends and receives, waited requests and collectives on all
-// ranks, so a program a Builder describes without error always passes
-// Program.Validate. The first error sticks: later calls do nothing.
+// production is the walk a replay drives (Walk) or the pattern compiler
+// that Compile drives. Every pattern emits matched sends and receives,
+// waited requests and collectives on all ranks, so a program a Builder
+// describes without error always passes Program.Validate. The first error
+// sticks: later calls do nothing.
 type Builder struct {
 	n   int
 	err error
@@ -16,10 +17,11 @@ type Builder struct {
 
 // emitter takes a Builder's pattern calls once the Builder has checked
 // their arguments. It checks the events a call makes and returns the
-// error that sticks. The pattern compiler (patterns) is its only
-// implementation outside tests; it ignores the tags, since it pairs each
-// message as it writes it (DESIGN §18). Tests substitute an emitter that
-// appends every event, as the compiler's reference.
+// error that sticks. The walk (walker) and the pattern compiler (patterns)
+// are its implementations outside tests; both ignore the tags, since each
+// pairs a message's send and receive as it hands them over or writes them
+// (DESIGN §18). Tests substitute an emitter that appends every event, as
+// the reference of both.
 type emitter interface {
 	compute(lo, hi int, block uint64, share float64) error
 	collective(kind EventKind, root int, bytes uint64) error

@@ -186,7 +186,7 @@ func (c *patterns) sendRecv(src, dst, _ int, bytes uint64) error {
 // message to each existing neighbor, in the order of HaloExchange3D's
 // SendRecv calls.
 func (c *patterns) halo(g Grid3D, bytes uint64, _ int) error {
-	if err := c.checkHalo(g, Send, bytes); err != nil {
+	if err := checkHalo(g, Send, bytes, c.check); err != nil {
 		return err
 	}
 	for w := (gridWalk{g: g}); w.r < c.n; w.next() {
@@ -208,7 +208,7 @@ func (c *patterns) halo(g Grid3D, bytes uint64, _ int) error {
 // direction d has slot base+6s+d, which its receiver, posting its Irecv
 // in direction d^1, computes from its own side.
 func (c *patterns) haloNonblocking(g Grid3D, bytes uint64, _ int) error {
-	if err := c.checkHalo(g, Irecv, bytes); err != nil {
+	if err := checkHalo(g, Irecv, bytes, c.check); err != nil {
 		return err
 	}
 	base := c.out.Slots
@@ -250,19 +250,6 @@ func (c *patterns) haloNonblocking(g Grid3D, bytes uint64, _ int) error {
 	}
 	if c.sized {
 		c.out.Slots += 6 * c.n
-	}
-	return nil
-}
-
-// checkHalo checks the first event of a halo exchange over g: rank 0's
-// event of the given kind with its first neighbor, if it has one. Every
-// other event of the exchange carries the same payload between neighbors.
-func (c *patterns) checkHalo(g Grid3D, kind EventKind, bytes uint64) error {
-	w := gridWalk{g: g}
-	for _, peer := range w.neighbors() {
-		if peer >= 0 {
-			return c.check(0, Event{Kind: kind, Peer: peer, Bytes: bytes})
-		}
 	}
 	return nil
 }

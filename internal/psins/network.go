@@ -1,9 +1,10 @@
 // Package psins reimplements the role of the PSiNS simulator in the PMaC
 // framework: it replays a parallel application's event trace against a
 // target machine model to produce a predicted runtime. The package provides
-// three pieces: a LogGP-style network model, a discrete-event replay engine
-// for MPI event traces compiled into schedules, and the convolution that
-// maps an application signature onto a machine profile (Equation 1 of the
+// three pieces: a LogGP-style network model, a discrete-event replay
+// (Replay) that prices each event of an application's mpi.Builder
+// description in one walk of it (mpi.Walk), and the convolution that maps
+// an application signature onto a machine profile (Equation 1 of the
 // paper) to obtain per-basic-block computation times.
 package psins
 

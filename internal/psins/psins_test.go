@@ -25,7 +25,7 @@ func flatCost(perShare float64) ComputeCost {
 }
 
 // replay compiles the explicit program prog with the event compiler, as a
-// Schedule, and replays it once.
+// Schedule, and replays it once through the compiled replay.
 func replay(prog *mpi.Program, net Network, cost ComputeCost) (*Result, error) {
 	c, err := prog.Compile()
 	if err != nil {
@@ -34,14 +34,9 @@ func replay(prog *mpi.Program, net Network, cost ComputeCost) (*Result, error) {
 	return (&Schedule{prog: c}).Replay(context.Background(), net, cost, nil)
 }
 
-// replayBuild compiles the n-rank program that build describes and replays
-// it once.
+// replayBuild replays the n-rank program that build describes once.
 func replayBuild(n int, build func(*mpi.Builder), net Network, cost ComputeCost) (*Result, error) {
-	s, err := CompileBuild("test", n, build)
-	if err != nil {
-		return nil, err
-	}
-	return s.Replay(context.Background(), net, cost, nil)
+	return Replay(context.Background(), n, build, net, cost, nil)
 }
 
 func TestNewNetworkRejectsBadConfig(t *testing.T) {
@@ -345,16 +340,13 @@ func TestReduceAndAllgatherCosts(t *testing.T) {
 }
 
 func TestReplayTracedTimeline(t *testing.T) {
-	sched, err := CompileBuild("tl", 2, func(b *mpi.Builder) {
+	build := func(b *mpi.Builder) {
 		b.ComputeAll(7, 1.0).
 			SendRecv(0, 1, 0, 1_000_000).
 			Allreduce(64)
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	var tl Timeline
-	res, err := sched.Replay(context.Background(), testNet(t), flatCost(0.5), &tl)
+	res, err := Replay(context.Background(), 2, build, testNet(t), flatCost(0.5), &tl)
 	if err != nil {
 		t.Fatalf("Replay with timeline: %v", err)
 	}
@@ -411,7 +403,7 @@ func TestReplayTracedTimeline(t *testing.T) {
 		}
 	}
 	// An untraced replay matches the traced run.
-	plain, err := sched.Replay(context.Background(), testNet(t), flatCost(0.5), nil)
+	plain, err := Replay(context.Background(), 2, build, testNet(t), flatCost(0.5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

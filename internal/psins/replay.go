@@ -32,16 +32,6 @@ type Result struct {
 	Messages int
 }
 
-// collState tracks one collective occurrence while ranks arrive at it.
-type collState struct {
-	kind    mpi.EventKind
-	bytes   uint64
-	arrived int
-	maxT    float64
-	done    bool
-	endT    float64
-}
-
 // Segment is one interval of a rank's replayed timeline.
 type Segment struct {
 	// Rank is the MPI rank the segment belongs to.
@@ -57,7 +47,8 @@ type Segment struct {
 
 // Timeline collects the per-rank segments of a replay for visualization
 // and prediction debugging. Zero-length segments (instantaneous events) are
-// omitted.
+// omitted. Each rank's segments appear in time order; the segments of
+// different ranks interleave in an unspecified order.
 type Timeline struct {
 	Segments []Segment `json:"segments"`
 }
@@ -72,48 +63,33 @@ func (tl *Timeline) add(rank int, kind mpi.EventKind, start, end float64, blockI
 	})
 }
 
-// Schedule is a program compiled for replay (mpi.Compiled): every event as
-// a 16-byte op, with its point-to-point matching resolved into message
-// slots, each shared by a message's send and its receive (and the
-// receive's Wait). A Schedule is immutable, so one compiled program can be
-// replayed any number of times, concurrently, under different costs and
-// networks.
-type Schedule struct {
-	prog *mpi.Compiled
-}
-
-// CompileBuild compiles the n-rank program that build describes straight
-// from the Builder's patterns (mpi.Compile), without materializing its
-// events.
-func CompileBuild(app string, n int, build func(*mpi.Builder)) (*Schedule, error) {
-	c, err := mpi.Compile(app, n, build)
-	if err != nil {
-		return nil, err
-	}
-	return &Schedule{prog: c}, nil
-}
-
-// ctxCheckMask throttles cancellation polling in the replay scheduler: the
-// context is consulted every ctxCheckMask+1 replayed events.
+// ctxCheckMask throttles the cancellation polling of a replay's sends: it
+// consults its context every ctxCheckMask+1 messages sent, besides at
+// every compute and collective call.
 const ctxCheckMask = 1<<12 - 1
 
-// Replay performs a discrete-event replay of the compiled program: per-rank
-// virtual clocks advance through each rank's event list, blocking receives
-// and Waits on receives wait for their message slot's arrival under the
-// network model, and collectives synchronize all ranks. The cost callback
-// supplies compute-segment durations. Cancelling ctx stops the replay
-// promptly mid-schedule and returns ctx.Err(); when tl is non-nil every
-// rank's compute and communication intervals are appended to it (memory
-// grows with the event count — use judiciously at large rank counts).
-// Replay returns an error for replays that deadlock (which cannot happen
-// for programs produced by mpi.Builder) and for collectives whose kind or
-// payload differs between ranks.
-func (s *Schedule) Replay(ctx context.Context, net Network, cost ComputeCost, tl *Timeline) (*Result, error) {
+// Replay performs a discrete-event replay of the n-rank program that build
+// describes, in one pass over the description (mpi.Walk) that prices each
+// event as it arrives: per-rank virtual clocks advance through each rank's
+// events, a blocking receive or the Wait of an Irecv completes at its
+// message's arrival under the network model, and a collective ends
+// CollectiveCost after the last rank arrives. The cost callback supplies
+// compute-segment durations. A rank's events come in program order and
+// each receive after its send, so a rank's clock, its NIC queue and every
+// collective's latest arrival are the ones a replay in any other such
+// order computes. Replay checks ctx at every compute and collective call
+// and every 4096 messages, and returns ctx.Err() once it is cancelled.
+// When tl is non-nil every rank's compute and communication intervals are
+// appended to it (memory grows with the event count — use judiciously at
+// large rank counts). Replay returns the description's error if mpi.Walk
+// rejects it.
+func Replay(ctx context.Context, n int, build func(*mpi.Builder), net Network, cost ComputeCost, tl *Timeline) (*Result, error) {
 	if cost == nil {
 		return nil, fmt.Errorf("psins: nil compute cost")
 	}
-	ops, off, computes := s.prog.Ops, s.prog.Off, s.prog.Computes
-	n := len(off) - 1
+	if n <= 0 {
+		return nil, fmt.Errorf("psins: replay over %d ranks", n)
+	}
 	// The label is built without fmt, whose printer pool a garbage
 	// collection may empty, so a replay's allocations do not depend on
 	// when the collector runs.
@@ -125,161 +101,19 @@ func (s *Schedule) Replay(ctx context.Context, net Network, cost ComputeCost, tl
 		RankEnd:     make([]float64, n),
 		ComputeTime: make([]float64, n),
 		CommTime:    make([]float64, n),
-		Messages:    s.prog.Messages,
 	}
-	clock := make([]float64, n)
-	pc := make([]int, n)      // index in ops of each rank's next op
-	collIdx := make([]int, n) // next collective occurrence index per rank
-	collReg := make([]int, n) // collectives rank r has registered arrival at
-	// arrivals[slot] is when the message in slot reaches its receiver, valid
-	// once ready[slot] (its send has executed).
-	arrivals := make([]float64, s.prog.Slots)
-	ready := make([]bool, s.prog.Slots)
-	// nicFree[r] is when rank r's NIC finishes injecting its previous
-	// message: consecutive sends from one rank serialize at the NIC even
-	// though the CPU only pays the per-message overhead.
-	nicFree := make([]float64, n)
-	inject := func(r int, sendTime float64, bytes uint64) float64 {
-		start := sendTime
-		if nicFree[r] > start {
-			start = nicFree[r]
-		}
-		ser := net.SerializationTime(bytes)
-		nicFree[r] = start + ser
-		return start + ser + net.Latency()
+	p := &replayer{ctx: ctx, net: net, cost: cost, tl: tl, res: res,
+		clock: res.RankEnd, nicFree: make([]float64, n)}
+	events, err := mpi.Walk[float64](n, build, p)
+	if err == nil {
+		err = p.err
 	}
-	// receive completes a Recv, or the Wait of an Irecv, on rank r at the
-	// message's arrival.
-	receive := func(r int, kind mpi.EventKind, arrival float64) {
-		start := clock[r]
-		end := arrival
-		if end < start {
-			end = start
-		}
-		end += net.RecvOverhead()
-		tl.add(r, kind, start, end, 0)
-		res.CommTime[r] += end - start
-		clock[r] = end
+	if err != nil {
+		return nil, err
 	}
-	colls := make([]collState, 0, s.prog.Collectives)
-	unfinished := 0
-	for r := 0; r < n; r++ {
-		pc[r] = off[r]
-		if off[r+1] > off[r] {
-			unfinished++
-		}
-	}
-
-	var replayed int
-	for unfinished > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		progress := false
-		for r := 0; r < n; r++ {
-			end := off[r+1]
-			if pc[r] == end {
-				continue
-			}
-			// Drain as many events as possible for this rank before moving
-			// on; only a blocked receive, Wait or collective stops it.
-		rankLoop:
-			for pc[r] < end {
-				if replayed++; replayed&ctxCheckMask == 0 {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				op := &ops[pc[r]]
-				slot := op.Slot
-				switch op.Kind {
-				case mpi.Compute:
-					w := computes[op.Arg]
-					dt, err := cost(r, w.BlockID, w.Share)
-					if err != nil {
-						return nil, fmt.Errorf("psins: rank %d block %d: %w", r, w.BlockID, err)
-					}
-					if dt < 0 {
-						return nil, fmt.Errorf("psins: negative compute cost %g for block %d", dt, w.BlockID)
-					}
-					tl.add(r, mpi.Compute, clock[r], clock[r]+dt, w.BlockID)
-					clock[r] += dt
-					res.ComputeTime[r] += dt
-				case mpi.Send, mpi.Isend:
-					// Sends are eager: the CPU pays the injection overhead
-					// at post time, and an Isend's Wait is then free.
-					o := net.SendOverhead(op.Arg)
-					arrivals[slot] = inject(r, clock[r]+o, op.Arg)
-					ready[slot] = true
-					tl.add(r, op.Kind, clock[r], clock[r]+o, 0)
-					clock[r] += o
-					res.CommTime[r] += o
-				case mpi.Recv:
-					if !ready[slot] {
-						break rankLoop // blocked: matching send not yet executed
-					}
-					receive(r, mpi.Recv, arrivals[slot])
-				case mpi.Irecv:
-					// Posting costs no time; the slot was reserved in
-					// posting order at compile time.
-				case mpi.Wait:
-					if slot >= 0 { // an Irecv's Wait; an Isend's is complete
-						if !ready[slot] {
-							break rankLoop // message not yet injected by the sender
-						}
-						receive(r, mpi.Wait, arrivals[slot])
-					}
-				default: // collective
-					idx := collIdx[r]
-					for len(colls) <= idx {
-						colls = append(colls, collState{kind: op.Kind, bytes: op.Arg})
-					}
-					st := &colls[idx]
-					if st.kind != op.Kind || st.bytes != op.Arg {
-						return nil, fmt.Errorf("psins: rank %d collective %d is %s/%dB, others ran %s/%dB",
-							r, idx, op.Kind, op.Arg, st.kind, st.bytes)
-					}
-					if collReg[r] == idx {
-						// First visit by this rank: register arrival.
-						st.arrived++
-						collReg[r] = idx + 1
-						if clock[r] > st.maxT {
-							st.maxT = clock[r]
-						}
-						if st.arrived == n {
-							c, err := net.CollectiveCost(st.kind, n, st.bytes)
-							if err != nil {
-								return nil, err
-							}
-							st.done = true
-							st.endT = st.maxT + c
-						}
-						progress = true
-					}
-					if !st.done {
-						break rankLoop // wait for the other ranks
-					}
-					tl.add(r, op.Kind, clock[r], st.endT, 0)
-					res.CommTime[r] += st.endT - clock[r]
-					clock[r] = st.endT
-					collIdx[r]++
-				}
-				pc[r]++
-				progress = true
-			}
-			if pc[r] == end {
-				unfinished--
-			}
-		}
-		if !progress {
-			return nil, fmt.Errorf("psins: replay deadlocked with %d/%d ranks incomplete",
-				unfinished, n)
-		}
-	}
-	for r := 0; r < n; r++ {
-		res.RankEnd[r] = clock[r]
-		if clock[r] > res.Runtime {
-			res.Runtime = clock[r]
+	for _, t := range res.RankEnd {
+		if t > res.Runtime {
+			res.Runtime = t
 		}
 	}
 	// One batched metrics update per replay: events executed, messages
@@ -292,9 +126,115 @@ func (s *Schedule) Replay(ctx context.Context, net Network, cost ComputeCost, tl
 	}
 	m := obs.From(ctx)
 	m.Counter("psins.replays").Inc()
-	m.Counter("psins.events").Add(uint64(len(ops)))
+	m.Counter("psins.events").Add(uint64(events))
 	m.Counter("psins.messages").Add(uint64(res.Messages))
 	m.Gauge("psins.compute_seconds").Add(compute)
 	m.Gauge("psins.comm_seconds").Add(comm)
 	return res, nil
+}
+
+// replayer is Replay's mpi.Visitor. A message's M is its arrival time at
+// its receiver.
+type replayer struct {
+	ctx  context.Context
+	net  Network
+	cost ComputeCost
+	tl   *Timeline
+	res  *Result
+	// clock[r] is rank r's virtual time, kept in res.RankEnd.
+	clock []float64
+	// nicFree[r] is when rank r's NIC finishes injecting its previous
+	// message: consecutive sends from one rank serialize at the NIC even
+	// though the CPU only pays the per-message overhead.
+	nicFree []float64
+	// err is the context's error, once a Send has seen it.
+	err error
+}
+
+// poll returns the context's error, if a Send saw it or it is cancelled
+// now.
+func (p *replayer) poll() error {
+	if p.err != nil {
+		return p.err
+	}
+	return p.ctx.Err()
+}
+
+// Compute advances ranks lo to hi-1 by their cost of share of block.
+func (p *replayer) Compute(lo, hi int, block uint64, share float64) error {
+	if err := p.poll(); err != nil {
+		return err
+	}
+	for r := lo; r < hi; r++ {
+		dt, err := p.cost(r, block, share)
+		if err != nil {
+			return fmt.Errorf("psins: rank %d block %d: %w", r, block, err)
+		}
+		if dt < 0 {
+			return fmt.Errorf("psins: negative compute cost %g for block %d", dt, block)
+		}
+		p.tl.add(r, mpi.Compute, p.clock[r], p.clock[r]+dt, block)
+		p.clock[r] += dt
+		p.res.ComputeTime[r] += dt
+	}
+	return nil
+}
+
+// Collective synchronizes every rank: each leaves at the latest arrival
+// plus the collective's cost.
+func (p *replayer) Collective(kind mpi.EventKind, bytes uint64) error {
+	if err := p.poll(); err != nil {
+		return err
+	}
+	c, err := p.net.CollectiveCost(kind, len(p.clock), bytes)
+	if err != nil {
+		return err
+	}
+	var last float64
+	for _, t := range p.clock {
+		if t > last {
+			last = t
+		}
+	}
+	end := last + c
+	for r, t := range p.clock {
+		p.tl.add(r, kind, t, end, 0)
+		p.res.CommTime[r] += end - t
+		p.clock[r] = end
+	}
+	return nil
+}
+
+// Send is eager: the CPU pays the injection overhead at post time, and an
+// Isend's Wait is then free. The payload leaves once rank r's NIC is free.
+func (p *replayer) Send(r int, kind mpi.EventKind, bytes uint64) float64 {
+	if p.res.Messages++; p.res.Messages&ctxCheckMask == 0 && p.err == nil {
+		p.err = p.ctx.Err()
+	}
+	now := p.clock[r]
+	o := p.net.SendOverhead(bytes)
+	start := now + o
+	if p.nicFree[r] > start {
+		start = p.nicFree[r]
+	}
+	ser := p.net.SerializationTime(bytes)
+	p.nicFree[r] = start + ser
+	p.tl.add(r, kind, now, now+o, 0)
+	p.clock[r] = now + o
+	p.res.CommTime[r] += o
+	return start + ser + p.net.Latency()
+}
+
+// Receive completes a Recv, or the Wait of an Irecv, on rank r at the
+// message's arrival.
+func (p *replayer) Receive(r int, kind mpi.EventKind, arrival float64) {
+	start := p.clock[r]
+	end := arrival
+	if end < start {
+		end = start
+	}
+	end += p.net.RecvOverhead()
+	p.tl.add(r, kind, start, end, 0)
+	p.res.CommTime[r] += end - start
+	p.clock[r] = end
 }

@@ -14,16 +14,27 @@ import (
 // testNetCfg is the network used by the replay property tests.
 var testNetCfg = machine.NetworkConfig{LatencyUS: 5, BandwidthGBs: 2, OverheadUS: 1}
 
-// randomSchedule compiles a random program of Builder patterns. Each of
-// the compiler's two passes draws the same program from its own copy of
-// the seeded source.
-func randomSchedule(seed int64) (*Schedule, error) {
+// description is an n-rank program that build describes.
+type description struct {
+	n     int
+	build func(*mpi.Builder)
+}
+
+// replay replays the program once.
+func (p description) replay(net Network, cost ComputeCost) (*Result, error) {
+	return Replay(context.Background(), p.n, p.build, net, cost, nil)
+}
+
+// randomDescription describes a random program of Builder patterns. Every
+// call of its build draws the same program from its own copy of the seeded
+// source.
+func randomDescription(seed int64) (description, error) {
 	n := []int{2, 4, 8, 27}[rand.New(rand.NewSource(seed)).Intn(4)]
 	g, err := mpi.NewGrid3D(n)
 	if err != nil {
-		return nil, err
+		return description{}, err
 	}
-	return CompileBuild("prop", n, func(b *mpi.Builder) {
+	return description{n, func(b *mpi.Builder) {
 		r := rand.New(rand.NewSource(seed))
 		r.Intn(4) // the rank count
 		steps := 1 + r.Intn(4)
@@ -36,7 +47,7 @@ func randomSchedule(seed int64) (*Schedule, error) {
 			}
 			b.Allreduce(uint64(r.Intn(256) + 1))
 		}
-	})
+	}}, nil
 }
 
 // Property: replay is deterministic and its runtime is bounded below by
@@ -48,7 +59,7 @@ func TestReplayInvariantsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(seed int64) bool {
-		sched, err := randomSchedule(seed)
+		desc, err := randomDescription(seed)
 		if err != nil {
 			return false
 		}
@@ -62,11 +73,11 @@ func TestReplayInvariantsProperty(t *testing.T) {
 			}
 			return c * share, nil
 		}
-		a, err := sched.Replay(context.Background(), net, cost, nil)
+		a, err := desc.replay(net, cost)
 		if err != nil {
 			return false
 		}
-		b, err := sched.Replay(context.Background(), net, cost, nil)
+		b, err := desc.replay(net, cost)
 		if err != nil {
 			return false
 		}
@@ -104,7 +115,7 @@ func TestReplayMonotoneInComputeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(seed int64) bool {
-		sched, err := randomSchedule(seed)
+		desc, err := randomDescription(seed)
 		if err != nil {
 			return false
 		}
@@ -113,11 +124,11 @@ func TestReplayMonotoneInComputeProperty(t *testing.T) {
 				return scale * 0.01 * share * float64(blockID), nil
 			}
 		}
-		small, err := sched.Replay(context.Background(), net, mk(1), nil)
+		small, err := desc.replay(net, mk(1))
 		if err != nil {
 			return false
 		}
-		big, err := sched.Replay(context.Background(), net, mk(3), nil)
+		big, err := desc.replay(net, mk(3))
 		if err != nil {
 			return false
 		}
@@ -143,15 +154,15 @@ func TestReplayMonotoneInNetworkProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(seed int64) bool {
-		sched, err := randomSchedule(seed)
+		desc, err := randomDescription(seed)
 		if err != nil {
 			return false
 		}
-		rs, err := sched.Replay(context.Background(), slow, flatCost(0.001), nil)
+		rs, err := desc.replay(slow, flatCost(0.001))
 		if err != nil {
 			return false
 		}
-		rf, err := sched.Replay(context.Background(), fast, flatCost(0.001), nil)
+		rf, err := desc.replay(fast, flatCost(0.001))
 		if err != nil {
 			return false
 		}

@@ -177,9 +177,9 @@ func (a *App) Work(p int) ([]Work, error) {
 }
 
 // Build returns the description of the app's MPI event trace at core
-// count p, the Builder calls that emit it, for mpi.Compile or
-// psins.CompileBuild: steps timesteps, each computing every block on every
-// rank followed by a 3D halo exchange and an allreduce.
+// count p, the Builder calls that emit it, for psins.Replay or
+// mpi.Compile: steps timesteps, each computing every block on every rank
+// followed by a 3D halo exchange and an allreduce.
 func (a *App) Build(p int) (func(*mpi.Builder), error) {
 	if err := a.checkCores(p); err != nil {
 		return nil, err

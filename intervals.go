@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"tracex/internal/machine"
+	"tracex/internal/mpi"
 	"tracex/internal/psins"
 	"tracex/internal/trace"
 	"tracex/internal/uncert"
@@ -34,7 +35,7 @@ import (
 //     so communication waits that absorb (or amplify) compute shifts are
 //     modeled rather than assumed away.
 func runtimeIntervals(ctx context.Context, dom *trace.Trace, uc *trace.SignatureUncertainty,
-	prof *machine.Profile, comp *psins.Computation, sched *psins.Schedule, net psins.Network,
+	prof *machine.Profile, comp *psins.Computation, cores int, build func(*mpi.Builder), net psins.Network,
 	lf func(int) float64, levels []float64) ([]Interval, error) {
 	if uc == nil || comp.Seconds <= 0 {
 		return nil, nil
@@ -89,11 +90,11 @@ func runtimeIntervals(ctx context.Context, dom *trace.Trace, uc *trace.Signature
 		if loScale < 0 {
 			loScale = 0
 		}
-		loRT, err := replayScaled(ctx, sched, net, comp, lf, loScale)
+		loRT, err := replayScaled(ctx, cores, build, net, comp, lf, loScale)
 		if err != nil {
 			return nil, err
 		}
-		hiRT, err := replayScaled(ctx, sched, net, comp, lf, 1+q*relSD)
+		hiRT, err := replayScaled(ctx, cores, build, net, comp, lf, 1+q*relSD)
 		if err != nil {
 			return nil, err
 		}
@@ -127,9 +128,10 @@ func perturbedBlockSeconds(base []float64, e int, delta float64, cons []trace.Co
 	return bt.Seconds
 }
 
-// replayScaled re-runs the communication replay with every convolved block
-// cost multiplied by scale, returning the predicted runtime.
-func replayScaled(ctx context.Context, sched *psins.Schedule, net psins.Network, comp *psins.Computation, lf func(int) float64, scale float64) (float64, error) {
+// replayScaled re-runs the communication replay of the cores-rank program
+// that build describes with every convolved block cost multiplied by
+// scale, returning the predicted runtime.
+func replayScaled(ctx context.Context, cores int, build func(*mpi.Builder), net psins.Network, comp *psins.Computation, lf func(int) float64, scale float64) (float64, error) {
 	cost := psins.CostFromComputation(comp, lf)
 	scaled := func(rank int, blockID uint64, share float64) (float64, error) {
 		c, err := cost(rank, blockID, share)
@@ -138,7 +140,7 @@ func replayScaled(ctx context.Context, sched *psins.Schedule, net psins.Network,
 		}
 		return c * scale, nil
 	}
-	res, err := sched.Replay(ctx, net, scaled, nil)
+	res, err := psins.Replay(ctx, cores, build, net, scaled, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -60,10 +60,6 @@ func measure(ctx context.Context, col *pebil.Collector, app *App, cores int, tar
 	if err != nil {
 		return nil, err
 	}
-	sched, err := psins.CompileBuild(app.Name(), cores, build)
-	if err != nil {
-		return nil, err
-	}
 	net, err := psins.NewNetwork(target.Network)
 	if err != nil {
 		return nil, err
@@ -75,7 +71,7 @@ func measure(ctx context.Context, col *pebil.Collector, app *App, cores int, tar
 		}
 		return t * share * app.LoadFactor(rank), nil
 	}
-	res, err := sched.Replay(ctx, net, cost, nil)
+	res, err := psins.Replay(ctx, cores, build, net, cost, nil)
 	if err != nil {
 		return nil, err
 	}
